@@ -9,7 +9,7 @@ from .gradcheck import grad_check
 from .frontend import FeatureSequence, FrontendConfig, output_length, spec_augment, subsample
 from .model import (LMConfig, MacCounter, ModelConfig, attention, count_attention_macs,
                     decode_forward, encode, init_model_params, multi_head_attention,
-                    pyramidal_encode, time_reduce)
+                    time_reduce)
 from .losses import (KDConfig, ce_label_smoothed, ctc_loss, finetune_loss, joint_loss,
                      phi_schedule, skd_loss, snapshot_teacher)
 from .search import BeamConfig, CtcPrefixScorer, Hypothesis, beam_search
@@ -20,7 +20,7 @@ __all__ = [
     "grad_check", "FeatureSequence", "FrontendConfig", "output_length", "spec_augment",
     "subsample", "LMConfig", "MacCounter", "ModelConfig", "attention",
     "count_attention_macs", "decode_forward", "encode", "init_model_params",
-    "multi_head_attention", "pyramidal_encode", "time_reduce", "KDConfig",
+    "multi_head_attention", "time_reduce", "KDConfig",
     "ce_label_smoothed", "ctc_loss", "finetune_loss", "joint_loss", "phi_schedule",
     "skd_loss", "snapshot_teacher", "BeamConfig", "CtcPrefixScorer", "Hypothesis",
     "beam_search", "Vocabulary", "wer", "cer",

@@ -20,12 +20,12 @@ import numpy as np
 
 from . import tensor as T
 from .checkpoint import average_checkpoints, load_checkpoint, save_checkpoint
-from .config import ExperimentConfig, dump_config, load_config, resolve
+from .config import ExperimentConfig, dump_config, load_config, resolve, unquote
 from .data import (SyntheticTaskSpec, Vocabulary, load_manifest, synth_generate)
 from .errors import ConfigError, TrasrError
 from .frontend import KINDS, FeatureSequence, minimum_input_length
 from .model import (MacCounter, ForwardCtx, ModelConfig, count_attention_macs,
-                    encoder_forward, init_model_params, init_lm_params)
+                    encode, init_model_params, init_lm_params)
 from .search import BeamConfig
 from .training import (decode_dataset, run_lm_training, run_training)
 
@@ -36,7 +36,7 @@ def _load_cfg(args) -> ExperimentConfig:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         k, _, v = item.partition("=")
-        overrides[k.strip()] = v.strip()
+        overrides[k.strip()] = unquote(v)
     if getattr(args, "seed", None) is not None:
         overrides["train.seed"] = str(args.seed)
     if args.config:
@@ -187,7 +187,7 @@ def benchmark_cells(cfg: ExperimentConfig, lengths: list[int], repetitions: int 
                     counter = MacCounter()
                     t0 = time.perf_counter()
                     with T.no_grad():
-                        encoder_forward(seq, mcfg, params, ForwardCtx(counter=counter))
+                        encode(seq, mcfg, params, ForwardCtx(counter=counter))
                     times.append((time.perf_counter() - t0) * 1e3)
                     measured = counter.total
                 cell.update(measured_macs=measured,

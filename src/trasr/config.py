@@ -6,7 +6,7 @@ double-quoted to preserve surrounding whitespace. Unknown keys are errors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigError
@@ -17,7 +17,7 @@ from .search import BeamConfig
 
 
 def _bool(s: str) -> bool:
-    low = s.lower()
+    low = s.strip().lower()
     if low in ("true", "yes", "on", "1"):
         return True
     if low in ("false", "no", "off", "0"):
@@ -127,6 +127,13 @@ class ExperimentConfig:
         return self.model.vocab_size
 
 
+def unquote(value: str) -> str:
+    """Drop one pair of matching outer quotes (they protect surrounding whitespace)."""
+    if len(value) >= 2 and value[0] == value[-1] and value[0] in "'\"":
+        return value[1:-1]
+    return value
+
+
 def parse_flat(text: str) -> dict[str, str]:
     values: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -139,14 +146,21 @@ def parse_flat(text: str) -> dict[str, str]:
         key = key.strip()
         value = value.split("#", 1)[0].strip() if not value.strip().startswith(("'", '"')) \
             else value.strip()
-        if len(value) >= 2 and value[0] == value[-1] and value[0] in "'\"":
-            value = value[1:-1]
+        value = unquote(value)
         if key not in KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         values[key] = value
     return values
+
+
+def _section(cls, raw: dict, section: str, **extra):
+    """`cls` with each field `f` taken from `raw[f"{section}.{f}"]`; `extra`
+    supplies or overrides fields whose names do not match a key."""
+    values = {f.name: raw[f"{section}.{f.name}"] for f in fields(cls)
+              if f"{section}.{f.name}" in raw}
+    return cls(**{**values, **extra})
 
 
 def resolve(values: dict[str, str] | None = None,
@@ -179,44 +193,16 @@ def resolve(values: dict[str, str] | None = None,
             feature_dim=raw["model.feature_dim"],
             apply_positional_encoding=None if pe_mode == "auto" else pe_mode == "on",
         )
-        model = ModelConfig(
-            e1=raw["model.e1"], e2=raw["model.e2"], dec_layers=raw["model.dec_layers"],
-            d_att=raw["model.d_att"], d_ff=raw["model.d_ff"], heads=raw["model.heads"],
-            tr_enabled=raw["model.tr_enabled"], pyramidal=raw["model.pyramidal"],
-            post_norm=raw["model.post_norm"], vocab_size=vocab_size,
-            dropout=raw["model.dropout"], frontend=frontend,
-        )
-        kd = KDConfig(
-            phi_final=raw["kd.phi_final"], total_epochs=raw["train.epochs"],
-            mode=raw["kd.mode"], teacher_snapshot_cadence=raw["kd.cadence"],
-            freeze_teacher=raw["kd.freeze_teacher"], temperature=raw["kd.temperature"],
-        )
-        decode = BeamConfig(
-            beam_size=raw["decode.beam_size"], ctc_weight=raw["decode.ctc_weight"],
-            lm_weight=raw["decode.lm_weight"],
-            insertion_penalty=raw["decode.insertion_penalty"],
-            max_len_ratio=raw["decode.max_len_ratio"],
-        )
-        lm = LMConfig(layers=raw["lm.layers"], d_att=raw["lm.d_att"], d_ff=raw["lm.d_ff"],
-                      heads=raw["lm.heads"], vocab_size=vocab_size,
-                      dropout=raw["lm.dropout"])
+        model = _section(ModelConfig, raw, "model", vocab_size=vocab_size, frontend=frontend)
+        kd = _section(KDConfig, raw, "kd", total_epochs=raw["train.epochs"],
+                      teacher_snapshot_cadence=raw["kd.cadence"])
+        decode = _section(BeamConfig, raw, "decode")
+        lm = _section(LMConfig, raw, "lm", vocab_size=vocab_size)
     except ValueError as e:
         raise ConfigError(str(e)) from e
-    train = TrainConfig(
-        epochs=raw["train.epochs"], batch_size=raw["train.batch_size"],
-        alpha=raw["train.alpha"], label_smoothing=raw["train.label_smoothing"],
-        lr_scale=raw["train.lr_scale"], warmup_steps=raw["train.warmup_steps"],
-        seed=raw["train.seed"], keep_best=raw["train.keep_best"],
-        finetune_lr=raw["train.finetune_lr"], finetune_epochs=raw["train.finetune_epochs"],
-        specaugment=raw["train.specaugment"], freq_masks=raw["train.freq_masks"],
-        freq_mask_max=raw["train.freq_mask_max"], time_masks=raw["train.time_masks"],
-        time_mask_max=raw["train.time_mask_max"],
-    )
-    lm_train = LMTrainConfig(epochs=raw["lm.epochs"], batch_size=raw["lm.batch_size"],
-                             lr_scale=raw["lm.lr_scale"], warmup_steps=raw["lm.warmup_steps"])
     return ExperimentConfig(
-        raw=raw, model=model, train=train, kd=kd, decode=decode, lm=lm,
-        lm_train=lm_train, alphabet=alphabet,
+        raw=raw, model=model, train=_section(TrainConfig, raw, "train"), kd=kd,
+        decode=decode, lm=lm, lm_train=_section(LMTrainConfig, raw, "lm"), alphabet=alphabet,
         train_manifest=raw["paths.train_manifest"],
         dev_manifest=raw["paths.dev_manifest"],
         lm_checkpoint=raw["paths.lm_checkpoint"],

@@ -1,5 +1,6 @@
-"""Encoder with an insertable time-reduction layer, the pyramidal baseline,
-the decoder, the CTC head, and a decoder-only language model.
+"""Encoder with time-reduction layers placed by one reduction schedule (the
+paper's single in-encoder TR layer, or the pyramidal baseline), the decoder,
+the CTC head, and a decoder-only language model.
 
 All forward functions take a ParameterStore plus a ForwardCtx carrying
 train/eval mode, dropout streams, and the optional attention MAC counter.
@@ -51,6 +52,15 @@ class ModelConfig:
     @property
     def num_encoder_layers(self) -> int:
         return self.e1 + self.e2
+
+    @property
+    def reductions(self) -> dict[int, str]:
+        """Encoder layer index -> time-reduction parameter prefix. Frames are
+        halved just before that layer; index num_encoder_layers means before
+        the final norm."""
+        if self.pyramidal:
+            return {i + 1: f"enc.tr{i}" for i in range(3)}
+        return {self.e1: "enc.tr"} if self.tr_enabled else {}
 
 
 class MacCounter:
@@ -129,11 +139,8 @@ def init_model_params(cfg: ModelConfig, seed: int, dtype=np.float32) -> Paramete
     init_frontend_params(cfg.frontend, store, seed, prefix="frontend", dtype=dtype)
     for i in range(cfg.num_encoder_layers):
         init_encoder_layer_params(store, seed, f"enc.layer{i}", cfg.d_att, cfg.d_ff, dtype)
-    if cfg.tr_enabled:
-        init_time_reduction_params(store, seed, "enc.tr", cfg.d_att, dtype)
-    if cfg.pyramidal:
-        for i in range(3):
-            init_time_reduction_params(store, seed, f"enc.tr{i}", cfg.d_att, dtype)
+    for prefix in cfg.reductions.values():
+        init_time_reduction_params(store, seed, prefix, cfg.d_att, dtype)
     _ln(store, "enc.ln_out", cfg.d_att, dtype)
     _xavier(store, seed, "ctc.w", (cfg.d_att, cfg.vocab_size), dtype)
     _zeros(store, "ctc.b", (cfg.vocab_size,), dtype)
@@ -182,7 +189,7 @@ def multi_head_attention(x_q: Tensor, x_kv: Tensor, params: ParameterStore, pref
     for i in range(heads):
         sl = slice(i * d_k, (i + 1) * d_k)
         outs.append(attention(q[:, sl], k[:, sl], v[:, sl], mask=mask, counter=counter))
-    cat = outs[0] if heads == 1 else T.concat_last_axis(outs)
+    cat = outs[0] if heads == 1 else T.concat(outs, axis=-1)
     return T.matmul(cat, params[f"{prefix}.wo"])
 
 
@@ -195,19 +202,24 @@ def _ln_apply(x, params, prefix):
     return T.layer_norm(x, params[f"{prefix}.gain"], params[f"{prefix}.bias"])
 
 
+def _residual(x: Tensor, sublayer, params: ParameterStore, ln: str, name: str,
+              ctx: ForwardCtx, post_norm: bool) -> Tensor:
+    """LN(x + drop(f(x))) after the sublayer (post-norm), or x + drop(f(LN(x)))
+    around it (pre-norm); `name` is the sublayer's dropout stream."""
+    if post_norm:
+        return _ln_apply(x + ctx.drop(sublayer(x), name), params, ln)
+    return x + ctx.drop(sublayer(_ln_apply(x, params, ln)), name)
+
+
 def encoder_layer(x: Tensor, params: ParameterStore, prefix: str, heads: int,
                   ctx: ForwardCtx = EVAL_CTX, mask: np.ndarray | None = None,
                   post_norm: bool = False) -> Tensor:
-    if post_norm:
-        a = multi_head_attention(x, x, params, f"{prefix}.mha", heads, mask, ctx.counter)
-        x = _ln_apply(x + ctx.drop(a, f"{prefix}.mha"), params, f"{prefix}.ln1")
-        f = position_wise_ffn(x, params, f"{prefix}.ffn")
-        return _ln_apply(x + ctx.drop(f, f"{prefix}.ffn"), params, f"{prefix}.ln2")
-    h = _ln_apply(x, params, f"{prefix}.ln1")
-    a = multi_head_attention(h, h, params, f"{prefix}.mha", heads, mask, ctx.counter)
-    x = x + ctx.drop(a, f"{prefix}.mha")
-    f = position_wise_ffn(_ln_apply(x, params, f"{prefix}.ln2"), params, f"{prefix}.ffn")
-    return x + ctx.drop(f, f"{prefix}.ffn")
+    mha, ffn = f"{prefix}.mha", f"{prefix}.ffn"
+    x = _residual(x, lambda h: multi_head_attention(h, h, params, mha, heads, mask,
+                                                    ctx.counter),
+                  params, f"{prefix}.ln1", mha, ctx, post_norm)
+    return _residual(x, lambda h: position_wise_ffn(h, params, ffn),
+                     params, f"{prefix}.ln2", ffn, ctx, post_norm)
 
 
 def time_reduce(x: Tensor, params: ParameterStore, prefix: str = "enc.tr") -> Tensor:
@@ -225,44 +237,18 @@ def time_reduce(x: Tensor, params: ParameterStore, prefix: str = "enc.tr") -> Te
 
 def encode(x: FeatureSequence, cfg: ModelConfig, params: ParameterStore,
            ctx: ForwardCtx = EVAL_CTX) -> tuple[Tensor, int]:
-    """Front-end, e1 layers, optional time reduction, e2 layers, final norm."""
+    """Front-end, encoder layers with frames halved where `cfg.reductions`
+    says, final norm."""
     h, n = subsample(x, cfg.frontend, params)
     h = ctx.drop(h, "frontend")
-    for i in range(cfg.e1):
-        h = encoder_layer(h, params, f"enc.layer{i}", cfg.heads, ctx,
-                          post_norm=cfg.post_norm)
-    if cfg.tr_enabled:
-        h = time_reduce(h, params, "enc.tr")
-        n = n // 2
-        if n < 1:
-            raise SequenceTooShortError("sequence collapsed to length 0 at time reduction")
-    for i in range(cfg.e1, cfg.num_encoder_layers):
-        h = encoder_layer(h, params, f"enc.layer{i}", cfg.heads, ctx,
-                          post_norm=cfg.post_norm)
+    reductions = cfg.reductions
+    for i in range(cfg.num_encoder_layers + 1):
+        if i in reductions:
+            h, n = time_reduce(h, params, reductions[i]), n // 2
+        if i < cfg.num_encoder_layers:
+            h = encoder_layer(h, params, f"enc.layer{i}", cfg.heads, ctx,
+                              post_norm=cfg.post_norm)
     return _ln_apply(h, params, "enc.ln_out"), n
-
-
-def pyramidal_encode(x: FeatureSequence, cfg: ModelConfig, params: ParameterStore,
-                     ctx: ForwardCtx = EVAL_CTX) -> tuple[Tensor, int]:
-    """Baseline: halve the sequence after each of the first three layers."""
-    h, n = subsample(x, cfg.frontend, params)
-    h = ctx.drop(h, "frontend")
-    for i in range(cfg.num_encoder_layers):
-        h = encoder_layer(h, params, f"enc.layer{i}", cfg.heads, ctx,
-                          post_norm=cfg.post_norm)
-        if i < 3:
-            h = time_reduce(h, params, f"enc.tr{i}")
-            n = n // 2
-            if n < 1:
-                raise SequenceTooShortError(
-                    f"sequence collapsed to length 0 at pyramid stage {i}")
-    return _ln_apply(h, params, "enc.ln_out"), n
-
-
-def encoder_forward(x, cfg, params, ctx=EVAL_CTX):
-    if cfg.pyramidal:
-        return pyramidal_encode(x, cfg, params, ctx)
-    return encode(x, cfg, params, ctx)
 
 
 def ctc_log_probs(x_e: Tensor, params: ParameterStore) -> Tensor:
@@ -276,7 +262,7 @@ def _causal_mask(n: int) -> np.ndarray:
 
 def _embed(ids, table: Tensor, d_att: int, ctx: ForwardCtx, name: str) -> Tensor:
     ids = np.asarray(ids, dtype=np.int64)
-    e = T.embedding_lookup(table, ids) * math.sqrt(d_att)
+    e = T.take(table, ids) * math.sqrt(d_att)
     e = e + Tensor(positional_encoding(len(ids), d_att, dtype=e.dtype))
     return ctx.drop(e, name)
 
@@ -292,24 +278,15 @@ def decode_forward(prefix, x_e: Tensor, cfg: ModelConfig, params: ParameterStore
     y = _embed(prefix, params["dec.embed"], cfg.d_att, ctx, "dec.embed")
     for j in range(cfg.dec_layers):
         p = f"dec.layer{j}"
-        if cfg.post_norm:
-            a = multi_head_attention(y, y, params, f"{p}.self", cfg.heads, mask, ctx.counter)
-            y = _ln_apply(y + ctx.drop(a, f"{p}.self"), params, f"{p}.ln1")
-            c = multi_head_attention(y, x_e, params, f"{p}.src", cfg.heads,
-                                     counter=ctx.counter)
-            y = _ln_apply(y + ctx.drop(c, f"{p}.src"), params, f"{p}.ln2")
-            f = position_wise_ffn(y, params, f"{p}.ffn")
-            y = _ln_apply(y + ctx.drop(f, f"{p}.ffn"), params, f"{p}.ln3")
-        else:
-            h = _ln_apply(y, params, f"{p}.ln1")
-            a = multi_head_attention(h, h, params, f"{p}.self", cfg.heads, mask, ctx.counter)
-            y = y + ctx.drop(a, f"{p}.self")
-            h = _ln_apply(y, params, f"{p}.ln2")
-            c = multi_head_attention(h, x_e, params, f"{p}.src", cfg.heads,
-                                     counter=ctx.counter)
-            y = y + ctx.drop(c, f"{p}.src")
-            f = position_wise_ffn(_ln_apply(y, params, f"{p}.ln3"), params, f"{p}.ffn")
-            y = y + ctx.drop(f, f"{p}.ffn")
+        sa, ca, ffn = f"{p}.self", f"{p}.src", f"{p}.ffn"
+        y = _residual(y, lambda h: multi_head_attention(h, h, params, sa, cfg.heads, mask,
+                                                        ctx.counter),
+                      params, f"{p}.ln1", sa, ctx, cfg.post_norm)
+        y = _residual(y, lambda h: multi_head_attention(h, x_e, params, ca, cfg.heads,
+                                                        counter=ctx.counter),
+                      params, f"{p}.ln2", ca, ctx, cfg.post_norm)
+        y = _residual(y, lambda h: position_wise_ffn(h, params, ffn),
+                      params, f"{p}.ln3", ffn, ctx, cfg.post_norm)
     y = _ln_apply(y, params, "dec.ln_out")
     return T.matmul(y, params["dec.out.w"]) + params["dec.out.b"]
 
@@ -319,22 +296,13 @@ def decode_forward(prefix, x_e: Tensor, cfg: ModelConfig, params: ParameterStore
 
 def encoder_layer_lengths(cfg: ModelConfig, T_in: int) -> tuple[int, list[int], int]:
     """(front-end output length, per-layer input lengths, final length)."""
-    n0 = output_length(cfg.frontend.kind, T_in)
-    lengths = []
-    if cfg.pyramidal:
-        n = n0
-        for i in range(cfg.num_encoder_layers):
-            lengths.append(n)
-            if i < 3:
-                n = n // 2
-        final = n
-    elif cfg.tr_enabled:
-        lengths = [n0] * cfg.e1 + [n0 // 2] * cfg.e2
-        final = n0 // 2
-    else:
-        lengths = [n0] * cfg.num_encoder_layers
-        final = n0
-    return n0, lengths, final
+    n = n0 = output_length(cfg.frontend.kind, T_in)
+    reductions, lengths = cfg.reductions, []
+    for i in range(cfg.num_encoder_layers + 1):
+        if i in reductions:
+            n //= 2
+        lengths.append(n)
+    return n0, lengths[:-1], lengths[-1]
 
 
 def count_attention_macs(cfg: ModelConfig, T_in: int) -> dict:

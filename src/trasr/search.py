@@ -8,6 +8,7 @@ becomes the probability of the prefix as a complete output.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -97,9 +98,6 @@ class Hypothesis:
     ctc_state: np.ndarray | None = None
     finished: bool = False
 
-    def body(self, sos_id: int) -> list[int]:
-        return self.tokens[1:]
-
 
 def combined_score(hyp: Hypothesis, cfg: BeamConfig) -> float:
     n_tokens = len(hyp.tokens) - 1
@@ -143,7 +141,8 @@ def beam_search(s2s_fn, cfg: BeamConfig, sos_id: int, eos_id: int, candidates,
     finished: list[Hypothesis] = []
     expanded = 0
 
-    for step in range(max_len):
+    # one step past max_len scores eos for hypotheses of max_len tokens
+    for step in range(max_len + 1):
         extensions: list[Hypothesis] = []
         for hyp in active:
             s2s = check_vocab(np.asarray(s2s_fn(hyp.tokens), dtype=np.float64), "s2s model")
@@ -161,6 +160,8 @@ def beam_search(s2s_fn, cfg: BeamConfig, sos_id: int, eos_id: int, candidates,
                 finished=True,
             )
             finished.append(done)
+            if step == max_len:
+                continue
 
             if ctc_scorer is not None:
                 last = hyp.tokens[-1] if len(hyp.tokens) > 1 else None
@@ -183,7 +184,10 @@ def beam_search(s2s_fn, cfg: BeamConfig, sos_id: int, eos_id: int, candidates,
         if finished:
             best_fin = max(combined_score(h, cfg) for h in finished)
             remaining = max_len - (step + 1)
-            optimistic = max(0.0, cfg.insertion_penalty) * remaining
+            # s2s, CTC and (for gamma >= 0) LM terms only fall as a hypothesis
+            # grows; a negative LM weight makes the LM term rise without bound
+            optimistic = max(0.0, cfg.insertion_penalty) * remaining \
+                if cfg.lm_weight >= 0.0 else math.inf
             best_act = combined_score(active[0], cfg)
             if best_fin >= best_act + optimistic:
                 break

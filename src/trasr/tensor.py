@@ -340,24 +340,6 @@ def concat(tensors: Iterable[Tensor], axis: int = -1) -> Tensor:
     return _result(data, tensors, backward)
 
 
-def concat_last_axis(tensors: Iterable[Tensor]) -> Tensor:
-    return concat(tensors, axis=-1)
-
-
-def embedding_lookup(table: Tensor, ids) -> Tensor:
-    """Rows of `table` at integer `ids`; gradient scatter-adds into the table."""
-    table = _wrap(table)
-    ids = np.asarray(ids, dtype=np.int64)
-    data = table.data[ids]
-
-    def backward(g):
-        gt = np.zeros_like(table.data)
-        np.add.at(gt, ids, g)
-        _accum(table, gt)
-
-    return _result(data, (table,), backward)
-
-
 def dropout(x: Tensor, p: float, rng: np.random.Generator, train: bool) -> Tensor:
     """Inverted dropout: kept values scaled by 1/(1-p); identity in eval mode."""
     if not 0.0 <= p < 1.0:

@@ -21,8 +21,7 @@ from .losses import (KDConfig, ce_label_smoothed, ctc_loss,
                      finetune_loss, joint_loss, phi_schedule, skd_loss,
                      snapshot_teacher, teacher_entropy)
 from .model import (EVAL_CTX, ForwardCtx, ModelConfig, LMConfig, ctc_log_probs,
-                    decode_forward, encoder_forward, init_lm_params,
-                    init_model_params, lm_forward)
+                    decode_forward, encode, init_lm_params, init_model_params, lm_forward)
 from .optim import AdamState, ParameterStore, adam_step
 from .rng import StreamCache, stream
 from .search import BeamConfig, CtcPrefixScorer, beam_search
@@ -61,7 +60,7 @@ def utterance_losses(seq: FeatureSequence, target_ids: list[int], model_cfg: Mod
                      params: ParameterStore, ctx: ForwardCtx, label_smoothing: float,
                      teacher: ParameterStore | None = None,
                      temperature: float = 1.0) -> UtteranceLoss:
-    x_e, _ = encoder_forward(seq, model_cfg, params, ctx)
+    x_e, _ = encode(seq, model_cfg, params, ctx)
     l_ctc = ctc_loss(ctc_log_probs(x_e, params), target_ids, blank_id=Vocabulary.BLANK)
 
     prefix = [Vocabulary.SOS] + list(target_ids)
@@ -74,7 +73,7 @@ def utterance_losses(seq: FeatureSequence, target_ids: list[int], model_cfg: Mod
     ent = 0.0
     if teacher is not None:
         with T.no_grad():
-            t_xe, _ = encoder_forward(seq, model_cfg, teacher, EVAL_CTX)
+            t_xe, _ = encode(seq, model_cfg, teacher, EVAL_CTX)
             t_logits = decode_forward(prefix, t_xe, model_cfg, teacher, EVAL_CTX)
         l_skd = skd_loss(t_logits, logits, temperature=temperature, reduce="sum")
         ent = teacher_entropy(t_logits, temperature=temperature) * len(targets)
@@ -356,7 +355,7 @@ def decode_utterance(seq: FeatureSequence, model_cfg: ModelConfig,
                      lm_cfg: LMConfig | None = None,
                      lm_params: ParameterStore | None = None):
     with T.no_grad():
-        x_e, n = encoder_forward(seq, model_cfg, params)
+        x_e, n = encode(seq, model_cfg, params)
         ctc_lp = ctc_log_probs(x_e, params).data
     scorer = CtcPrefixScorer(ctc_lp, blank_id=Vocabulary.BLANK) \
         if beam_cfg.ctc_weight > 0 else None

@@ -118,17 +118,19 @@ def test_criterion_2_ctc_oracle():
 
 def test_criterion_3_beam_search_oracle():
     rng = np.random.default_rng(7)
-    cfg = BeamConfig(beam_size=64, ctc_weight=0.4, lm_weight=0.0,
-                     insertion_penalty=0.5, max_len_ratio=1.0)
     ok = True
-    for trial in range(50):
-        s2s = table_s2s(trial)
-        lp = random_log_probs(rng, 4, 5)
-        res = beam_search(s2s, cfg, SOS, EOS, [4, 1], 4,
-                          ctc_scorer=CtcPrefixScorer(lp))
-        want_score, want_body = exhaustive_best(s2s, cfg, [4, 1], lp, 4)
-        ok &= res.finished
-        ok &= abs(res.score - want_score) < 1e-9 and res.tokens == want_body
+    for gamma in (0.0, -0.8):  # no LM, and LM subtraction
+        cfg = BeamConfig(beam_size=64, ctc_weight=0.4, lm_weight=gamma,
+                         insertion_penalty=0.5, max_len_ratio=1.0)
+        for trial in range(50):
+            s2s = table_s2s(trial)
+            lm = table_s2s(1000 + trial) if gamma else None
+            lp = random_log_probs(rng, 4, 5)
+            res = beam_search(s2s, cfg, SOS, EOS, [4, 1], 4,
+                              ctc_scorer=CtcPrefixScorer(lp), lm_fn=lm)
+            want_score, want_body = exhaustive_best(s2s, cfg, [4, 1], lp, 4, lm_fn=lm)
+            ok &= res.finished
+            ok &= abs(res.score - want_score) < 1e-9 and res.tokens == want_body
 
     for trial in range(5):
         s2s = table_s2s(100 + trial)
@@ -141,7 +143,8 @@ def test_criterion_3_beam_search_oracle():
                               ctc_scorer=CtcPrefixScorer(lp))
             ok &= res.score >= prev - 1e-12
             prev = res.score
-    report(3, "beam search exact on tiny instances + beam monotonicity", ok)
+    report(3, "beam search exact on tiny instances (gamma 0 and -0.8) + beam monotonicity",
+           ok)
 
 
 # -- 4. frame-rate arithmetic ------------------------------------------------

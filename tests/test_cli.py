@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from trasr.checkpoint import load_checkpoint
-from trasr.cli import main
+from trasr.cli import _load_cfg, build_parser, main
 from trasr.data import load_manifest
 
 ALPHABET = "abcd "
@@ -82,6 +82,20 @@ def test_seed_flag_overrides_config(dataset, tmp_path):
 def test_unknown_config_key_exit_2(tmp_path):
     assert main(["train", "--out", str(tmp_path / "run"),
                  "--set", "model.depth=3"]) == 2
+
+
+@pytest.mark.parametrize("value", ['abcdefgh ', '"abcdefgh "', "'abcdefgh '"])
+def test_set_keeps_whitespace_like_config_file(tmp_path, value):
+    # --set data.alphabet="abcdefgh " reaches argv as 'abcdefgh '; quotes kept by
+    # the shell are dropped as in a config file
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text('data.alphabet = "abcdefgh "\n', encoding="utf-8")
+    via_file = _load_cfg(build_parser().parse_args(
+        ["train", "--out", str(tmp_path), "--config", str(cfg_file)]))
+    via_set = _load_cfg(build_parser().parse_args(
+        ["train", "--out", str(tmp_path), "--set", f"data.alphabet={value}"]))
+    assert via_set.alphabet == via_file.alphabet == "abcdefgh "
+    assert via_set.vocab_size == via_file.vocab_size == 14
 
 
 def test_missing_manifest_config_exit_2(tmp_path):

@@ -9,10 +9,9 @@ from trasr.frontend import FeatureSequence, output_length
 from trasr.gradcheck import grad_check
 from trasr.model import (EVAL_CTX, ForwardCtx, LMConfig, MacCounter, ModelConfig,
                          attention, count_attention_macs, ctc_log_probs, decode_forward,
-                         encode, encoder_forward, encoder_layer, encoder_layer_lengths,
+                         encode, encoder_layer, encoder_layer_lengths,
                          init_encoder_layer_params, init_lm_params, init_model_params,
-                         lm_forward, multi_head_attention, position_wise_ffn,
-                         pyramidal_encode, time_reduce)
+                         lm_forward, multi_head_attention, position_wise_ffn, time_reduce)
 from trasr.optim import ParameterStore
 from trasr.tensor import Tensor
 
@@ -209,7 +208,7 @@ def test_pyramidal_three_halvings():
     cfg = tiny_model_config(e1=0, e2=3, tr_enabled=False, pyramidal=True)
     params = init_model_params(cfg, seed=0)
     seq = random_features(np.random.default_rng(0), 40, 16)
-    _, n = pyramidal_encode(seq, cfg, params)
+    _, n = encode(seq, cfg, params)
     assert n == ((40 // 2) // 2) // 2 == 5
 
 
@@ -310,7 +309,7 @@ def test_measured_macs_equal_analytic_all_archs():
             T_in = 60
             seq = random_features(rng, T_in, 16)
             counter = MacCounter()
-            encoder_forward(seq, cfg, params, ForwardCtx(counter=counter))
+            encode(seq, cfg, params, ForwardCtx(counter=counter))
             assert counter.total == count_attention_macs(cfg, T_in)["total_macs"]
 
 

@@ -168,18 +168,21 @@ def test_beam_config_validation():
 
 
 def test_beam_search_equals_exhaustive_enumeration():
+    # gamma < 0 (internal-LM subtraction) makes the LM term grow with length
     rng = np.random.default_rng(7)
-    cfg = BeamConfig(beam_size=64, ctc_weight=0.4, lm_weight=0.0,
-                     insertion_penalty=0.5, max_len_ratio=1.0)
-    for trial in range(50):
-        s2s = table_s2s(trial)
-        lp = random_log_probs(rng, 4, 5)
-        res = beam_search(s2s, cfg, SOS, EOS, [4, 1], 4,
-                          ctc_scorer=CtcPrefixScorer(lp), lm_fn=None)
-        want_score, want_body = exhaustive_best(s2s, cfg, [4, 1], lp, 4)
-        assert res.finished
-        assert abs(res.score - want_score) < 1e-9
-        assert res.tokens == want_body
+    for gamma in (0.0, -0.8):
+        cfg = BeamConfig(beam_size=64, ctc_weight=0.4, lm_weight=gamma,
+                         insertion_penalty=0.5, max_len_ratio=1.0)
+        for trial in range(50):
+            s2s = table_s2s(trial)
+            lm = table_s2s(1000 + trial) if gamma else None
+            lp = random_log_probs(rng, 4, 5)
+            res = beam_search(s2s, cfg, SOS, EOS, [4, 1], 4,
+                              ctc_scorer=CtcPrefixScorer(lp), lm_fn=lm)
+            want_score, want_body = exhaustive_best(s2s, cfg, [4, 1], lp, 4, lm_fn=lm)
+            assert res.finished
+            assert abs(res.score - want_score) < 1e-9
+            assert res.tokens == want_body
 
 
 def test_beam_size_monotonicity_1_to_16():
