@@ -105,12 +105,16 @@ def cmd_decode(args) -> int:
         "deletions": totals.deletions,
         "ref_words": totals.ref_length,
         "unfinished": sum(not r.finished for r in results),
+        "skipped": [{"utt_id": r.utt_id, "reason": r.skipped} for r in results if r.skipped],
     }
     (args.out / "report.json").write_text(json.dumps(report, indent=2), encoding="utf-8")
     (args.out / "config.resolved").write_text(dump_config(cfg), encoding="utf-8")
     print(f"WER {100 * totals.rate:.2f}% "
           f"(S={totals.substitutions} I={totals.insertions} D={totals.deletions} "
           f"over {totals.ref_length} words)")
+    if len(report["skipped"]) == len(results):
+        raise TrasrError(f"every utterance was skipped, e.g. {results[0].utt_id}: "
+                         f"{results[0].skipped}")
     return 0
 
 

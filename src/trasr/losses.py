@@ -128,22 +128,28 @@ def ce_label_smoothed(logits: Tensor, targets, epsilon: float = 0.1,
     return summed * (1.0 / float(total))
 
 
+def _teacher_probs(teacher_logits, temperature: float) -> np.ndarray:
+    """Float64 softmax of the detached teacher logits at `temperature`."""
+    t_data = teacher_logits.data if isinstance(teacher_logits, Tensor) else np.asarray(teacher_logits)
+    z = t_data.astype(np.float64) / temperature
+    z = z - z.max(axis=-1, keepdims=True)
+    p = np.exp(z)
+    p /= p.sum(axis=-1, keepdims=True)
+    return p
+
+
 def skd_loss(teacher_logits, student_logits: Tensor, mask=None,
              temperature: float = 1.0, reduce: str = "mean") -> Tensor:
     """Cross-entropy of the student against the (detached) teacher distribution."""
-    t_data = teacher_logits.data if isinstance(teacher_logits, Tensor) else np.asarray(teacher_logits)
-    if t_data.shape != student_logits.shape:
+    p_t = _teacher_probs(teacher_logits, temperature)
+    if p_t.shape != student_logits.shape:
         raise ShapeError(
-            f"teacher/student shape mismatch: {t_data.shape} vs {student_logits.shape}")
-    n = t_data.shape[0]
+            f"teacher/student shape mismatch: {p_t.shape} vs {student_logits.shape}")
+    n = p_t.shape[0]
     weights = np.ones(n) if mask is None else np.asarray(mask, dtype=np.float64)
     total = weights.sum()
     if total == 0:
         raise MaskError("all positions masked in distillation loss")
-    z = t_data.astype(np.float64) / temperature
-    z = z - z.max(axis=-1, keepdims=True)
-    p_t = np.exp(z)
-    p_t /= p_t.sum(axis=-1, keepdims=True)
     lp_s = T.log_softmax(student_logits * (1.0 / temperature), axis=-1)
     per_pos = -T.tsum(lp_s * Tensor(p_t.astype(lp_s.dtype)), axis=-1)
     summed = T.tsum(per_pos * Tensor(weights.astype(lp_s.dtype)))
@@ -154,13 +160,8 @@ def skd_loss(teacher_logits, student_logits: Tensor, mask=None,
 
 def teacher_entropy(teacher_logits, mask=None, temperature: float = 1.0) -> float:
     """Mean entropy of the teacher distribution over unmasked positions."""
-    t_data = teacher_logits.data if isinstance(teacher_logits, Tensor) else np.asarray(teacher_logits)
-    z = t_data.astype(np.float64) / temperature
-    z = z - z.max(axis=-1, keepdims=True)
-    p = np.exp(z)
-    p /= p.sum(axis=-1, keepdims=True)
-    lp = np.log(p)
-    ent = -(p * lp).sum(axis=-1)
+    p = _teacher_probs(teacher_logits, temperature)
+    ent = -(p * np.log(p)).sum(axis=-1)
     weights = np.ones(len(ent)) if mask is None else np.asarray(mask, dtype=np.float64)
     return float((ent * weights).sum() / weights.sum())
 

@@ -69,8 +69,8 @@ class MacCounter:
     def __init__(self):
         self.total = 0
 
-    def add(self, n_q: int, n_k: int, d_k: int) -> None:
-        self.total += 2 * n_q * n_k * d_k
+    def add(self, n_q: int, n_k: int, d_k: int, batch: int = 1) -> None:
+        self.total += 2 * batch * n_q * n_k * d_k
 
     def reset(self) -> None:
         self.total = 0
@@ -164,14 +164,16 @@ def init_model_params(cfg: ModelConfig, seed: int, dtype=np.float32) -> Paramete
 
 def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None,
               counter: MacCounter | None = None) -> Tensor:
-    """softmax(q k^T / sqrt(d_k)) v over single sequences (no batch axis)."""
-    if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
-        raise ShapeError(f"attention expects 2-d inputs, got {q.shape}, {k.shape}, {v.shape}")
-    if q.shape[1] != k.shape[1] or k.shape[0] != v.shape[0]:
+    """softmax(q k^T / sqrt(d_k)) v over the last two axes; leading axes are
+    batch axes and broadcast (one shared k/v serves a stack of queries)."""
+    if q.ndim < 2 or k.ndim < 2 or v.ndim < 2:
+        raise ShapeError(f"attention expects >= 2-d inputs, got {q.shape}, {k.shape}, {v.shape}")
+    if q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2]:
         raise ShapeError(f"attention shape mismatch: q={q.shape} k={k.shape} v={v.shape}")
-    d_k = q.shape[1]
+    d_k = q.shape[-1]
     if counter is not None:
-        counter.add(q.shape[0], k.shape[0], d_k)
+        batch = math.prod(np.broadcast_shapes(q.shape[:-2], k.shape[:-2]))
+        counter.add(q.shape[-2], k.shape[-2], d_k, batch)
     scores = T.matmul(q, T.transpose(k)) * (1.0 / math.sqrt(d_k))
     weights = T.masked_softmax(scores, mask, axis=-1)
     return T.matmul(weights, v)
@@ -180,15 +182,14 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None,
 def multi_head_attention(x_q: Tensor, x_kv: Tensor, params: ParameterStore, prefix: str,
                          heads: int, mask: np.ndarray | None = None,
                          counter: MacCounter | None = None) -> Tensor:
-    d_att = x_q.shape[1]
-    d_k = d_att // heads
+    d_k = x_q.shape[-1] // heads
     q = T.matmul(x_q, params[f"{prefix}.wq"])
     k = T.matmul(x_kv, params[f"{prefix}.wk"])
     v = T.matmul(x_kv, params[f"{prefix}.wv"])
     outs = []
     for i in range(heads):
         sl = slice(i * d_k, (i + 1) * d_k)
-        outs.append(attention(q[:, sl], k[:, sl], v[:, sl], mask=mask, counter=counter))
+        outs.append(attention(q[..., sl], k[..., sl], v[..., sl], mask=mask, counter=counter))
     cat = outs[0] if heads == 1 else T.concat(outs, axis=-1)
     return T.matmul(cat, params[f"{prefix}.wo"])
 
@@ -260,22 +261,22 @@ def _causal_mask(n: int) -> np.ndarray:
     return np.tril(np.ones((n, n), dtype=bool))
 
 
-def _embed(ids, table: Tensor, d_att: int, ctx: ForwardCtx, name: str) -> Tensor:
-    ids = np.asarray(ids, dtype=np.int64)
+def _embed(prefix, table: Tensor, d_att: int, ctx: ForwardCtx, name: str) -> Tensor:
+    """A token prefix [n] -> [n, d_att], or equal-length prefixes [B, n] -> [B, n, d_att]."""
+    ids = np.asarray(prefix, dtype=np.int64)
+    if ids.shape[-1] == 0:
+        raise ValueError(f"{name}: prefix must not be empty")
     e = T.take(table, ids) * math.sqrt(d_att)
-    e = e + Tensor(positional_encoding(len(ids), d_att, dtype=e.dtype))
+    e = e + Tensor(positional_encoding(ids.shape[-1], d_att, dtype=e.dtype))
     return ctx.drop(e, name)
 
 
 def decode_forward(prefix, x_e: Tensor, cfg: ModelConfig, params: ParameterStore,
                    ctx: ForwardCtx = EVAL_CTX) -> Tensor:
-    """Next-token logits for every position of a sos-led prefix."""
-    prefix = list(prefix)
-    if not prefix:
-        raise ValueError("decoder prefix must not be empty")
-    n = len(prefix)
-    mask = _causal_mask(n)
+    """Next-token logits for every position of a sos-led prefix [n] -> [n, V],
+    or of a stack of prefixes [B, n] -> [B, n, V] sharing the encoder output."""
     y = _embed(prefix, params["dec.embed"], cfg.d_att, ctx, "dec.embed")
+    mask = _causal_mask(y.shape[-2])
     for j in range(cfg.dec_layers):
         p = f"dec.layer{j}"
         sa, ca, ffn = f"{p}.self", f"{p}.src", f"{p}.ffn"
@@ -351,12 +352,10 @@ def init_lm_params(cfg: LMConfig, seed: int, dtype=np.float32) -> ParameterStore
 
 def lm_forward(prefix, cfg: LMConfig, params: ParameterStore,
                ctx: ForwardCtx = EVAL_CTX) -> Tensor:
-    """Next-token logits from a causal self-attention stack (no cross-attention)."""
-    prefix = list(prefix)
-    if not prefix:
-        raise ValueError("LM prefix must not be empty")
-    mask = _causal_mask(len(prefix))
+    """Next-token logits from a causal self-attention stack (no cross-attention)
+    for a prefix [n] -> [n, V] or a stack of prefixes [B, n] -> [B, n, V]."""
     y = _embed(prefix, params["lm.embed"], cfg.d_att, ctx, "lm.embed")
+    mask = _causal_mask(y.shape[-2])
     for i in range(cfg.layers):
         y = encoder_layer(y, params, f"lm.layer{i}", cfg.heads, ctx, mask=mask)
     y = _ln_apply(y, params, "lm.ln_out")

@@ -4,6 +4,14 @@ Hypotheses are scored by
     (1 - lambda) * s2s + lambda * ctc_prefix + gamma * lm + penalty * n_tokens
 and moved to a finished pool when they emit eos; at that point the CTC term
 becomes the probability of the prefix as a complete output.
+
+Scoring contract: every active hypothesis at step s holds s + 1 tokens, so
+each step stacks the beam's prefixes into an int array [B, s + 1] and makes
+one call per scorer: `s2s_fn(prefixes)` and `lm_fn(prefixes)` return
+next-token log-probabilities [B, V], and `CtcPrefixScorer.extend` scores all
+B x C candidate extensions in one recursion. A result is unfinished when the
+length cap, not the score, ended the search (`report.json`'s `unfinished`);
+utterances too short to encode are listed under `skipped` there.
 """
 
 from __future__ import annotations
@@ -35,7 +43,8 @@ class CtcPrefixScorer:
     """Incremental prefix log-probabilities over a [T', V] CTC log-prob grid.
 
     State per hypothesis is a [T', 2] array of (non-blank, blank) forward
-    log-probabilities for the current prefix.
+    log-probabilities for the current prefix; `extend` takes the states of
+    every active hypothesis stacked as [B, T', 2].
     """
 
     def __init__(self, log_probs: np.ndarray, blank_id: int = 0):
@@ -52,41 +61,42 @@ class CtcPrefixScorer:
             r[t, 1] = r[t - 1, 1] + self.lp[t, self.blank]
         return r
 
-    def extend(self, state: np.ndarray, prefix_len: int, last_token: int | None,
-               candidates) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Prefix log-scores and new states for each candidate extension.
+    def extend(self, states: np.ndarray, prefix_len: int, last_tokens,
+               candidates) -> tuple[np.ndarray, np.ndarray]:
+        """Prefix log-scores [B, C] and new states [B, C, T', 2] for every
+        candidate extension of B hypotheses of `prefix_len` emitted tokens.
 
-        `prefix_len` counts emitted tokens so far (0 for the bare sos prefix);
-        `last_token` is the most recent emitted token, None if none.
+        `states` is [B, T', 2]; `last_tokens` [B] holds each prefix's last
+        token (sos, which is never a candidate, for the bare sos prefix).
         """
         cands = np.asarray(candidates, dtype=np.int64)
         if np.any(cands == self.blank):
             raise ValueError("blank cannot be a search candidate")
         Tn = self.n_frames
+        B, C = len(states), len(cands)
         if prefix_len + 1 > Tn:  # more tokens than frames: no alignment exists
-            dead = np.full((Tn, 2), -np.inf)
-            return np.full(len(cands), -np.inf), [dead.copy() for _ in cands]
-        xs = self.lp[:, cands]  # [T, C]
-        C = len(cands)
-        r = np.full((Tn, 2, C), -np.inf)
+            return np.full((B, C), -np.inf), np.full((B, C, Tn, 2), -np.inf)
+        xs = self.lp[:, None, cands]  # [T, 1, C]
+        r = np.full((Tn, 2, B, C), -np.inf)
         if prefix_len == 0:
             r[0, 0] = xs[0]
-        r_sum = np.logaddexp(state[:, 0], state[:, 1])
-        phi = np.repeat(r_sum[:, None], C, axis=1)
-        if last_token is not None:
-            same = cands == last_token
-            phi[:, same] = state[:, 1:2]  # repeated token must cross a blank
+        # phi[t, b, c]: mass of prefix b ending by frame t that may emit c next;
+        # a repeated token must cross a blank
+        r_sum = np.logaddexp(states[:, :, 0], states[:, :, 1]).T  # [T, B]
+        same = cands[None, :] == np.asarray(last_tokens)[:, None]  # [B, C]
+        phi = np.where(same, states[:, :, 1].T[:, :, None], r_sum[:, :, None])
         start = max(prefix_len, 1)
         log_psi = r[start - 1, 0].copy()
         for t in range(start, Tn):
             r[t, 0] = np.logaddexp(r[t - 1, 0], phi[t - 1]) + xs[t]
             r[t, 1] = np.logaddexp(r[t - 1, 1], r[t - 1, 0]) + self.lp[t, self.blank]
             log_psi = np.logaddexp(log_psi, phi[t - 1] + xs[t])
-        return log_psi, [r[:, :, i].copy() for i in range(C)]
+        return log_psi, r.transpose(2, 3, 0, 1)
 
-    def final_score(self, state: np.ndarray) -> float:
-        """Log-probability of the prefix as a complete CTC output."""
-        return float(np.logaddexp(state[-1, 0], state[-1, 1]))
+    def final_score(self, state: np.ndarray):
+        """Log-probability of the prefix as a complete CTC output; `state` is
+        [T', 2], or stacked [..., T', 2] for one score per hypothesis."""
+        return np.logaddexp(state[..., -1, 0], state[..., -1, 1])
 
 
 @dataclass
@@ -96,7 +106,6 @@ class Hypothesis:
     lm_logp: float = 0.0
     ctc_logp: float = 0.0
     ctc_state: np.ndarray | None = None
-    finished: bool = False
 
 
 def combined_score(hyp: Hypothesis, cfg: BeamConfig) -> float:
@@ -110,7 +119,7 @@ def combined_score(hyp: Hypothesis, cfg: BeamConfig) -> float:
 class SearchResult:
     tokens: list[int]  # body tokens, no sos/eos
     score: float
-    finished: bool
+    finished: bool     # False: the length cap, not the score, ended the search
     n_expanded: int = 0
 
 
@@ -119,8 +128,9 @@ def beam_search(s2s_fn, cfg: BeamConfig, sos_id: int, eos_id: int, candidates,
                 lm_fn=None) -> SearchResult:
     """Best token sequence under the combined score.
 
-    `s2s_fn(prefix)` (and `lm_fn`, when gamma != 0) return log-probability
-    vectors over the vocabulary for the next token after `prefix`.
+    `s2s_fn` (and `lm_fn`, when gamma != 0) map the beam's prefixes [B, n] to
+    next-token log-probabilities [B, V]. The result is unfinished when a
+    prefix cut off at the length cap outscores the best finished hypothesis.
     """
     candidates = [int(c) for c in candidates if c not in (sos_id, eos_id)]
     if cfg.ctc_weight > 0.0 and ctc_scorer is None:
@@ -128,11 +138,12 @@ def beam_search(s2s_fn, cfg: BeamConfig, sos_id: int, eos_id: int, candidates,
     if cfg.lm_weight != 0.0 and lm_fn is None:
         raise ValueError("lm_weight != 0 requires a language model")
 
-    def check_vocab(vec, what):
+    def score_beam(fn, prefixes, what):
+        scores = np.asarray(fn(prefixes), dtype=np.float64)
         needed = max(candidates + [eos_id]) + 1
-        if len(vec) < needed:
-            raise VocabularyError(f"{what} returned {len(vec)} scores, need >= {needed}")
-        return vec
+        if scores.shape[-1] < needed:
+            raise VocabularyError(f"{what} returned {scores.shape[-1]} scores, need >= {needed}")
+        return scores
 
     root = Hypothesis(tokens=[sos_id],
                       ctc_state=ctc_scorer.initial_state() if ctc_scorer else None)
@@ -141,59 +152,52 @@ def beam_search(s2s_fn, cfg: BeamConfig, sos_id: int, eos_id: int, candidates,
     finished: list[Hypothesis] = []
     expanded = 0
 
-    # one step past max_len scores eos for hypotheses of max_len tokens
+    # one step past max_len scores eos for hypotheses of max_len tokens; its
+    # extensions are only compared with the result
     for step in range(max_len + 1):
-        extensions: list[Hypothesis] = []
-        for hyp in active:
-            s2s = check_vocab(np.asarray(s2s_fn(hyp.tokens), dtype=np.float64), "s2s model")
-            lm = None
-            if cfg.lm_weight != 0.0:
-                lm = check_vocab(np.asarray(lm_fn(hyp.tokens), dtype=np.float64), "LM")
-            expanded += 1
+        prefixes = np.array([h.tokens for h in active], dtype=np.int64)  # [B, step + 1]
+        s2s = score_beam(s2s_fn, prefixes, "s2s model")
+        lm = score_beam(lm_fn, prefixes, "LM") if cfg.lm_weight != 0.0 \
+            else np.zeros_like(s2s)
+        expanded += len(active)
+        if ctc_scorer is not None:
+            states = np.stack([h.ctc_state for h in active])
+            ctc_final = ctc_scorer.final_score(states)
+            ctc_scores, ctc_states = ctc_scorer.extend(states, step, prefixes[:, -1],
+                                                       candidates)
 
-            done = replace(
+        extensions: list[Hypothesis] = []
+        for b, hyp in enumerate(active):
+            finished.append(replace(
                 hyp,
                 tokens=list(hyp.tokens),
-                s2s_logp=hyp.s2s_logp + s2s[eos_id],
-                lm_logp=hyp.lm_logp + (lm[eos_id] if lm is not None else 0.0),
-                ctc_logp=ctc_scorer.final_score(hyp.ctc_state) if ctc_scorer else 0.0,
-                finished=True,
-            )
-            finished.append(done)
-            if step == max_len:
-                continue
-
-            if ctc_scorer is not None:
-                last = hyp.tokens[-1] if len(hyp.tokens) > 1 else None
-                ctc_scores, ctc_states = ctc_scorer.extend(
-                    hyp.ctc_state, len(hyp.tokens) - 1, last, candidates)
+                s2s_logp=hyp.s2s_logp + s2s[b, eos_id],
+                lm_logp=hyp.lm_logp + lm[b, eos_id],
+                ctc_logp=float(ctc_final[b]) if ctc_scorer else 0.0,
+            ))
             for idx, c in enumerate(candidates):
-                ext = Hypothesis(
+                extensions.append(Hypothesis(
                     tokens=hyp.tokens + [c],
-                    s2s_logp=hyp.s2s_logp + s2s[c],
-                    lm_logp=hyp.lm_logp + (lm[c] if lm is not None else 0.0),
-                    ctc_logp=float(ctc_scores[idx]) if ctc_scorer else 0.0,
-                    ctc_state=ctc_states[idx] if ctc_scorer else None,
-                )
-                extensions.append(ext)
+                    s2s_logp=hyp.s2s_logp + s2s[b, c],
+                    lm_logp=hyp.lm_logp + lm[b, c],
+                    ctc_logp=float(ctc_scores[b, idx]) if ctc_scorer else 0.0,
+                    ctc_state=ctc_states[b, idx] if ctc_scorer else None,
+                ))
 
-        if not extensions:
-            break
         extensions.sort(key=lambda h: (-combined_score(h, cfg), h.tokens))
         active = extensions[: cfg.beam_size]
-        if finished:
-            best_fin = max(combined_score(h, cfg) for h in finished)
-            remaining = max_len - (step + 1)
-            # s2s, CTC and (for gamma >= 0) LM terms only fall as a hypothesis
-            # grows; a negative LM weight makes the LM term rise without bound
-            optimistic = max(0.0, cfg.insertion_penalty) * remaining \
-                if cfg.lm_weight >= 0.0 else math.inf
-            best_act = combined_score(active[0], cfg)
-            if best_fin >= best_act + optimistic:
-                break
+        if not active or step == max_len:
+            break
+        best_fin = max(combined_score(h, cfg) for h in finished)
+        remaining = max_len - (step + 1)
+        # s2s, CTC and (for gamma >= 0) LM terms only fall as a hypothesis
+        # grows; a negative LM weight makes the LM term rise without bound
+        optimistic = max(0.0, cfg.insertion_penalty) * remaining \
+            if cfg.lm_weight >= 0.0 else math.inf
+        if best_fin >= combined_score(active[0], cfg) + optimistic:
+            break
 
-    if finished:
-        best = max(finished, key=lambda h: (combined_score(h, cfg), h.tokens))
-        return SearchResult(best.tokens[1:], combined_score(best, cfg), True, expanded)
-    best = max(active, key=lambda h: (combined_score(h, cfg), h.tokens))
-    return SearchResult(best.tokens[1:], combined_score(best, cfg), False, expanded)
+    best = max(finished, key=lambda h: (combined_score(h, cfg), h.tokens))
+    score = combined_score(best, cfg)
+    capped = bool(active) and combined_score(active[0], cfg) > score
+    return SearchResult(best.tokens[1:], score, not capped, expanded)

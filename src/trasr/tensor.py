@@ -298,11 +298,12 @@ def reshape(x: Tensor, *shape) -> Tensor:
 
 
 def transpose(x: Tensor, *axes) -> Tensor:
+    """Permute axes; with none given, swap the last two (leading axes are batch)."""
     x = _wrap(x)
     if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
         axes = tuple(axes[0])
     if not axes:
-        axes = tuple(reversed(range(x.ndim)))
+        axes = tuple(range(x.ndim - 2)) + (x.ndim - 1, x.ndim - 2)
     data = x.data.transpose(axes)
     inverse = np.argsort(axes)
 

@@ -4,6 +4,7 @@ evaluation, LM training, and dataset decoding."""
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -15,7 +16,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ExperimentConfig
 from .data import (Batch, EditStats, ManifestEntry, Vocabulary, load_features,
                    load_manifest, make_batches, wer)
-from .errors import ConfigError, TrasrError
+from .errors import ConfigError, SequenceTooShortError, TrasrError
 from .frontend import FeatureSequence, spec_augment
 from .losses import (KDConfig, ce_label_smoothed, ctc_loss,
                      finetune_loss, joint_loss, phi_schedule, skd_loss,
@@ -348,6 +349,7 @@ class DecodeResult:
     hypothesis: str
     score: float
     finished: bool
+    skipped: str = ""  # why the utterance was not decoded; its hypothesis is empty
 
 
 def decode_utterance(seq: FeatureSequence, model_cfg: ModelConfig,
@@ -360,17 +362,17 @@ def decode_utterance(seq: FeatureSequence, model_cfg: ModelConfig,
     scorer = CtcPrefixScorer(ctc_lp, blank_id=Vocabulary.BLANK) \
         if beam_cfg.ctc_weight > 0 else None
 
-    def s2s_fn(prefix):
+    def s2s_fn(prefixes):
         with T.no_grad():
-            logits = decode_forward(prefix, x_e, model_cfg, params)
-            return T.log_softmax(logits, axis=-1).data[-1]
+            logits = decode_forward(prefixes, x_e, model_cfg, params)
+            return T.log_softmax(logits, axis=-1).data[:, -1]
 
     lm_fn = None
     if beam_cfg.lm_weight != 0.0 and lm_params is not None:
-        def lm_fn(prefix):
+        def lm_fn(prefixes):
             with T.no_grad():
-                logits = lm_forward(prefix, lm_cfg, lm_params)
-                return T.log_softmax(logits, axis=-1).data[-1]
+                logits = lm_forward(prefixes, lm_cfg, lm_params)
+                return T.log_softmax(logits, axis=-1).data[:, -1]
 
     return beam_search(s2s_fn, beam_cfg, Vocabulary.SOS, Vocabulary.EOS,
                        vocab.character_ids(), n, ctc_scorer=scorer, lm_fn=lm_fn)
@@ -383,10 +385,16 @@ def decode_dataset(entries: list[ManifestEntry], model_cfg: ModelConfig,
     total = EditStats(0, 0, 0, 0, 0)
     for e in entries:
         seq = load_features(e.feature_path)
-        res = decode_utterance(seq, model_cfg, params, beam_cfg, vocab,
-                               lm_cfg=lm_cfg, lm_params=lm_params)
-        text = vocab.detokenize(res.tokens)
-        results.append(DecodeResult(e.utt_id, e.transcript, text, res.score, res.finished))
-        total = total + wer(e.transcript, text)
-        log(f"{e.utt_id}\t{text}")
+        try:
+            res = decode_utterance(seq, model_cfg, params, beam_cfg, vocab,
+                                   lm_cfg=lm_cfg, lm_params=lm_params)
+        except SequenceTooShortError as err:
+            # an empty hypothesis: the reference words count as deletions
+            result = DecodeResult(e.utt_id, e.transcript, "", -math.inf, True, str(err))
+        else:
+            result = DecodeResult(e.utt_id, e.transcript, vocab.detokenize(res.tokens),
+                                  res.score, res.finished)
+        results.append(result)
+        total = total + wer(e.transcript, result.hypothesis)
+        log(f"{e.utt_id}\t{result.hypothesis}")
     return results, total

@@ -24,7 +24,7 @@ from trasr.training import decode_dataset, run_training
 
 from conftest import (brute_force_ctc, random_features, random_log_probs,
                       tiny_model_config)
-from test_search import exhaustive_best, table_s2s
+from test_search import batched, exhaustive_best, table_s2s
 
 SOS, EOS = 2, 3
 
@@ -126,8 +126,9 @@ def test_criterion_3_beam_search_oracle():
             s2s = table_s2s(trial)
             lm = table_s2s(1000 + trial) if gamma else None
             lp = random_log_probs(rng, 4, 5)
-            res = beam_search(s2s, cfg, SOS, EOS, [4, 1], 4,
-                              ctc_scorer=CtcPrefixScorer(lp), lm_fn=lm)
+            res = beam_search(batched(s2s), cfg, SOS, EOS, [4, 1], 4,
+                              ctc_scorer=CtcPrefixScorer(lp),
+                              lm_fn=batched(lm) if lm else None)
             want_score, want_body = exhaustive_best(s2s, cfg, [4, 1], lp, 4, lm_fn=lm)
             ok &= res.finished
             ok &= abs(res.score - want_score) < 1e-9 and res.tokens == want_body
@@ -139,7 +140,7 @@ def test_criterion_3_beam_search_oracle():
         for beam in range(1, 17):
             bc = BeamConfig(beam_size=beam, ctc_weight=0.3, lm_weight=0.0,
                             insertion_penalty=0.2, max_len_ratio=1.0)
-            res = beam_search(s2s, bc, SOS, EOS, [4, 1], 5,
+            res = beam_search(batched(s2s), bc, SOS, EOS, [4, 1], 5,
                               ctc_scorer=CtcPrefixScorer(lp))
             ok &= res.score >= prev - 1e-12
             prev = res.score

@@ -7,7 +7,8 @@ import pytest
 
 from trasr.checkpoint import load_checkpoint
 from trasr.cli import _load_cfg, build_parser, main
-from trasr.data import load_manifest
+from trasr.data import load_manifest, save_features
+from trasr.frontend import FeatureSequence
 
 ALPHABET = "abcd "
 
@@ -151,6 +152,36 @@ def test_decode_greedy_writes_report(dataset, trained, tmp_path, capsys):
     hyps = (out / "hyps.tsv").read_text().splitlines()
     assert len(hyps) == 6
     assert all("\t" in line for line in hyps)
+
+
+def test_decode_skips_too_short_utterance(dataset, trained, tmp_path):
+    # conv2d4 needs 7 input frames: the 5-frame utterance is skipped with an
+    # empty hypothesis and the others are decoded
+    short = tmp_path / "short.trft"
+    save_features(short, FeatureSequence(np.zeros((5, 16), dtype=np.float32), 5))
+    lines = [f"{e.utt_id}\t{e.feature_path}\t{e.transcript}" for e in load_manifest(dataset)]
+    manifest = tmp_path / "mixed.tsv"
+    manifest.write_text("\n".join(lines + [f"short\t{short}\tab cd"]) + "\n")
+
+    def decode(manifest, out):
+        return main(["decode", "--out", str(out), "--checkpoint",
+                     str(trained / "epoch0002.ckpt"), "--manifest", str(manifest),
+                     "--greedy"] + TINY)
+
+    assert decode(manifest, tmp_path / "dec") == 0
+    report = json.loads((tmp_path / "dec" / "report.json").read_text())
+    assert report["utterances"] == 7
+    assert [s["utt_id"] for s in report["skipped"]] == ["short"]
+    assert "frames" in report["skipped"][0]["reason"]
+    assert report["deletions"] >= 2
+    hyps = (tmp_path / "dec" / "hyps.tsv").read_text().splitlines()
+    assert len(hyps) == 7 and hyps[-1] == "short\t"
+
+    only_short = tmp_path / "short.tsv"
+    only_short.write_text(f"short\t{short}\tab cd\n")
+    assert decode(only_short, tmp_path / "dec-short") == 3
+    report = json.loads((tmp_path / "dec-short" / "report.json").read_text())
+    assert report["skipped"][0]["utt_id"] == "short"
 
 
 def test_decode_lm_weight_without_lm_exit_2(dataset, trained, tmp_path):

@@ -47,6 +47,22 @@ def test_attention_records_macs():
     assert counter.total == 2 * 8 * 8 * 4 == 512
 
 
+def test_attention_leading_batch_axis_equals_per_slice_calls():
+    rng = np.random.default_rng(1)
+    q = Tensor(rng.normal(size=(3, 5, 4)))
+    kv = Tensor(rng.normal(size=(3, 6, 4)))
+    shared = Tensor(rng.normal(size=(6, 4)))  # one k/v for every query stack
+    mask = np.tril(np.ones((5, 6), dtype=bool))
+    for k in (kv, shared):
+        counter, single = MacCounter(), MacCounter()
+        got = attention(q, k, k, mask=mask, counter=counter).data
+        for b in range(3):
+            kb = k[b] if k.ndim == 3 else k
+            want = attention(q[b], kb, kb, mask=mask, counter=single).data
+            np.testing.assert_allclose(got[b], want, rtol=0, atol=1e-12)
+        assert counter.total == single.total == 3 * 2 * 5 * 6 * 4
+
+
 def test_attention_shape_errors():
     with pytest.raises(ShapeError):
         attention(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))),
@@ -276,6 +292,23 @@ def test_decoder_empty_prefix_rejected(tiny_model):
     x_e, _ = encode(seq, cfg, params)
     with pytest.raises(ValueError):
         decode_forward([], x_e, cfg, params)
+
+
+def test_decoder_and_lm_on_prefix_stack_equal_row_calls(tiny_model):
+    cfg, params = tiny_model
+    seq = random_features(np.random.default_rng(0), 9, 16)
+    x_e, _ = encode(seq, cfg, params)
+    lm_cfg = LMConfig(layers=2, d_att=8, d_ff=16, heads=2, vocab_size=7)
+    lm_params = init_lm_params(lm_cfg, seed=0)
+    stack = np.array([[2, 5, 6, 5], [2, 6, 6, 4], [2, 4, 5, 6]])
+    dec = decode_forward(stack, x_e, cfg, params).data
+    lm = lm_forward(stack, lm_cfg, lm_params).data
+    assert dec.shape == (3, 4, cfg.vocab_size) and lm.shape == (3, 4, 7)
+    for b, row in enumerate(stack):
+        np.testing.assert_allclose(dec[b], decode_forward(row, x_e, cfg, params).data,
+                                   rtol=0, atol=1e-5)
+        np.testing.assert_allclose(lm[b], lm_forward(row, lm_cfg, lm_params).data,
+                                   rtol=0, atol=1e-5)
 
 
 def test_decoder_logit_shape(tiny_model):

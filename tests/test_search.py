@@ -30,6 +30,43 @@ def table_s2s(trial):
     return fn
 
 
+def batched(fn):
+    """Beam scoring function, prefixes [B, n] -> [B, V], from a per-prefix one."""
+    def scores(prefixes):
+        return np.stack([fn([int(t) for t in p]) for p in prefixes])
+    return scores
+
+
+def extend_one(scorer, state, prefix_len, last, cands):
+    """The batched CTC extend for one hypothesis: scores [C] and C states.
+    `last` None (no token emitted yet) becomes an id that is never a candidate."""
+    scores, states = scorer.extend(state[None], prefix_len,
+                                   [-1 if last is None else last], cands)
+    return scores[0], list(states[0])
+
+
+def extend_reference(lp, blank, state, prefix_len, last_token, candidates):
+    """Per-hypothesis CTC prefix recursion: scores [C] and C states [T', 2]."""
+    cands = np.asarray(candidates)
+    Tn, C = len(lp), len(cands)
+    if prefix_len + 1 > Tn:
+        return np.full(C, -np.inf), [np.full((Tn, 2), -np.inf) for _ in cands]
+    xs = lp[:, cands]
+    r = np.full((Tn, 2, C), -np.inf)
+    if prefix_len == 0:
+        r[0, 0] = xs[0]
+    phi = np.repeat(np.logaddexp(state[:, 0], state[:, 1])[:, None], C, axis=1)
+    if last_token is not None:
+        phi[:, cands == last_token] = state[:, 1:2]
+    start = max(prefix_len, 1)
+    log_psi = r[start - 1, 0].copy()
+    for t in range(start, Tn):
+        r[t, 0] = np.logaddexp(r[t - 1, 0], phi[t - 1]) + xs[t]
+        r[t, 1] = np.logaddexp(r[t - 1, 1], r[t - 1, 0]) + lp[t, blank]
+        log_psi = np.logaddexp(log_psi, phi[t - 1] + xs[t])
+    return log_psi, [r[:, :, i] for i in range(C)]
+
+
 def exhaustive_best(s2s_fn, cfg, cands, lp, max_len, lm_fn=None):
     """Argmax over every finished body sequence up to max_len."""
     scorer = CtcPrefixScorer(lp) if cfg.ctc_weight > 0 else None
@@ -48,7 +85,7 @@ def exhaustive_best(s2s_fn, cfg, cands, lp, max_len, lm_fn=None):
                 st = scorer.initial_state()
                 plen, last = 0, None
                 for tok in body:
-                    _, states = scorer.extend(st, plen, last, [tok])
+                    _, states = extend_one(scorer, st, plen, last, [tok])
                     st, plen, last = states[0], plen + 1, tok
                 ctc = scorer.final_score(st)
                 if not np.isfinite(ctc):
@@ -68,10 +105,10 @@ def test_prefix_score_matches_27_path_enumeration():
     for _ in range(20):
         lp = random_log_probs(rng, 3, 3)
         sc = CtcPrefixScorer(lp, blank_id=0)
-        scores, states = sc.extend(sc.initial_state(), 0, None, [1, 2])
+        scores, states = extend_one(sc, sc.initial_state(), 0, None, [1, 2])
         for ci, c in enumerate([1, 2]):
             assert abs(scores[ci] - brute_force_prefix(lp, [c])) < 1e-9
-        s2, _ = sc.extend(states[0], 1, 1, [1, 2])
+        s2, _ = extend_one(sc, states[0], 1, 1, [1, 2])
         for ci, c in enumerate([1, 2]):
             want = brute_force_prefix(lp, [1, c])
             if np.isinf(want):
@@ -86,7 +123,7 @@ def test_one_hot_frames_forced_path():
     lp[0, 1] = 0.0
     lp[1, 2] = 0.0
     sc = CtcPrefixScorer(lp, blank_id=0)
-    scores, _ = sc.extend(sc.initial_state(), 0, None, [1, 2])
+    scores, _ = extend_one(sc, sc.initial_state(), 0, None, [1, 2])
     assert abs(scores[0]) < 1e-6  # log 1
 
 
@@ -98,7 +135,7 @@ def test_incremental_state_equals_fresh_computation():
     st, plen, last = sc.initial_state(), 0, None
     prefix = [1, 3, 1]
     for tok in prefix:
-        scores, states = sc.extend(st, plen, last, [tok])
+        scores, states = extend_one(sc, st, plen, last, [tok])
         st, plen, last = states[0], plen + 1, tok
     inc_final = sc.final_score(st)
     # fresh: score the same prefix as a complete CTC output via the loss
@@ -114,7 +151,7 @@ def test_prefix_final_equals_full_sequence_ctc():
         target = [int(rng.integers(1, 4)) for _ in range(int(rng.integers(1, 3)))]
         st, plen, last = sc.initial_state(), 0, None
         for tok in target:
-            _, states = sc.extend(st, plen, last, [tok])
+            _, states = extend_one(sc, st, plen, last, [tok])
             st, plen, last = states[0], plen + 1, tok
         assert abs(sc.final_score(st) + ctc_loss(Tensor(lp), target).item()) < 1e-6
 
@@ -124,16 +161,39 @@ def test_exhausted_frames_give_minus_infinity():
     sc = CtcPrefixScorer(lp, blank_id=0)
     st, plen, last = sc.initial_state(), 0, None
     for tok in (1, 2):
-        scores, states = sc.extend(st, plen, last, [tok])
+        scores, states = extend_one(sc, st, plen, last, [tok])
         st, plen, last = states[0], plen + 1, tok
-    scores, _ = sc.extend(st, 2, 2, [1])  # 3 tokens > 2 frames
+    scores, _ = extend_one(sc, st, 2, 2, [1])  # 3 tokens > 2 frames
     assert np.isinf(scores[0]) and scores[0] < 0
+
+
+@pytest.mark.parametrize("n_frames", [6, 2])  # 2 frames: 3 tokens cannot align
+def test_batched_extend_equals_per_hypothesis_recursion(n_frames):
+    lp = random_log_probs(np.random.default_rng(5), n_frames, 5)
+    sc = CtcPrefixScorer(lp, blank_id=0)
+    cands = [1, 2, 3, 4]
+    # B = 3 prefixes of 2 tokens; each last token is also a candidate
+    prefixes = [[1, 2], [2, 2], [4, 1]]
+    states = []
+    for prefix in prefixes:
+        st, last = sc.initial_state(), None
+        for plen, tok in enumerate(prefix):
+            _, nxt = extend_reference(lp, 0, st, plen, last, [tok])
+            st, last = nxt[0], tok
+        states.append(st)
+    scores, new_states = sc.extend(np.stack(states), 2, [p[-1] for p in prefixes], cands)
+    assert scores.shape == (3, 4) and new_states.shape == (3, 4, n_frames, 2)
+    for b, prefix in enumerate(prefixes):
+        want_scores, want_states = extend_reference(lp, 0, states[b], 2, prefix[-1], cands)
+        np.testing.assert_allclose(scores[b], want_scores, rtol=0, atol=1e-12)
+        for c in range(len(cands)):
+            np.testing.assert_allclose(new_states[b, c], want_states[c], rtol=0, atol=1e-12)
 
 
 def test_blank_candidate_rejected():
     sc = CtcPrefixScorer(random_log_probs(np.random.default_rng(0), 3, 3))
     with pytest.raises(ValueError):
-        sc.extend(sc.initial_state(), 0, None, [0, 1])
+        extend_one(sc, sc.initial_state(), 0, None, [0, 1])
 
 
 # -- combined score ---------------------------------------------------------
@@ -177,12 +237,27 @@ def test_beam_search_equals_exhaustive_enumeration():
             s2s = table_s2s(trial)
             lm = table_s2s(1000 + trial) if gamma else None
             lp = random_log_probs(rng, 4, 5)
-            res = beam_search(s2s, cfg, SOS, EOS, [4, 1], 4,
-                              ctc_scorer=CtcPrefixScorer(lp), lm_fn=lm)
+            res = beam_search(batched(s2s), cfg, SOS, EOS, [4, 1], 4,
+                              ctc_scorer=CtcPrefixScorer(lp),
+                              lm_fn=batched(lm) if lm else None)
             want_score, want_body = exhaustive_best(s2s, cfg, [4, 1], lp, 4, lm_fn=lm)
             assert res.finished
             assert abs(res.score - want_score) < 1e-9
             assert res.tokens == want_body
+
+
+@pytest.mark.parametrize("eos_logp, finished", [(-30.0, False), (np.log(0.6), True)])
+def test_finished_false_only_when_length_cap_ends_search(eos_logp, finished):
+    # letters 4 and 1 at 0.2 each; with an eos that is never preferred every
+    # active prefix outscores every finished hypothesis until max_len (3)
+    # cuts the search off
+    vec = np.full(5, -30.0)
+    vec[[1, 4]] = np.log(0.2)
+    vec[EOS] = eos_logp
+    cfg = BeamConfig(beam_size=4, ctc_weight=0.0, lm_weight=0.0,
+                     insertion_penalty=0.0, max_len_ratio=1.0)
+    res = beam_search(batched(lambda tokens: vec), cfg, SOS, EOS, [4, 1], 3)
+    assert res.finished is finished
 
 
 def test_beam_size_monotonicity_1_to_16():
@@ -194,7 +269,7 @@ def test_beam_size_monotonicity_1_to_16():
         for beam in range(1, 17):
             cfg = BeamConfig(beam_size=beam, ctc_weight=0.3, lm_weight=0.0,
                              insertion_penalty=0.2, max_len_ratio=1.0)
-            res = beam_search(s2s, cfg, SOS, EOS, [4, 1], 5,
+            res = beam_search(batched(s2s), cfg, SOS, EOS, [4, 1], 5,
                               ctc_scorer=CtcPrefixScorer(lp), lm_fn=None)
             assert res.score >= prev - 1e-12
             prev = res.score
@@ -205,7 +280,7 @@ def test_greedy_degenerate_weights():
     s2s = table_s2s(999)
     cfg = BeamConfig(beam_size=1, ctc_weight=0.0, lm_weight=0.0,
                      insertion_penalty=0.0, max_len_ratio=1.0)
-    res = beam_search(s2s, cfg, SOS, EOS, [4, 1], 6)
+    res = beam_search(batched(s2s), cfg, SOS, EOS, [4, 1], 6)
     toks, score = [SOS], 0.0
     for _ in range(6):
         vec = s2s(toks)
@@ -231,14 +306,15 @@ def test_uniform_lm_does_not_change_argmax():
                       insertion_penalty=0.5)
     fused = BeamConfig(beam_size=64, ctc_weight=0.4, lm_weight=0.7,
                        insertion_penalty=0.5)
-    a = beam_search(s2s, base, SOS, EOS, [4, 1], 4, ctc_scorer=CtcPrefixScorer(lp))
-    b = beam_search(s2s, fused, SOS, EOS, [4, 1], 4, ctc_scorer=CtcPrefixScorer(lp),
-                    lm_fn=lm_fn)
+    a = beam_search(batched(s2s), base, SOS, EOS, [4, 1], 4,
+                    ctc_scorer=CtcPrefixScorer(lp))
+    b = beam_search(batched(s2s), fused, SOS, EOS, [4, 1], 4,
+                    ctc_scorer=CtcPrefixScorer(lp), lm_fn=batched(lm_fn))
     assert a.tokens == b.tokens
 
 
 def test_missing_scorer_or_lm_raises():
-    s2s = table_s2s(0)
+    s2s = batched(table_s2s(0))
     with pytest.raises(ValueError):
         beam_search(s2s, BeamConfig(beam_size=1, ctc_weight=0.5, lm_weight=0.0),
                     SOS, EOS, [4], 4)
@@ -255,7 +331,7 @@ def test_vocab_mismatch_raises():
 
     cfg = BeamConfig(beam_size=1, ctc_weight=0.0, lm_weight=0.0, insertion_penalty=0.0)
     with pytest.raises(VocabularyError):
-        beam_search(tiny_s2s, cfg, SOS, EOS, [4], 3)
+        beam_search(batched(tiny_s2s), cfg, SOS, EOS, [4], 3)
 
 
 def test_deterministic_tie_break():
@@ -264,6 +340,6 @@ def test_deterministic_tie_break():
 
     cfg = BeamConfig(beam_size=4, ctc_weight=0.0, lm_weight=0.0,
                      insertion_penalty=0.0, max_len_ratio=1.0)
-    a = beam_search(flat, cfg, SOS, EOS, [4, 1], 3)
-    b = beam_search(flat, cfg, SOS, EOS, [4, 1], 3)
+    a = beam_search(batched(flat), cfg, SOS, EOS, [4, 1], 3)
+    b = beam_search(batched(flat), cfg, SOS, EOS, [4, 1], 3)
     assert a.tokens == b.tokens and a.score == b.score
