@@ -12,7 +12,7 @@ from .model import (LMConfig, MacCounter, ModelConfig, attention, count_attentio
                     time_reduce)
 from .losses import (KDConfig, ce_label_smoothed, ctc_loss, finetune_loss, joint_loss,
                      phi_schedule, skd_loss, snapshot_teacher)
-from .search import BeamConfig, CtcPrefixScorer, Hypothesis, beam_search
+from .search import BeamConfig, CtcPrefixScorer, beam_search
 from .data import Vocabulary, wer, cer
 
 __all__ = [
@@ -22,6 +22,6 @@ __all__ = [
     "count_attention_macs", "decode_forward", "encode", "init_model_params",
     "multi_head_attention", "time_reduce", "KDConfig",
     "ce_label_smoothed", "ctc_loss", "finetune_loss", "joint_loss", "phi_schedule",
-    "skd_loss", "snapshot_teacher", "BeamConfig", "CtcPrefixScorer", "Hypothesis",
+    "skd_loss", "snapshot_teacher", "BeamConfig", "CtcPrefixScorer",
     "beam_search", "Vocabulary", "wer", "cer",
 ]

@@ -99,6 +99,14 @@ class TrainConfig:
     time_masks: int
     time_mask_max: int
 
+    def __post_init__(self):
+        if self.batch_size < 1:
+            raise ValueError(f"train.batch_size must be >= 1, got {self.batch_size}")
+        if not 0.0 <= self.alpha <= 1.0:
+            raise ValueError(f"train.alpha must be in [0, 1], got {self.alpha}")
+        if not 0.0 <= self.label_smoothing < 1.0:
+            raise ValueError(f"train.label_smoothing must be in [0, 1), got {self.label_smoothing}")
+
 
 @dataclass
 class LMTrainConfig:
@@ -106,6 +114,10 @@ class LMTrainConfig:
     batch_size: int
     lr_scale: float
     warmup_steps: int
+
+    def __post_init__(self):
+        if self.batch_size < 1:
+            raise ValueError(f"lm.batch_size must be >= 1, got {self.batch_size}")
 
 
 @dataclass
@@ -198,11 +210,13 @@ def resolve(values: dict[str, str] | None = None,
                       teacher_snapshot_cadence=raw["kd.cadence"])
         decode = _section(BeamConfig, raw, "decode")
         lm = _section(LMConfig, raw, "lm", vocab_size=vocab_size)
+        train = _section(TrainConfig, raw, "train")
+        lm_train = _section(LMTrainConfig, raw, "lm")
     except ValueError as e:
         raise ConfigError(str(e)) from e
     return ExperimentConfig(
-        raw=raw, model=model, train=_section(TrainConfig, raw, "train"), kd=kd,
-        decode=decode, lm=lm, lm_train=_section(LMTrainConfig, raw, "lm"), alphabet=alphabet,
+        raw=raw, model=model, train=train, kd=kd,
+        decode=decode, lm=lm, lm_train=lm_train, alphabet=alphabet,
         train_manifest=raw["paths.train_manifest"],
         dev_manifest=raw["paths.dev_manifest"],
         lm_checkpoint=raw["paths.lm_checkpoint"],
@@ -221,7 +235,8 @@ def dump_config(cfg: ExperimentConfig) -> str:
         if isinstance(value, bool):
             value = "true" if value else "false"
         value = str(value)
-        if value != value.strip() or value == "":
+        # quote what parse_flat would not read back verbatim
+        if not value or value != value.strip() or "#" in value or value[0] in "'\"":
             value = f'"{value}"'
         lines.append(f"{key} = {value}")
     return "\n".join(lines) + "\n"

@@ -29,6 +29,8 @@ class KDConfig:
             raise ValueError("teacher snapshot cadence must be >= 1")
         if self.mode not in ("fixed", "linear"):
             raise ValueError(f"unknown KD mode {self.mode!r}")
+        if not self.temperature > 0.0:
+            raise ValueError(f"KD temperature must be > 0, got {self.temperature}")
 
 
 def ctc_min_frames(target) -> int:

@@ -44,6 +44,8 @@ class ModelConfig:
             raise ValueError("tr_enabled and pyramidal are mutually exclusive")
         if self.pyramidal and self.num_encoder_layers < 3:
             raise ValueError("pyramidal encoder needs at least 3 layers")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError(f"model dropout must be in [0, 1), got {self.dropout}")
         if self.frontend is None:
             self.frontend = FrontendConfig(d_att=self.d_att)
         if self.frontend.d_att != self.d_att:
@@ -337,6 +339,8 @@ class LMConfig:
     def __post_init__(self):
         if self.d_att % self.heads != 0:
             raise ValueError(f"d_att={self.d_att} not divisible by heads={self.heads}")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError(f"LM dropout must be in [0, 1), got {self.dropout}")
 
 
 def init_lm_params(cfg: LMConfig, seed: int, dtype=np.float32) -> ParameterStore:

@@ -5,19 +5,19 @@ Hypotheses are scored by
 and moved to a finished pool when they emit eos; at that point the CTC term
 becomes the probability of the prefix as a complete output.
 
-Scoring contract: every active hypothesis at step s holds s + 1 tokens, so
-each step stacks the beam's prefixes into an int array [B, s + 1] and makes
-one call per scorer: `s2s_fn(prefixes)` and `lm_fn(prefixes)` return
-next-token log-probabilities [B, V], and `CtcPrefixScorer.extend` scores all
-B x C candidate extensions in one recursion. A result is unfinished when the
-length cap, not the score, ended the search (`report.json`'s `unfinished`);
-utterances too short to encode are listed under `skipped` there.
+The beam is arrays only: prefixes [B, s + 1] at step s, running s2s and LM
+log-probabilities and scores [B], CTC states [B, T', 2]. Each step makes one
+call per scorer (`s2s_fn`, `lm_fn`: [B, s + 1] -> [B, V]; `CtcPrefixScorer.extend`
+scores all B x C extensions), drops extensions scoring -inf (a prefix longer
+than the frames allow never recovers), and picks the next beam with one
+lexsort on (-score, tokens). A result is unfinished when the length cap, not
+the score, ended the search (`report.json`'s `unfinished`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,19 +99,11 @@ class CtcPrefixScorer:
         return np.logaddexp(state[..., -1, 0], state[..., -1, 1])
 
 
-@dataclass
-class Hypothesis:
-    tokens: list[int]              # starts with sos; body tokens follow
-    s2s_logp: float = 0.0
-    lm_logp: float = 0.0
-    ctc_logp: float = 0.0
-    ctc_state: np.ndarray | None = None
-
-
-def combined_score(hyp: Hypothesis, cfg: BeamConfig) -> float:
-    n_tokens = len(hyp.tokens) - 1
-    score = (1.0 - cfg.ctc_weight) * hyp.s2s_logp + cfg.lm_weight * hyp.lm_logp
-    score += cfg.ctc_weight * hyp.ctc_logp
+def combined_score(s2s, ctc, lm, n_tokens, cfg: BeamConfig):
+    """Elementwise (1 - lambda) * s2s + lambda * ctc + gamma * lm
+    + penalty * n_tokens over scalars or arrays of log-probabilities."""
+    score = (1.0 - cfg.ctc_weight) * s2s + cfg.lm_weight * lm
+    score += cfg.ctc_weight * ctc
     return score + cfg.insertion_penalty * n_tokens
 
 
@@ -132,7 +124,8 @@ def beam_search(s2s_fn, cfg: BeamConfig, sos_id: int, eos_id: int, candidates,
     next-token log-probabilities [B, V]. The result is unfinished when a
     prefix cut off at the length cap outscores the best finished hypothesis.
     """
-    candidates = [int(c) for c in candidates if c not in (sos_id, eos_id)]
+    cands = np.array([c for c in candidates if c not in (sos_id, eos_id)], dtype=np.int64)
+    needed = max([eos_id, *cands]) + 1
     if cfg.ctc_weight > 0.0 and ctc_scorer is None:
         raise ValueError("ctc_weight > 0 requires a CTC prefix scorer")
     if cfg.lm_weight != 0.0 and lm_fn is None:
@@ -140,64 +133,52 @@ def beam_search(s2s_fn, cfg: BeamConfig, sos_id: int, eos_id: int, candidates,
 
     def score_beam(fn, prefixes, what):
         scores = np.asarray(fn(prefixes), dtype=np.float64)
-        needed = max(candidates + [eos_id]) + 1
         if scores.shape[-1] < needed:
             raise VocabularyError(f"{what} returned {scores.shape[-1]} scores, need >= {needed}")
         return scores
 
-    root = Hypothesis(tokens=[sos_id],
-                      ctc_state=ctc_scorer.initial_state() if ctc_scorer else None)
     max_len = max(1, int(cfg.max_len_ratio * n_frames))
-    active = [root]
-    finished: list[Hypothesis] = []
+    prefixes = np.array([[sos_id]], dtype=np.int64)
+    s2s_sum, lm_sum = np.zeros(1), np.zeros(1)
+    ctc_states = ctc_scorer.initial_state()[None] if ctc_scorer else None
+    finished: list[tuple[float, list[int]]] = []  # (score, body tokens)
     expanded = 0
 
     # one step past max_len scores eos for hypotheses of max_len tokens; its
     # extensions are only compared with the result
     for step in range(max_len + 1):
-        prefixes = np.array([h.tokens for h in active], dtype=np.int64)  # [B, step + 1]
         s2s = score_beam(s2s_fn, prefixes, "s2s model")
         lm = score_beam(lm_fn, prefixes, "LM") if cfg.lm_weight != 0.0 \
             else np.zeros_like(s2s)
-        expanded += len(active)
+        expanded += len(prefixes)
+        ctc_final = ctc_ext = 0.0
         if ctc_scorer is not None:
-            states = np.stack([h.ctc_state for h in active])
-            ctc_final = ctc_scorer.final_score(states)
-            ctc_scores, ctc_states = ctc_scorer.extend(states, step, prefixes[:, -1],
-                                                       candidates)
+            ctc_final = ctc_scorer.final_score(ctc_states)
+            ctc_ext, ctc_states = ctc_scorer.extend(ctc_states, step, prefixes[:, -1], cands)
+        fin = combined_score(s2s_sum + s2s[:, eos_id], ctc_final, lm_sum + lm[:, eos_id],
+                             step, cfg)
+        finished.extend(zip(fin.tolist(), prefixes[:, 1:].tolist()))
 
-        extensions: list[Hypothesis] = []
-        for b, hyp in enumerate(active):
-            finished.append(replace(
-                hyp,
-                tokens=list(hyp.tokens),
-                s2s_logp=hyp.s2s_logp + s2s[b, eos_id],
-                lm_logp=hyp.lm_logp + lm[b, eos_id],
-                ctc_logp=float(ctc_final[b]) if ctc_scorer else 0.0,
-            ))
-            for idx, c in enumerate(candidates):
-                extensions.append(Hypothesis(
-                    tokens=hyp.tokens + [c],
-                    s2s_logp=hyp.s2s_logp + s2s[b, c],
-                    lm_logp=hyp.lm_logp + lm[b, c],
-                    ctc_logp=float(ctc_scores[b, idx]) if ctc_scorer else 0.0,
-                    ctc_state=ctc_states[b, idx] if ctc_scorer else None,
-                ))
-
-        extensions.sort(key=lambda h: (-combined_score(h, cfg), h.tokens))
-        active = extensions[: cfg.beam_size]
-        if not active or step == max_len:
+        s2s_ext = s2s_sum[:, None] + s2s[:, cands]  # [B, C]
+        lm_ext = lm_sum[:, None] + lm[:, cands]
+        score = combined_score(s2s_ext, ctc_ext, lm_ext, step + 1, cfg).ravel()
+        ext = np.column_stack([np.repeat(prefixes, len(cands), axis=0),
+                               np.tile(cands, len(prefixes))])
+        order = np.lexsort((*ext.T[::-1], -score))
+        order = order[score[order] > -np.inf][: cfg.beam_size]
+        b, c = np.divmod(order, len(cands))
+        prefixes, beam_score = ext[order], score[order]
+        s2s_sum, lm_sum = s2s_ext[b, c], lm_ext[b, c]
+        ctc_states = ctc_states[b, c] if ctc_scorer else None
+        if not len(order) or step == max_len:
             break
-        best_fin = max(combined_score(h, cfg) for h in finished)
-        remaining = max_len - (step + 1)
         # s2s, CTC and (for gamma >= 0) LM terms only fall as a hypothesis
         # grows; a negative LM weight makes the LM term rise without bound
-        optimistic = max(0.0, cfg.insertion_penalty) * remaining \
+        optimistic = max(0.0, cfg.insertion_penalty) * (max_len - step - 1) \
             if cfg.lm_weight >= 0.0 else math.inf
-        if best_fin >= combined_score(active[0], cfg) + optimistic:
+        if max(finished)[0] >= beam_score[0] + optimistic:
             break
 
-    best = max(finished, key=lambda h: (combined_score(h, cfg), h.tokens))
-    score = combined_score(best, cfg)
-    capped = bool(active) and combined_score(active[0], cfg) > score
-    return SearchResult(best.tokens[1:], score, not capped, expanded)
+    best_score, best_tokens = max(finished)
+    capped = len(beam_score) > 0 and beam_score[0] > best_score
+    return SearchResult(best_tokens, best_score, not capped, expanded)

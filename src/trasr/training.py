@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -18,9 +18,8 @@ from .data import (Batch, EditStats, ManifestEntry, Vocabulary, load_features,
                    load_manifest, make_batches, wer)
 from .errors import ConfigError, SequenceTooShortError, TrasrError
 from .frontend import FeatureSequence, spec_augment
-from .losses import (KDConfig, ce_label_smoothed, ctc_loss,
-                     finetune_loss, joint_loss, phi_schedule, skd_loss,
-                     snapshot_teacher, teacher_entropy)
+from .losses import (ce_label_smoothed, ctc_loss, finetune_loss, joint_loss, phi_schedule,
+                     skd_loss, snapshot_teacher, teacher_entropy)
 from .model import (EVAL_CTX, ForwardCtx, ModelConfig, LMConfig, ctc_log_probs,
                     decode_forward, encode, init_lm_params, init_model_params, lm_forward)
 from .optim import AdamState, ParameterStore, adam_step
@@ -87,8 +86,13 @@ class EpochStats:
     l_s2s: float
     l_skd: float
     total: float
-    accuracy: float
+    n_correct: int      # decoder argmax hits among n_positions target positions
+    n_positions: int
     teacher_entropy: float
+
+    @property
+    def accuracy(self) -> float:
+        return self.n_correct / max(1, self.n_positions)
 
 
 def batch_loss(batch: Batch, model_cfg: ModelConfig, params: ParameterStore,
@@ -113,8 +117,8 @@ def batch_loss(batch: Batch, model_cfg: ModelConfig, params: ParameterStore,
     else:
         total = joint_loss(l_ctc, l_s2s, alpha)
         skd_val, ent = 0.0, 0.0
-    accuracy = sum(p.n_correct for p in parts) / max(1, n_pos)
-    stats = EpochStats(l_ctc.item(), l_s2s.item(), skd_val, total.item(), accuracy, ent)
+    stats = EpochStats(l_ctc.item(), l_s2s.item(), skd_val, total.item(),
+                       sum(p.n_correct for p in parts), n_pos, ent)
     return total, stats, n_pos
 
 
@@ -127,10 +131,10 @@ def evaluate(batches: list[Batch], model_cfg: ModelConfig, params: ParameterStor
             _, stats, pos = batch_loss(batch, model_cfg, params, EVAL_CTX,
                                        alpha, label_smoothing)
             sums += np.array([stats.l_ctc, stats.l_s2s, stats.total, 0.0]) * pos
-            n_correct += round(stats.accuracy * pos)
+            n_correct += stats.n_correct
             n_pos += pos
     return EpochStats(sums[0] / n_pos, sums[1] / n_pos, 0.0, sums[2] / n_pos,
-                      n_correct / n_pos, 0.0)
+                      n_correct, n_pos, 0.0)
 
 
 def _record_line(record: dict) -> str:
@@ -169,10 +173,7 @@ def run_training(cfg: ExperimentConfig, out_dir, mode: str = "plain",
         if mode == "finetune":
             adam = AdamState(fixed_lr=cfg.train.finetune_lr)
             n_epochs = cfg.train.finetune_epochs
-            kd = KDConfig(phi_final=cfg.kd.phi_final, total_epochs=n_epochs, mode="fixed",
-                          teacher_snapshot_cadence=cfg.kd.teacher_snapshot_cadence,
-                          freeze_teacher=cfg.kd.freeze_teacher,
-                          temperature=cfg.kd.temperature)
+            kd = replace(cfg.kd, total_epochs=n_epochs, mode="fixed")
         else:
             adam = AdamState(scale=cfg.train.lr_scale, d_att=model_cfg.d_att,
                              warmup_steps=cfg.train.warmup_steps)
@@ -183,25 +184,19 @@ def run_training(cfg: ExperimentConfig, out_dir, mode: str = "plain",
         train_batches = make_batches(train_entries, vocab, cfg.train.batch_size)
         dev_batches = make_batches(dev_entries, vocab, cfg.train.batch_size)
 
-        teacher = snapshot_teacher(params) if mode == "finetune" else None
+        teacher = None
         records: list[dict] = []
         best: list[tuple[float, int, Path]] = []  # (accuracy, epoch, path)
         record_path = out_dir / "epochs.jsonl"
 
         for epoch in range(1, n_epochs + 1):
             t0 = time.perf_counter()
-            if mode == "skd":
+            phi = 0.0
+            if mode != "plain":
                 phi = phi_schedule(epoch, kd)
                 if teacher is None or (not kd.freeze_teacher
                                        and (epoch - 1) % kd.teacher_snapshot_cadence == 0):
                     teacher = snapshot_teacher(params)
-            elif mode == "finetune":
-                phi = kd.phi_final
-                if (not kd.freeze_teacher and epoch > 1
-                        and (epoch - 1) % kd.teacher_snapshot_cadence == 0):
-                    teacher = snapshot_teacher(params)
-            else:
-                phi = 0.0
 
             order = stream(seed, f"shuffle/epoch{epoch}").permutation(len(train_batches))
             agg = np.zeros(5)

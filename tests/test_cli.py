@@ -85,6 +85,13 @@ def test_unknown_config_key_exit_2(tmp_path):
                  "--set", "model.depth=3"]) == 2
 
 
+def test_out_of_range_value_exit_2(dataset, tmp_path, capsys):
+    assert main(["train-skd", "--out", str(tmp_path / "run"),
+                 "--set", f"paths.train_manifest={dataset}"] + TINY
+                + ["--set", "kd.temperature=0"]) == 2
+    assert "config error:" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value", ['abcdefgh ', '"abcdefgh "', "'abcdefgh '"])
 def test_set_keeps_whitespace_like_config_file(tmp_path, value):
     # --set data.alphabet="abcdefgh " reaches argv as 'abcdefgh '; quotes kept by

@@ -66,6 +66,16 @@ def test_invalid_combination_becomes_config_error():
         resolve({"model.tr_enabled": "true", "model.pyramidal": "true"})
 
 
+@pytest.mark.parametrize("key, value", [
+    ("model.dropout", "1.0"), ("model.dropout", "-0.1"), ("lm.dropout", "1.0"),
+    ("train.label_smoothing", "1.0"), ("train.alpha", "2"), ("train.batch_size", "0"),
+    ("lm.batch_size", "0"), ("kd.temperature", "0"), ("kd.temperature", "-1"),
+])
+def test_out_of_range_value_is_config_error(key, value):
+    with pytest.raises(ConfigError):
+        resolve({key: value})
+
+
 def test_bool_parsing_variants():
     for s, want in (("true", True), ("ON", True), ("1", True),
                     ("false", False), ("off", False), ("0", False)):
@@ -75,14 +85,19 @@ def test_bool_parsing_variants():
 
 
 def test_dump_round_trip(tmp_path):
-    cfg = resolve({"model.d_att": "64", "model.heads": "2", "train.seed": "9",
-                   "data.alphabet": "ab "})
-    text = dump_config(cfg)
-    p = tmp_path / "run.cfg"
-    p.write_text(text)
-    again = load_config(p)
-    assert again.raw == cfg.raw
-    assert dump_config(again) == text
+    # a '#' would start a comment; quotes in the alphabet are its symbols
+    for extra in ({}, {"paths.train_manifest": "/data/run#1/train.tsv"},
+                  {"data.alphabet": "ab#"}, {"data.alphabet": "'ab'"},
+                  {"data.alphabet": '"ab '}):
+        cfg = resolve({"model.d_att": "64", "model.heads": "2", "train.seed": "9",
+                       "data.alphabet": "ab ", **extra})
+        text = dump_config(cfg)
+        p = tmp_path / "run.cfg"
+        p.write_text(text)
+        again = load_config(p)
+        assert again.raw == cfg.raw
+        assert again.vocab_size == cfg.vocab_size
+        assert dump_config(again) == text
 
 
 def test_overrides_take_precedence(tmp_path):

@@ -1,13 +1,13 @@
 """Beam search and CTC prefix scoring against exhaustive oracles."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 
 from trasr.losses import ctc_loss
-from trasr.search import (BeamConfig, CtcPrefixScorer, Hypothesis, beam_search,
-                          combined_score)
+from trasr.search import BeamConfig, CtcPrefixScorer, beam_search, combined_score
 from trasr.tensor import Tensor
 
 from conftest import brute_force_prefix, random_log_probs
@@ -200,21 +200,30 @@ def test_blank_candidate_rejected():
 
 
 def test_combined_score_arithmetic():
-    hyp = Hypothesis(tokens=[SOS, 5], s2s_logp=-1.0, lm_logp=-0.5, ctc_logp=-2.0)
     cfg = BeamConfig(beam_size=1, ctc_weight=0.5, lm_weight=0.7,
                      insertion_penalty=0.0)
-    assert abs(combined_score(hyp, cfg) - (-1.85)) < 1e-12
+    assert abs(combined_score(-1.0, -2.0, -0.5, 1, cfg) - (-1.85)) < 1e-12
     bonus = BeamConfig(beam_size=1, ctc_weight=0.5, lm_weight=0.7,
                        insertion_penalty=2.0)
-    assert abs(combined_score(hyp, bonus) - (-1.85 + 2.0)) < 1e-12
+    assert abs(combined_score(-1.0, -2.0, -0.5, 1, bonus) - (-1.85 + 2.0)) < 1e-12
+    # elementwise over [B, C] matrices, one n_tokens for all
+    s2s = np.array([[-1.0, -3.0], [0.0, -0.4]])
+    ctc = np.array([[-2.0, -1.0], [-0.2, 0.0]])
+    lm = np.array([[-0.5, 0.0], [-1.0, -2.0]])
+    got = combined_score(s2s, ctc, lm, 1, bonus)
+    assert got.shape == (2, 2)
+    for i, j in itertools.product(range(2), repeat=2):
+        assert got[i, j] == combined_score(s2s[i, j], ctc[i, j], lm[i, j], 1, bonus)
+    np.testing.assert_allclose(got, 0.5 * s2s + 0.5 * ctc + 0.7 * lm + 2.0,
+                               rtol=0, atol=1e-12)
 
 
 def test_insertion_penalty_shifts_by_p_times_length():
-    hyp = Hypothesis(tokens=[SOS, 5, 6, 7], s2s_logp=-3.0)
     base = BeamConfig(beam_size=1, ctc_weight=0.0, lm_weight=0.0, insertion_penalty=0.0)
     shifted = BeamConfig(beam_size=1, ctc_weight=0.0, lm_weight=0.0,
                          insertion_penalty=1.5)
-    assert abs(combined_score(hyp, shifted) - combined_score(hyp, base) - 1.5 * 3) < 1e-12
+    assert abs(combined_score(-3.0, 0.0, 0.0, 3, shifted)
+               - combined_score(-3.0, 0.0, 0.0, 3, base) - 1.5 * 3) < 1e-12
 
 
 def test_beam_config_validation():
@@ -335,11 +344,38 @@ def test_vocab_mismatch_raises():
 
 
 def test_deterministic_tie_break():
-    def flat(tokens):
-        return np.log(np.full(5, 0.2))
+    # letters 4 and 1 at 0.4 each, eos after a letter at 0.9: the finished
+    # bodies [4] and [1] tie exactly, and the larger tokens win
+    def table(tokens):
+        vec = np.full(5, -30.0)
+        vec[[1, 4]] = np.log(0.4)
+        if len(tokens) > 1:
+            vec[EOS] = np.log(0.9)
+        return vec
 
     cfg = BeamConfig(beam_size=4, ctc_weight=0.0, lm_weight=0.0,
                      insertion_penalty=0.0, max_len_ratio=1.0)
-    a = beam_search(batched(flat), cfg, SOS, EOS, [4, 1], 3)
-    b = beam_search(batched(flat), cfg, SOS, EOS, [4, 1], 3)
-    assert a.tokens == b.tokens and a.score == b.score
+    a = beam_search(batched(table), cfg, SOS, EOS, [4, 1], 3)
+    b = beam_search(batched(table), cfg, SOS, EOS, [4, 1], 3)
+    assert a.tokens == b.tokens == [4]
+    assert a.score == b.score
+    assert abs(a.score - (np.log(0.4) + np.log(0.9))) < 1e-12
+    assert a.n_expanded == 3
+
+
+def test_dead_prefixes_dropped_without_warning():
+    # gamma < 0 makes the early-stop bound infinite; with max_len twice the
+    # frames every prefix longer than 3 tokens has CTC score -inf
+    rng = np.random.default_rng(13)
+    cfg = BeamConfig(beam_size=4, ctc_weight=0.4, lm_weight=-0.8,
+                     insertion_penalty=0.5, max_len_ratio=2.0)
+    for trial in range(10):
+        s2s, lm = table_s2s(300 + trial), table_s2s(1300 + trial)
+        lp = random_log_probs(rng, 3, 5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = beam_search(batched(s2s), cfg, SOS, EOS, [4, 1], 3,
+                              ctc_scorer=CtcPrefixScorer(lp), lm_fn=batched(lm))
+        want_score, want_body = exhaustive_best(s2s, cfg, [4, 1], lp, 6, lm_fn=lm)
+        assert abs(res.score - want_score) < 1e-9
+        assert res.tokens == want_body
