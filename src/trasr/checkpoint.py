@@ -22,28 +22,25 @@ VERSION = 1
 
 
 def save_checkpoint(path, state: dict[str, np.ndarray]) -> None:
+    """Write `state` entry by entry to a temp file, then rename it into place;
+    no copy of the whole file is held in memory."""
     path = Path(path)
-    payload = bytearray()
-    payload += MAGIC
-    payload += struct.pack("<II", VERSION, len(state))
-    for name in sorted(state):
-        arr = np.asarray(state[name], dtype="<f4")
-        if not arr.flags.c_contiguous:
-            arr = np.ascontiguousarray(arr)
-        encoded = name.encode("utf-8")
-        if len(encoded) > 0xFFFF:
-            raise ValueError(f"parameter name too long: {name!r}")
-        if arr.ndim > 0xFF:
-            raise ValueError(f"rank {arr.ndim} exceeds format limit for {name!r}")
-        payload += struct.pack("<H", len(encoded)) + encoded
-        payload += struct.pack("<B", arr.ndim)
-        payload += struct.pack(f"<{arr.ndim}I", *arr.shape)
-        payload += arr.tobytes()
-
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
+            fh.write(MAGIC + struct.pack("<II", VERSION, len(state)))
+            for name in sorted(state):
+                arr = np.asarray(state[name], dtype="<f4")
+                if not arr.flags.c_contiguous:
+                    arr = np.ascontiguousarray(arr)
+                encoded = name.encode("utf-8")
+                if len(encoded) > 0xFFFF:
+                    raise ValueError(f"parameter name too long: {name!r}")
+                if arr.ndim > 0xFF:
+                    raise ValueError(f"rank {arr.ndim} exceeds format limit for {name!r}")
+                fh.write(struct.pack("<H", len(encoded)) + encoded
+                         + struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape))
+                fh.write(arr.tobytes())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

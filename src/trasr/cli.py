@@ -23,7 +23,7 @@ from .checkpoint import average_checkpoints, load_checkpoint, save_checkpoint
 from .config import ExperimentConfig, dump_config, load_config, resolve, unquote
 from .data import (SyntheticTaskSpec, Vocabulary, load_manifest, synth_generate)
 from .errors import ConfigError, TrasrError
-from .frontend import KINDS, FeatureSequence, minimum_input_length
+from .frontend import KINDS, minimum_input_length
 from .model import (MacCounter, ForwardCtx, ModelConfig, count_attention_macs,
                     encode, init_model_params, init_lm_params)
 from .search import BeamConfig
@@ -183,15 +183,14 @@ def benchmark_cells(cfg: ExperimentConfig, lengths: list[int], repetitions: int 
                     continue
                 params = init_model_params(mcfg, cfg.train.seed)
                 feats = np.random.default_rng(0).normal(
-                    size=(length, mcfg.frontend.feature_dim)).astype(np.float32)
-                seq = FeatureSequence(feats, length)
+                    size=(1, length, mcfg.frontend.feature_dim)).astype(np.float32)
                 times = []
                 measured = None
                 for _ in range(max(1, repetitions)):
                     counter = MacCounter()
                     t0 = time.perf_counter()
                     with T.no_grad():
-                        encode(seq, mcfg, params, ForwardCtx(counter=counter))
+                        encode(feats, [length], mcfg, params, ForwardCtx(counter=counter))
                     times.append((time.perf_counter() - t0) * 1e3)
                     measured = counter.total
                 cell.update(measured_macs=measured,

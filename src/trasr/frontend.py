@@ -162,45 +162,62 @@ def init_frontend_params(cfg: FrontendConfig, store: ParameterStore, seed: int,
     zeros("proj.b", (cfg.d_att,))
 
 
-def subsample(x: FeatureSequence, cfg: FrontendConfig, params: ParameterStore,
-              prefix: str = "frontend") -> tuple[Tensor, int]:
-    """Map a feature sequence to (X_0 of shape [n_sub, d_att], n_sub)."""
-    n_sub = output_length(cfg.kind, x.length)
-    if n_sub < 1:
+def _zero_padding(h: Tensor, lengths: np.ndarray) -> Tensor:
+    """Zero the frames (axis 2) of h [B, C, T, F] beyond each row's length."""
+    valid = np.arange(h.shape[2]) < lengths[:, None]
+    if valid.all():
+        return h
+    return h * Tensor(valid[:, None, :, None].astype(h.dtype))
+
+
+def subsample(feats: np.ndarray, lengths, cfg: FrontendConfig, params: ParameterStore,
+              prefix: str = "frontend") -> tuple[Tensor, np.ndarray]:
+    """Map padded features [B, T, F] with true frame counts `lengths` [B] to
+    (X_0 of shape [B, n, d_att], true output lengths [B]); frames beyond a
+    row's length never influence its output."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    n_sub = np.array([output_length(cfg.kind, int(t)) for t in lengths], dtype=np.int64)
+    if n_sub.min() < 1:
         raise SequenceTooShortError(
             f"{cfg.kind} needs at least {minimum_input_length(cfg.kind)} frames, "
-            f"got {x.length}")
-    feats = np.asarray(x.trimmed())
+            f"got {int(lengths[n_sub.argmin()])}")
+    feats = np.asarray(feats)[:, : lengths.max()]
     dtype = feats.dtype if feats.dtype in (np.float32, np.float64) else np.float32
-    h = Tensor(feats.astype(dtype, copy=False))
+    valid = np.arange(feats.shape[1]) < lengths[:, None]
+    h = Tensor(np.where(valid[..., None], feats, 0).astype(dtype, copy=False))
 
-    if cfg.kind == "identity":
-        out = T.matmul(h, params[f"{prefix}.proj.w"]) + params[f"{prefix}.proj.b"]
-    else:
-        h = T.reshape(h, 1, 1, x.length, cfg.feature_dim)
+    if cfg.kind != "identity":
+        B, t, f = h.shape
+        h = T.reshape(h, B, 1, t, f)
         if cfg.kind.startswith("conv"):
+            # valid convolutions: an output frame reads only frames at or before
+            # its row's last true frame, so padding needs no masking
             for s in range(len(cfg.channels)):
                 h = T.relu(T.conv2d(h, params[f"{prefix}.conv{s}.w"],
                                     params[f"{prefix}.conv{s}.b"], stride=2, padding=0))
         else:
+            # padding-1 convolutions read one frame past a row's end, which
+            # must be zero as for an unpadded sequence
+            t_len = lengths
             for s in range(len(cfg.channels)):
-                h = T.relu(T.conv2d(h, params[f"{prefix}.stage{s}.conv0.w"],
-                                    params[f"{prefix}.stage{s}.conv0.b"], stride=1, padding=1))
-                h = T.relu(T.conv2d(h, params[f"{prefix}.stage{s}.conv1.w"],
-                                    params[f"{prefix}.stage{s}.conv1.b"], stride=1, padding=1))
+                for conv in ("conv0", "conv1"):
+                    h = T.relu(T.conv2d(_zero_padding(h, t_len),
+                                        params[f"{prefix}.stage{s}.{conv}.w"],
+                                        params[f"{prefix}.stage{s}.{conv}.b"],
+                                        stride=1, padding=1))
                 h = T.max_pool2d(h, 2)
+                t_len = t_len // 2
                 _, c, t, f = h.shape
-                h = T.reshape(T.transpose(h, (0, 2, 1, 3)), t, c * f)
+                h = T.reshape(T.transpose(h, (0, 2, 1, 3)), B, t, c * f)
                 h = T.layer_norm(h, params[f"{prefix}.stage{s}.ln.gain"],
                                  params[f"{prefix}.stage{s}.ln.bias"])
-                h = T.reshape(h, 1, t, c, f)
-                h = T.transpose(h, (0, 2, 1, 3))
+                h = T.transpose(T.reshape(h, B, t, c, f), (0, 2, 1, 3))
         _, c, t, f = h.shape
-        h = T.reshape(T.transpose(h, (0, 2, 1, 3)), t, c * f)
-        out = T.matmul(h, params[f"{prefix}.proj.w"]) + params[f"{prefix}.proj.b"]
+        h = T.reshape(T.transpose(h, (0, 2, 1, 3)), B, t, c * f)
+    out = T.matmul(h, params[f"{prefix}.proj.w"]) + params[f"{prefix}.proj.b"]
 
     if cfg.apply_positional_encoding:
-        out = out + Tensor(positional_encoding(n_sub, cfg.d_att, dtype=out.dtype))
+        out = out + Tensor(positional_encoding(out.shape[1], cfg.d_att, dtype=out.dtype))
     return out, n_sub
 
 

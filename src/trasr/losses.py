@@ -40,66 +40,85 @@ def ctc_min_frames(target) -> int:
     return len(target) + repeats
 
 
-def ctc_loss(log_probs: Tensor, target, blank_id: int = 0) -> Tensor:
+def ctc_loss(log_probs: Tensor, target, blank_id: int = 0, lengths=None) -> Tensor:
     """Negative log-probability of all blank-augmented alignments of `target`.
 
-    `log_probs` is [T', V] with log-simplex rows. Differentiable; the
-    gradient is the negative posterior symbol occupancy.
+    `log_probs` is [T', V] with log-simplex rows and `target` one label
+    sequence, or a padded batch [B, T', V] with B label sequences and true
+    frame counts `lengths` (default: all T'); the batch loss is the sum of
+    the rows' losses, from one forward-backward recursion over [B, S].
+    Differentiable; the gradient is the negative posterior symbol occupancy.
     """
+    single = log_probs.ndim == 2
     lp = log_probs.data.astype(np.float64)
-    Tn, V = lp.shape
-    target = [int(t) for t in target]
-    if any(t == blank_id or not 0 <= t < V for t in target):
-        raise ValueError(f"target contains blank or out-of-range ids: {target}")
-    need = ctc_min_frames(target)
-    if Tn < need:
-        raise InfeasibleAlignmentError(
-            f"target of length {len(target)} (with repeats) needs {need} frames, have {Tn}")
+    targets = [target] if single else list(target)
+    if single:
+        lp = lp[None]
+    B, Tn, V = lp.shape
+    frames = np.full(B, Tn) if lengths is None else np.asarray(lengths, dtype=np.int64)
+    if len(targets) != B or frames.shape != (B,):
+        raise ShapeError(f"{len(targets)} targets and lengths {frames.shape} for batch {B}")
+    targets = [[int(t) for t in tgt] for tgt in targets]
+    for tgt, n in zip(targets, frames):
+        if any(t == blank_id or not 0 <= t < V for t in tgt):
+            raise ValueError(f"target contains blank or out-of-range ids: {tgt}")
+        need = ctc_min_frames(tgt)
+        if n < need:
+            raise InfeasibleAlignmentError(
+                f"target of length {len(tgt)} (with repeats) needs {need} frames, have {n}")
 
-    ext = [blank_id]
-    for t in target:
-        ext += [t, blank_id]
-    S = len(ext)
-    ext = np.asarray(ext)
+    # blank-augmented targets, padded with blanks past each row's S_b states
+    n_states = np.array([2 * len(tgt) + 1 for tgt in targets])
+    S = int(n_states.max())
+    ext = np.full((B, S), blank_id)
+    for b, tgt in enumerate(targets):
+        ext[b, 1:2 * len(tgt):2] = tgt
+    rows = np.arange(B)
+    at_states = (rows[:, None, None], np.arange(Tn)[None, :, None], ext[:, None, :])
+    lp_ext = lp[at_states]  # [B, T, S]
     # transitions into state s: from s, s-1, and s-2 when labels differ
-    skip_ok = np.zeros(S, dtype=bool)
-    skip_ok[2:] = (ext[2:] != blank_id) & (ext[2:] != ext[:-2])
+    skip_ok = np.zeros((B, S), dtype=bool)
+    skip_ok[:, 2:] = (ext[:, 2:] != blank_id) & (ext[:, 2:] != ext[:, :-2])
 
     neg = -np.inf
-    alpha = np.full((Tn, S), neg)
-    alpha[0, 0] = lp[0, ext[0]]
-    if S > 1:
-        alpha[0, 1] = lp[0, ext[1]]
+
+    def step(prev, shift):
+        """logaddexp of the stay, one-step and (allowed) two-step moves; shift
+        +1 runs forward in time (alpha), -1 backward (beta)."""
+        diag = np.full((B, S), neg)
+        skip = np.full((B, S), neg)
+        if shift > 0:
+            diag[:, 1:] = prev[:, :-1]
+            skip[:, 2:] = np.where(skip_ok[:, 2:], prev[:, :-2], neg)
+        else:
+            diag[:, :-1] = prev[:, 1:]
+            skip[:, :-2] = np.where(skip_ok[:, 2:], prev[:, 2:], neg)
+        return np.logaddexp(np.logaddexp(prev, diag), skip)
+
+    alpha = np.full((B, Tn, S), neg)
+    alpha[:, 0, :2] = lp_ext[:, 0, :2]  # for an empty target, state 1 is padding
     for t in range(1, Tn):
-        prev = alpha[t - 1]
-        diag = np.full(S, neg)
-        diag[1:] = prev[:-1]
-        skip = np.full(S, neg)
-        skip[2:] = np.where(skip_ok[2:], prev[:-2], neg)
-        alpha[t] = np.logaddexp(np.logaddexp(prev, diag), skip) + lp[t, ext]
+        alpha[:, t] = step(alpha[:, t - 1], +1) + lp_ext[:, t]
 
-    log_p = np.logaddexp(alpha[Tn - 1, S - 1], alpha[Tn - 1, S - 2] if S > 1 else neg)
+    last = frames - 1
+    final = np.full((B, S), neg)  # 0 at the two accepting states of each row
+    final[rows, n_states - 1] = 0.0
+    final[rows[n_states > 1], n_states[n_states > 1] - 2] = 0.0
+    log_p = np.logaddexp.reduce(alpha[rows, last] + final, axis=-1)
 
-    beta = np.full((Tn, S), neg)
-    beta[Tn - 1, S - 1] = lp[Tn - 1, ext[S - 1]]
-    if S > 1:
-        beta[Tn - 1, S - 2] = lp[Tn - 1, ext[S - 2]]
-    for t in range(Tn - 2, -1, -1):
-        nxt = beta[t + 1]
-        diag = np.full(S, neg)
-        diag[:-1] = nxt[1:]
-        skip = np.full(S, neg)
-        if S > 2:
-            skip[:-2] = np.where(skip_ok[2:], nxt[2:], neg)
-        beta[t] = np.logaddexp(np.logaddexp(nxt, diag), skip) + lp[t, ext]
+    # beta stays -inf past each row's last frame, so padding frames add nothing
+    beta = np.full((B, Tn + 1, S), neg)
+    for t in range(Tn - 1, -1, -1):
+        beta[:, t] = np.where((last == t)[:, None], final, step(beta[:, t + 1], -1)) \
+            + lp_ext[:, t]
 
     # occupancy posterior: alpha*beta double-counts the emission at t
-    log_occ = alpha + beta - lp[:, ext] - log_p
-    grad = np.zeros((Tn, V))
-    for s in range(S):
-        grad[:, ext[s]] -= np.exp(log_occ[:, s])
+    occ = np.exp(alpha + beta[:, :Tn] - lp_ext - log_p[:, None, None])
+    grad = np.zeros_like(lp)
+    np.add.at(grad, at_states, -occ)
+    grad = grad.reshape(log_probs.shape)
 
-    loss = np.asarray(-log_p, dtype=log_probs.dtype)
+    loss = np.asarray(-log_p.sum(), dtype=log_probs.dtype)
 
     def backward(g):
         _accum(log_probs, float(g) * grad)

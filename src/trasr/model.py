@@ -4,6 +4,9 @@ the CTC head, and a decoder-only language model.
 
 All forward functions take a ParameterStore plus a ForwardCtx carrying
 train/eval mode, dropout streams, and the optional attention MAC counter.
+Activations are padded batches [B, T, D] with per-row lengths; attention
+runs on [..., H, T, d_k] with the heads as an array axis, and padded keys
+are masked out, so a row's result does not depend on its batchmates.
 """
 
 from __future__ import annotations
@@ -15,8 +18,8 @@ import numpy as np
 
 from . import tensor as T
 from .errors import SequenceTooShortError, ShapeError
-from .frontend import (FeatureSequence, FrontendConfig, output_length,
-                       positional_encoding, init_frontend_params, subsample)
+from .frontend import (FrontendConfig, output_length, positional_encoding,
+                       init_frontend_params, subsample)
 from .optim import ParameterStore
 from .rng import StreamCache, stream
 from .tensor import Tensor
@@ -85,10 +88,13 @@ class ForwardCtx:
     streams: StreamCache | None = None
     counter: MacCounter | None = None
 
-    def drop(self, x: Tensor, name: str) -> Tensor:
+    def drop(self, x: Tensor, name: str, lengths=None) -> Tensor:
+        """Dropout from the stream `name`; with `lengths`, one draw per row of
+        its true length, in batch order (see `tensor.dropout`)."""
         if not self.train or self.dropout == 0.0:
             return x
-        return T.dropout(x, self.dropout, self.streams.get(f"dropout/{name}"), True)
+        return T.dropout(x, self.dropout, self.streams.get(f"dropout/{name}"), True,
+                         lengths)
 
 
 EVAL_CTX = ForwardCtx()
@@ -181,19 +187,24 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None,
     return T.matmul(weights, v)
 
 
+def _swap_heads(x: Tensor) -> Tensor:
+    """[..., n, H, d_k] <-> [..., H, n, d_k]."""
+    lead = tuple(range(x.ndim - 3))
+    return T.transpose(x, lead + (x.ndim - 2, x.ndim - 3, x.ndim - 1))
+
+
 def multi_head_attention(x_q: Tensor, x_kv: Tensor, params: ParameterStore, prefix: str,
                          heads: int, mask: np.ndarray | None = None,
                          counter: MacCounter | None = None) -> Tensor:
-    d_k = x_q.shape[-1] // heads
-    q = T.matmul(x_q, params[f"{prefix}.wq"])
-    k = T.matmul(x_kv, params[f"{prefix}.wk"])
-    v = T.matmul(x_kv, params[f"{prefix}.wv"])
-    outs = []
-    for i in range(heads):
-        sl = slice(i * d_k, (i + 1) * d_k)
-        outs.append(attention(q[..., sl], k[..., sl], v[..., sl], mask=mask, counter=counter))
-    cat = outs[0] if heads == 1 else T.concat(outs, axis=-1)
-    return T.matmul(cat, params[f"{prefix}.wo"])
+    """One attention call over [..., H, n, d_k]; `mask` broadcasts over H."""
+
+    def project(x, w):
+        h = T.matmul(x, params[f"{prefix}.{w}"])
+        return _swap_heads(T.reshape(h, *h.shape[:-1], heads, h.shape[-1] // heads))
+
+    out = _swap_heads(attention(project(x_q, "wq"), project(x_kv, "wk"),
+                                project(x_kv, "wv"), mask, counter))
+    return T.matmul(T.reshape(out, *out.shape[:-2], -1), params[f"{prefix}.wo"])
 
 
 def position_wise_ffn(x: Tensor, params: ParameterStore, prefix: str) -> Tensor:
@@ -206,51 +217,69 @@ def _ln_apply(x, params, prefix):
 
 
 def _residual(x: Tensor, sublayer, params: ParameterStore, ln: str, name: str,
-              ctx: ForwardCtx, post_norm: bool) -> Tensor:
+              ctx: ForwardCtx, post_norm: bool, lengths=None) -> Tensor:
     """LN(x + drop(f(x))) after the sublayer (post-norm), or x + drop(f(LN(x)))
-    around it (pre-norm); `name` is the sublayer's dropout stream."""
+    around it (pre-norm); `name` is the sublayer's dropout stream and
+    `lengths` the true row lengths of x."""
     if post_norm:
-        return _ln_apply(x + ctx.drop(sublayer(x), name), params, ln)
-    return x + ctx.drop(sublayer(_ln_apply(x, params, ln)), name)
+        return _ln_apply(x + ctx.drop(sublayer(x), name, lengths), params, ln)
+    return x + ctx.drop(sublayer(_ln_apply(x, params, ln)), name, lengths)
 
 
 def encoder_layer(x: Tensor, params: ParameterStore, prefix: str, heads: int,
                   ctx: ForwardCtx = EVAL_CTX, mask: np.ndarray | None = None,
-                  post_norm: bool = False) -> Tensor:
+                  post_norm: bool = False, lengths=None) -> Tensor:
     mha, ffn = f"{prefix}.mha", f"{prefix}.ffn"
     x = _residual(x, lambda h: multi_head_attention(h, h, params, mha, heads, mask,
                                                     ctx.counter),
-                  params, f"{prefix}.ln1", mha, ctx, post_norm)
+                  params, f"{prefix}.ln1", mha, ctx, post_norm, lengths)
     return _residual(x, lambda h: position_wise_ffn(h, params, ffn),
-                     params, f"{prefix}.ln2", ffn, ctx, post_norm)
+                     params, f"{prefix}.ln2", ffn, ctx, post_norm, lengths)
 
 
-def time_reduce(x: Tensor, params: ParameterStore, prefix: str = "enc.tr") -> Tensor:
-    """Concatenate adjacent frame pairs, project back to d_att; odd tail dropped."""
-    n, d = x.shape
-    if n < 2:
-        raise SequenceTooShortError(f"time reduction needs >= 2 frames, got {n}")
+def time_reduce(x: Tensor, lengths, params: ParameterStore,
+                prefix: str = "enc.tr") -> tuple[Tensor, np.ndarray]:
+    """Concatenate adjacent frame pairs of x [..., n, D] and project back to D.
+    `lengths` holds each row's true frame count; each becomes n // 2 (an odd
+    tail is dropped)."""
+    lengths = np.asarray(lengths)
+    if lengths.min() < 2:
+        raise SequenceTooShortError(
+            f"time reduction needs >= 2 frames, got {int(lengths.min())}")
+    *lead, n, d = x.shape
     m = n // 2
-    pairs = T.reshape(x[: 2 * m], m, 2 * d)
-    return T.matmul(pairs, params[f"{prefix}.w"]) + params[f"{prefix}.b"]
+    pairs = T.reshape(x[..., : 2 * m, :], *lead, m, 2 * d)
+    return T.matmul(pairs, params[f"{prefix}.w"]) + params[f"{prefix}.b"], lengths // 2
 
 
 # -- full encoder / decoder ------------------------------------------------
 
 
-def encode(x: FeatureSequence, cfg: ModelConfig, params: ParameterStore,
-           ctx: ForwardCtx = EVAL_CTX) -> tuple[Tensor, int]:
+def _key_mask(lengths, n: int) -> np.ndarray | None:
+    """[B, 1, 1, n] mask of each row's true keys for [B, H, n_q, n] scores,
+    or None when no row is padded."""
+    lengths = np.asarray(lengths)
+    if (lengths == n).all():
+        return None
+    return (np.arange(n) < lengths[:, None])[:, None, None, :]
+
+
+def encode(feats: np.ndarray, lengths, cfg: ModelConfig, params: ParameterStore,
+           ctx: ForwardCtx = EVAL_CTX) -> tuple[Tensor, np.ndarray]:
     """Front-end, encoder layers with frames halved where `cfg.reductions`
-    says, final norm."""
-    h, n = subsample(x, cfg.frontend, params)
-    h = ctx.drop(h, "frontend")
+    says, final norm, over padded features [B, T, F] with true frame counts
+    `lengths` [B]. Returns (x_e [B, T', D], true output lengths [B])."""
+    h, n = subsample(feats, lengths, cfg.frontend, params)
+    h = ctx.drop(h, "frontend", n)
     reductions = cfg.reductions
+    mask = _key_mask(n, h.shape[-2])
     for i in range(cfg.num_encoder_layers + 1):
         if i in reductions:
-            h, n = time_reduce(h, params, reductions[i]), n // 2
+            h, n = time_reduce(h, n, params, reductions[i])
+            mask = _key_mask(n, h.shape[-2])
         if i < cfg.num_encoder_layers:
-            h = encoder_layer(h, params, f"enc.layer{i}", cfg.heads, ctx,
-                              post_norm=cfg.post_norm)
+            h = encoder_layer(h, params, f"enc.layer{i}", cfg.heads, ctx, mask,
+                              cfg.post_norm, n)
     return _ln_apply(h, params, "enc.ln_out"), n
 
 
@@ -263,33 +292,39 @@ def _causal_mask(n: int) -> np.ndarray:
     return np.tril(np.ones((n, n), dtype=bool))
 
 
-def _embed(prefix, table: Tensor, d_att: int, ctx: ForwardCtx, name: str) -> Tensor:
-    """A token prefix [n] -> [n, d_att], or equal-length prefixes [B, n] -> [B, n, d_att]."""
+def _embed(prefix, table: Tensor, d_att: int, ctx: ForwardCtx, name: str,
+           lengths=None) -> Tensor:
+    """A token prefix [n] -> [n, d_att], or prefixes [B, n] -> [B, n, d_att]
+    (right-padded when `lengths` gives their true lengths)."""
     ids = np.asarray(prefix, dtype=np.int64)
     if ids.shape[-1] == 0:
         raise ValueError(f"{name}: prefix must not be empty")
     e = T.take(table, ids) * math.sqrt(d_att)
     e = e + Tensor(positional_encoding(ids.shape[-1], d_att, dtype=e.dtype))
-    return ctx.drop(e, name)
+    return ctx.drop(e, name, lengths)
 
 
 def decode_forward(prefix, x_e: Tensor, cfg: ModelConfig, params: ParameterStore,
-                   ctx: ForwardCtx = EVAL_CTX) -> Tensor:
+                   ctx: ForwardCtx = EVAL_CTX, lengths=None, x_lengths=None) -> Tensor:
     """Next-token logits for every position of a sos-led prefix [n] -> [n, V],
-    or of a stack of prefixes [B, n] -> [B, n, V] sharing the encoder output."""
-    y = _embed(prefix, params["dec.embed"], cfg.d_att, ctx, "dec.embed")
+    or of a stack of prefixes [B, n] -> [B, n, V]. A stack may share one
+    encoder output, or be right-padded to true `lengths` against a padded
+    encoder batch x_e [B, T', D] with true frame counts `x_lengths`; under
+    the causal mask padding only follows a row's true positions."""
+    y = _embed(prefix, params["dec.embed"], cfg.d_att, ctx, "dec.embed", lengths)
     mask = _causal_mask(y.shape[-2])
+    x_mask = None if x_lengths is None else _key_mask(x_lengths, x_e.shape[-2])
     for j in range(cfg.dec_layers):
         p = f"dec.layer{j}"
         sa, ca, ffn = f"{p}.self", f"{p}.src", f"{p}.ffn"
         y = _residual(y, lambda h: multi_head_attention(h, h, params, sa, cfg.heads, mask,
                                                         ctx.counter),
-                      params, f"{p}.ln1", sa, ctx, cfg.post_norm)
+                      params, f"{p}.ln1", sa, ctx, cfg.post_norm, lengths)
         y = _residual(y, lambda h: multi_head_attention(h, x_e, params, ca, cfg.heads,
-                                                        counter=ctx.counter),
-                      params, f"{p}.ln2", ca, ctx, cfg.post_norm)
+                                                        x_mask, ctx.counter),
+                      params, f"{p}.ln2", ca, ctx, cfg.post_norm, lengths)
         y = _residual(y, lambda h: position_wise_ffn(h, params, ffn),
-                      params, f"{p}.ln3", ffn, ctx, cfg.post_norm)
+                      params, f"{p}.ln3", ffn, ctx, cfg.post_norm, lengths)
     y = _ln_apply(y, params, "dec.ln_out")
     return T.matmul(y, params["dec.out.w"]) + params["dec.out.b"]
 
@@ -355,12 +390,13 @@ def init_lm_params(cfg: LMConfig, seed: int, dtype=np.float32) -> ParameterStore
 
 
 def lm_forward(prefix, cfg: LMConfig, params: ParameterStore,
-               ctx: ForwardCtx = EVAL_CTX) -> Tensor:
+               ctx: ForwardCtx = EVAL_CTX, lengths=None) -> Tensor:
     """Next-token logits from a causal self-attention stack (no cross-attention)
-    for a prefix [n] -> [n, V] or a stack of prefixes [B, n] -> [B, n, V]."""
-    y = _embed(prefix, params["lm.embed"], cfg.d_att, ctx, "lm.embed")
+    for a prefix [n] -> [n, V] or a stack of prefixes [B, n] -> [B, n, V],
+    right-padded when `lengths` gives their true lengths."""
+    y = _embed(prefix, params["lm.embed"], cfg.d_att, ctx, "lm.embed", lengths)
     mask = _causal_mask(y.shape[-2])
     for i in range(cfg.layers):
-        y = encoder_layer(y, params, f"lm.layer{i}", cfg.heads, ctx, mask=mask)
+        y = encoder_layer(y, params, f"lm.layer{i}", cfg.heads, ctx, mask, lengths=lengths)
     y = _ln_apply(y, params, "lm.ln_out")
     return T.matmul(y, params["lm.out.w"]) + params["lm.out.b"]

@@ -45,7 +45,8 @@ class ParameterStore:
             t.grad = None
 
     def state_dict(self) -> dict[str, np.ndarray]:
-        return {name: t.data.copy() for name, t in self.items()}
+        """Name -> the live parameter array (not a copy), in name order."""
+        return {name: t.data for name, t in self.items()}
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
         mine, theirs = set(self._entries), set(state)

@@ -130,6 +130,8 @@ def beam_search(s2s_fn, cfg: BeamConfig, sos_id: int, eos_id: int, candidates,
         raise ValueError("ctc_weight > 0 requires a CTC prefix scorer")
     if cfg.lm_weight != 0.0 and lm_fn is None:
         raise ValueError("lm_weight != 0 requires a language model")
+    if cfg.ctc_weight == 0.0:
+        ctc_scorer = None  # 0 * (-inf) would make dead prefixes NaN
 
     def score_beam(fn, prefixes, what):
         scores = np.asarray(fn(prefixes), dtype=np.float64)

@@ -225,6 +225,19 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul needs >=2-d operands, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
+    if b.ndim == 2:
+        # a shared matrix: one GEMM over every row of a, not one per batch entry
+        def rows(x):
+            return x.reshape(-1, x.shape[-1])
+
+        data = (rows(a.data) @ b.data).reshape(*a.shape[:-1], b.shape[-1])
+
+        def backward(g):
+            g = rows(g)
+            _accum(a, (g @ b.data.T).reshape(a.shape))
+            _accum(b, rows(a.data).T @ g)
+
+        return _result(data, (a, b), backward)
     data = np.matmul(a.data, b.data)
 
     def backward(g):
@@ -341,14 +354,22 @@ def concat(tensors: Iterable[Tensor], axis: int = -1) -> Tensor:
     return _result(data, tensors, backward)
 
 
-def dropout(x: Tensor, p: float, rng: np.random.Generator, train: bool) -> Tensor:
-    """Inverted dropout: kept values scaled by 1/(1-p); identity in eval mode."""
+def dropout(x: Tensor, p: float, rng: np.random.Generator, train: bool,
+            lengths=None) -> Tensor:
+    """Inverted dropout: kept values scaled by 1/(1-p); identity in eval mode.
+
+    With `lengths`, row i draws only its first lengths[i] positions, rows in
+    order (the draws of one call per unpadded row), and padding keeps scale 1.
+    """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {p}")
     if not train or p == 0.0:
         return x
     x = _wrap(x)
-    keep = (rng.random(x.shape) >= p).astype(x.data.dtype) / (1.0 - p)
+    keep = np.ones_like(x.data)
+    blocks = [keep] if lengths is None else [row[:n] for row, n in zip(keep, lengths)]
+    for block in blocks:
+        block[...] = (rng.random(block.shape) >= p).astype(x.data.dtype) / (1.0 - p)
     data = x.data * keep
 
     def backward(g):
@@ -467,11 +488,14 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor | None = None,
         _accum(kernels, np.einsum("bohw,bchwij->ocij", g, win, optimize=True))
         if bias is not None:
             _accum(bias, g.sum(axis=(0, 2, 3)))
+        if not x.requires_grad:
+            return
+        gwin = np.tensordot(kernels.data, g, axes=([0], [1]))  # [C, kh, kw, B, Ho, Wo]
         gx = np.zeros_like(xp)
         for i in range(kh):
             for j in range(kw):
-                gx[:, :, i:i + stride * Ho:stride, j:j + stride * Wo:stride] += np.einsum(
-                    "bohw,oc->bchw", g, kernels.data[:, :, i, j], optimize=True)
+                gx[:, :, i:i + stride * Ho:stride, j:j + stride * Wo:stride] += \
+                    gwin[:, i, j].transpose(1, 0, 2, 3)
         if padding:
             gx = gx[:, :, padding:-padding, padding:-padding]
         _accum(x, gx)

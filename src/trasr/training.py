@@ -25,7 +25,6 @@ from .model import (EVAL_CTX, ForwardCtx, ModelConfig, LMConfig, ctc_log_probs,
 from .optim import AdamState, ParameterStore, adam_step
 from .rng import StreamCache, stream
 from .search import BeamConfig, CtcPrefixScorer, beam_search
-from .tensor import Tensor
 
 
 class RunLock:
@@ -46,41 +45,6 @@ class RunLock:
 
 
 @dataclass
-class UtteranceLoss:
-    ctc_sum: object        # Tensor, summed negative log-likelihood
-    s2s_sum: object        # Tensor, summed smoothed CE over positions
-    skd_sum: object | None
-    n_ctc_tokens: int
-    n_positions: int
-    n_correct: int
-    t_entropy_sum: float
-
-
-def utterance_losses(seq: FeatureSequence, target_ids: list[int], model_cfg: ModelConfig,
-                     params: ParameterStore, ctx: ForwardCtx, label_smoothing: float,
-                     teacher: ParameterStore | None = None,
-                     temperature: float = 1.0) -> UtteranceLoss:
-    x_e, _ = encode(seq, model_cfg, params, ctx)
-    l_ctc = ctc_loss(ctc_log_probs(x_e, params), target_ids, blank_id=Vocabulary.BLANK)
-
-    prefix = [Vocabulary.SOS] + list(target_ids)
-    targets = list(target_ids) + [Vocabulary.EOS]
-    logits = decode_forward(prefix, x_e, model_cfg, params, ctx)
-    l_s2s = ce_label_smoothed(logits, targets, label_smoothing, reduce="sum")
-    correct = int((logits.data.argmax(axis=-1) == np.asarray(targets)).sum())
-
-    l_skd = None
-    ent = 0.0
-    if teacher is not None:
-        with T.no_grad():
-            t_xe, _ = encode(seq, model_cfg, teacher, EVAL_CTX)
-            t_logits = decode_forward(prefix, t_xe, model_cfg, teacher, EVAL_CTX)
-        l_skd = skd_loss(t_logits, logits, temperature=temperature, reduce="sum")
-        ent = teacher_entropy(t_logits, temperature=temperature) * len(targets)
-    return UtteranceLoss(l_ctc, l_s2s, l_skd, len(target_ids), len(targets), correct, ent)
-
-
-@dataclass
 class EpochStats:
     l_ctc: float
     l_s2s: float
@@ -95,30 +59,53 @@ class EpochStats:
         return self.n_correct / max(1, self.n_positions)
 
 
+def _shifted(token_lists) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Teacher-forcing rows, right-padded: sos + tokens as input [B, n],
+    tokens + eos as next-token targets [B, n], and the mask of true positions."""
+    width = 1 + max(len(ids) for ids in token_lists)
+    inputs = np.full((len(token_lists), width), Vocabulary.PAD)
+    targets = np.full_like(inputs, Vocabulary.PAD)
+    for row, ids in enumerate(token_lists):
+        inputs[row, : len(ids) + 1] = [Vocabulary.SOS, *ids]
+        targets[row, : len(ids) + 1] = [*ids, Vocabulary.EOS]
+    n_tokens = np.array([len(ids) for ids in token_lists])
+    return inputs, targets, np.arange(width) <= n_tokens[:, None]
+
+
 def batch_loss(batch: Batch, model_cfg: ModelConfig, params: ParameterStore,
                ctx: ForwardCtx, alpha: float, label_smoothing: float,
                phi: float = 0.0, teacher: ParameterStore | None = None,
                temperature: float = 1.0):
-    """Combined loss over one padded batch, normalized by target-token counts."""
-    parts = [utterance_losses(FeatureSequence(batch.features[i], int(batch.feature_lengths[i])),
-                              list(batch.targets[i, : int(batch.target_lengths[i])]),
-                              model_cfg, params, ctx, label_smoothing,
-                              teacher=teacher, temperature=temperature)
-             for i in range(len(batch.utt_ids))]
-    n_ctc = sum(p.n_ctc_tokens for p in parts)
-    n_pos = sum(p.n_positions for p in parts)
-    l_ctc = sum((p.ctc_sum for p in parts), start=Tensor(0.0)) * (1.0 / max(1, n_ctc))
-    l_s2s = sum((p.s2s_sum for p in parts), start=Tensor(0.0)) * (1.0 / max(1, n_pos))
+    """Combined loss over one padded batch, normalized by target-token counts:
+    one forward (and, with a teacher, one no-grad teacher forward) for the
+    whole batch, with every loss masked to each utterance's true lengths."""
+    x_e, x_len = encode(batch.features, batch.feature_lengths, model_cfg, params, ctx)
+    targets = [list(row[:n]) for row, n in zip(batch.targets, batch.target_lengths)]
+    l_ctc = ctc_loss(ctc_log_probs(x_e, params), targets, Vocabulary.BLANK, x_len)
+
+    prefix, dec_targets, mask = _shifted(targets)
+    logits = decode_forward(prefix, x_e, model_cfg, params, ctx, mask.sum(axis=1), x_len)
+    logits = T.reshape(logits, -1, logits.shape[-1])
+    dec_targets, mask = dec_targets.ravel(), mask.ravel()
+    l_s2s = ce_label_smoothed(logits, dec_targets, label_smoothing, mask, reduce="sum")
+    n_correct = int(((logits.data.argmax(axis=-1) == dec_targets) & mask).sum())
+
+    n_ctc, n_pos = int(batch.target_lengths.sum()), int(mask.sum())
+    l_ctc = l_ctc * (1.0 / max(1, n_ctc))
+    l_s2s = l_s2s * (1.0 / n_pos)
     if teacher is not None:
-        l_skd = sum((p.skd_sum for p in parts), start=Tensor(0.0)) * (1.0 / max(1, n_pos))
+        with T.no_grad():
+            t_xe, t_len = encode(batch.features, batch.feature_lengths, model_cfg, teacher)
+            t_logits = decode_forward(prefix, t_xe, model_cfg, teacher, x_lengths=t_len)
+        t_logits = t_logits.data.reshape(logits.shape)
+        l_skd = skd_loss(t_logits, logits, mask, temperature, reduce="sum") * (1.0 / n_pos)
         total = finetune_loss(l_ctc, l_s2s, l_skd, alpha, phi)
         skd_val = l_skd.item()
-        ent = sum(p.t_entropy_sum for p in parts) / max(1, n_pos)
+        ent = teacher_entropy(t_logits, mask, temperature)
     else:
         total = joint_loss(l_ctc, l_s2s, alpha)
         skd_val, ent = 0.0, 0.0
-    stats = EpochStats(l_ctc.item(), l_s2s.item(), skd_val, total.item(),
-                       sum(p.n_correct for p in parts), n_pos, ent)
+    stats = EpochStats(l_ctc.item(), l_s2s.item(), skd_val, total.item(), n_correct, n_pos, ent)
     return total, stats, n_pos
 
 
@@ -295,16 +282,12 @@ def run_lm_training(cfg: ExperimentConfig, transcripts: list[str], out_dir,
         ctx = ForwardCtx(train=True, dropout=lm_cfg.dropout, streams=streams)
         nll_sum, n_tok = 0.0, 0
         for start in range(0, len(order), cfg.lm_train.batch_size):
-            chunk = order[start:start + cfg.lm_train.batch_size]
-            total = Tensor(0.0)
-            n_pos = 0
-            for j in chunk:
-                ids = tokenized[j]
-                prefix = [Vocabulary.SOS] + ids
-                targets = ids + [Vocabulary.EOS]
-                logits = lm_forward(prefix, lm_cfg, params, ctx)
-                total = total + ce_label_smoothed(logits, targets, 0.0, reduce="sum")
-                n_pos += len(targets)
+            chunk = [tokenized[j] for j in order[start:start + cfg.lm_train.batch_size]]
+            prefix, targets, mask = _shifted(chunk)
+            logits = lm_forward(prefix, lm_cfg, params, ctx, mask.sum(axis=1))
+            total = ce_label_smoothed(T.reshape(logits, -1, logits.shape[-1]),
+                                      targets.ravel(), 0.0, mask.ravel(), reduce="sum")
+            n_pos = int(mask.sum())
             loss = total * (1.0 / n_pos)
             if not np.isfinite(loss.data):
                 raise TrasrError(f"non-finite LM loss at epoch {epoch}")
@@ -322,16 +305,11 @@ def run_lm_training(cfg: ExperimentConfig, transcripts: list[str], out_dir,
 def lm_perplexity(transcripts, lm_cfg: LMConfig, params: ParameterStore,
                   alphabet: str) -> float:
     vocab = Vocabulary(alphabet)
-    nll, n = 0.0, 0
+    prefix, targets, mask = _shifted([vocab.tokenize(t) for t in transcripts])
     with T.no_grad():
-        for t in transcripts:
-            ids = vocab.tokenize(t)
-            logits = lm_forward([Vocabulary.SOS] + ids, lm_cfg, params)
-            lp = T.log_softmax(logits, axis=-1).data
-            targets = ids + [Vocabulary.EOS]
-            nll -= sum(lp[i, tgt] for i, tgt in enumerate(targets))
-            n += len(targets)
-    return float(np.exp(nll / n))
+        lp = T.log_softmax(lm_forward(prefix, lm_cfg, params), axis=-1).data
+    picked = np.take_along_axis(lp, targets[..., None], axis=-1)[..., 0]
+    return float(np.exp(-picked[mask].astype(np.float64).sum() / mask.sum()))
 
 
 # -- decoding -----------------------------------------------------------------
@@ -352,8 +330,8 @@ def decode_utterance(seq: FeatureSequence, model_cfg: ModelConfig,
                      lm_cfg: LMConfig | None = None,
                      lm_params: ParameterStore | None = None):
     with T.no_grad():
-        x_e, n = encode(seq, model_cfg, params)
-        ctc_lp = ctc_log_probs(x_e, params).data
+        x_e, n = encode(seq.features[None], [seq.length], model_cfg, params)
+        ctc_lp = ctc_log_probs(x_e, params).data[0]
     scorer = CtcPrefixScorer(ctc_lp, blank_id=Vocabulary.BLANK) \
         if beam_cfg.ctc_weight > 0 else None
 
@@ -370,7 +348,7 @@ def decode_utterance(seq: FeatureSequence, model_cfg: ModelConfig,
                 return T.log_softmax(logits, axis=-1).data[:, -1]
 
     return beam_search(s2s_fn, beam_cfg, Vocabulary.SOS, Vocabulary.EOS,
-                       vocab.character_ids(), n, ctc_scorer=scorer, lm_fn=lm_fn)
+                       vocab.character_ids(), int(n[0]), ctc_scorer=scorer, lm_fn=lm_fn)
 
 
 def decode_dataset(entries: list[ManifestEntry], model_cfg: ModelConfig,

@@ -5,8 +5,8 @@ import itertools
 import numpy as np
 import pytest
 
-from trasr.frontend import FeatureSequence, FrontendConfig
-from trasr.model import ModelConfig, init_model_params
+from trasr.frontend import FeatureSequence, FrontendConfig, subsample
+from trasr.model import EVAL_CTX, ModelConfig, encode, init_model_params
 
 
 def random_log_probs(rng, n_frames, vocab):
@@ -62,6 +62,18 @@ def tiny_model_config(**overrides):
 
 def random_features(rng, n_frames, dim, dtype=np.float32):
     return FeatureSequence(rng.normal(size=(n_frames, dim)).astype(dtype), n_frames)
+
+
+def encode_one(seq, cfg, params, ctx=EVAL_CTX):
+    """`encode` on one FeatureSequence as a batch of one: (x_e [T', D], T')."""
+    x_e, n = encode(seq.features[None], [seq.length], cfg, params, ctx)
+    return x_e[0], int(n[0])
+
+
+def subsample_one(seq, cfg, params):
+    """`subsample` on one FeatureSequence as a batch of one: ([n, d_att], n)."""
+    out, n = subsample(seq.features[None], [seq.length], cfg, params)
+    return out[0], int(n[0])
 
 
 @pytest.fixture

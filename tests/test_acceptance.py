@@ -15,14 +15,14 @@ from trasr.gradcheck import grad_check
 from trasr.losses import (ctc_loss, finetune_loss, joint_loss, phi_schedule,
                           skd_loss, teacher_entropy, KDConfig)
 from trasr.model import (count_attention_macs, ctc_log_probs, decode_forward,
-                         encode, init_model_params)
+                         init_model_params)
 from trasr.losses import ce_label_smoothed
 from trasr.cli import benchmark_cells
 from trasr.search import BeamConfig, CtcPrefixScorer, beam_search
 from trasr.tensor import Tensor
 from trasr.training import decode_dataset, run_training
 
-from conftest import (brute_force_ctc, random_features, random_log_probs,
+from conftest import (brute_force_ctc, encode_one, random_features, random_log_probs,
                       tiny_model_config)
 from test_search import batched, exhaustive_best, table_s2s
 
@@ -65,7 +65,7 @@ def test_criterion_1_gradient_integrity():
         seq = random_features(rng, 9, 16, dtype=np.float64)
 
         def forward():
-            x_e, _ = encode(seq, cfg, params)
+            x_e, _ = encode_one(seq, cfg, params)
             l1 = ctc_loss(ctc_log_probs(x_e, params), [5, 6])
             logits = decode_forward([SOS, 5, 6], x_e, cfg, params)
             l2 = ce_label_smoothed(logits, [5, 6, EOS], reduce="sum")
@@ -166,7 +166,7 @@ def test_criterion_4_frame_rate_8x():
         for L in lengths:
             L = int(L)
             expected = conv2d4_len(L) // 2  # conv 4x, then TR halves
-            x_e, n = encode(random_features(rng, L, 16), cfg, params)
+            x_e, n = encode_one(random_features(rng, L, 16), cfg, params)
             ok &= n == expected and x_e.shape[0] == expected
             # total reduction factor 8 up to the floor remainder
             ok &= 8 * n <= L <= 8 * n + 10

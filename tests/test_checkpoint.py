@@ -1,5 +1,7 @@
 """Checkpoint format round-trips, corruption handling, and averaging."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,20 @@ def test_round_trip_bit_identical(tmp_path):
     for name in state:
         assert np.array_equal(loaded[name], np.asarray(state[name], dtype=np.float32))
         assert loaded[name].dtype == np.float32
+
+
+def test_file_bytes_follow_the_format(tmp_path):
+    # float64, Fortran-order and 0-d entries, against bytes built by hand
+    f_order = np.asfortranarray(np.arange(6.0).reshape(2, 3))
+    state = {"b.f": f_order, "a.scalar": np.float64(0.5), "c.v": np.array([1.5, -2.0])}
+    want = b"TRCK" + struct.pack("<II", 1, 3)
+    for name, dims, values in (("a.scalar", (), [0.5]), ("b.f", (2, 3), range(6)),
+                               ("c.v", (2,), [1.5, -2.0])):
+        want += struct.pack("<H", len(name)) + name.encode()
+        want += struct.pack(f"<B{len(dims)}I", len(dims), *dims)
+        want += struct.pack(f"<{len(values)}f", *values)
+    save_checkpoint(tmp_path / "m.ckpt", state)
+    assert (tmp_path / "m.ckpt").read_bytes() == want
 
 
 def test_no_partial_file_on_disk(tmp_path):

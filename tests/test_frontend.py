@@ -6,9 +6,11 @@ import pytest
 from trasr.errors import SequenceTooShortError
 from trasr.frontend import (FeatureSequence, FrontendConfig, init_frontend_params,
                             minimum_input_length, output_length, positional_encoding,
-                            spec_augment, subsample)
+                            spec_augment)
 from trasr.optim import ParameterStore
 from trasr.rng import stream
+
+from conftest import subsample_one
 
 
 def make_frontend(kind, d_att=16, feature_dim=8, **kw):
@@ -91,7 +93,7 @@ def test_subsample_shape_contract(kind):
     T_in = max(40, minimum_input_length(kind))
     seq = FeatureSequence(np.random.default_rng(0).normal(size=(T_in, 16)).astype(np.float32),
                           T_in)
-    out, n = subsample(seq, cfg, store)
+    out, n = subsample_one(seq, cfg, store)
     assert n == output_length(kind, T_in)
     assert out.shape == (n, cfg.d_att)
 
@@ -99,7 +101,7 @@ def test_subsample_shape_contract(kind):
 def test_identity_kind_is_linear_projection():
     cfg, store = make_frontend("identity", d_att=6, feature_dim=4)
     x = np.random.default_rng(1).normal(size=(5, 4)).astype(np.float32)
-    out, n = subsample(FeatureSequence(x, 5), cfg, store)
+    out, n = subsample_one(FeatureSequence(x, 5), cfg, store)
     assert n == 5
     expect = x @ store["frontend.proj.w"].data + store["frontend.proj.b"].data
     pe = positional_encoding(5, 6)
@@ -110,7 +112,7 @@ def test_too_short_input_names_minimum():
     cfg, store = make_frontend("conv2d4")
     seq = FeatureSequence(np.zeros((3, 8), dtype=np.float32), 3)
     with pytest.raises(SequenceTooShortError) as e:
-        subsample(seq, cfg, store)
+        subsample_one(seq, cfg, store)
     assert str(minimum_input_length("conv2d4")) in str(e.value)
 
 
@@ -120,8 +122,8 @@ def test_padding_rows_never_influence_output():
     body = rng.normal(size=(21, 8)).astype(np.float32)
     padded = np.concatenate([body, np.zeros((7, 8), dtype=np.float32)])
     garbage = np.concatenate([body, 99.0 * np.ones((7, 8), dtype=np.float32)])
-    out1, _ = subsample(FeatureSequence(padded, 21), cfg, store)
-    out2, _ = subsample(FeatureSequence(garbage, 21), cfg, store)
+    out1, _ = subsample_one(FeatureSequence(padded, 21), cfg, store)
+    out2, _ = subsample_one(FeatureSequence(garbage, 21), cfg, store)
     assert np.array_equal(out1.data, out2.data)
 
 
@@ -131,8 +133,8 @@ def test_pe_flag_diff_equals_pe_matrix():
     cfg_on, store = make_frontend("conv2d4", apply_positional_encoding=True)
     cfg_off = FrontendConfig(kind="conv2d4", d_att=16, feature_dim=8,
                              apply_positional_encoding=False)
-    out_on, n = subsample(FeatureSequence(x, 19), cfg_on, store)
-    out_off, _ = subsample(FeatureSequence(x, 19), cfg_off, store)
+    out_on, n = subsample_one(FeatureSequence(x, 19), cfg_on, store)
+    out_off, _ = subsample_one(FeatureSequence(x, 19), cfg_off, store)
     assert np.allclose(out_on.data - out_off.data, positional_encoding(n, 16), atol=1e-6)
 
 

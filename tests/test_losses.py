@@ -80,6 +80,48 @@ def test_ctc_gradient_is_negative_occupancy():
     assert np.allclose(lp.grad.sum(axis=-1), -1.0, atol=1e-9)
 
 
+def _ctc_batch(rng):
+    """Three rows of 5, 3 and 6 true frames padded to 7, padding frames filled
+    with garbage log-probabilities; targets with a repeat and an empty one."""
+    lengths = [5, 3, 6]
+    targets = [[1, 1, 2], [], [3, 2, 1]]
+    lp = random_log_probs(rng, 3 * 7, 4).reshape(3, 7, 4)
+    for row, n in enumerate(lengths):
+        lp[row, n:] = rng.normal(size=(7 - n, 4))
+    return lp, targets, lengths
+
+
+def test_batched_ctc_equals_sum_of_single_losses():
+    lp, targets, lengths = _ctc_batch(np.random.default_rng(4))
+    batch = Tensor(lp, requires_grad=True)
+    loss = ctc_loss(batch, targets, lengths=lengths)
+    loss.backward()
+    want = 0.0
+    for row, (tgt, n) in enumerate(zip(targets, lengths)):
+        single = Tensor(lp[row, :n], requires_grad=True)
+        one = ctc_loss(single, tgt)
+        one.backward()
+        want += one.item()
+        np.testing.assert_allclose(batch.grad[row, :n], single.grad, rtol=0, atol=1e-9)
+        assert not batch.grad[row, n:].any()  # padding frames get no gradient
+    assert abs(loss.item() - want) < 1e-9
+
+
+def test_batched_ctc_gradient():
+    lp, targets, lengths = _ctc_batch(np.random.default_rng(5))
+
+    def f(logits):
+        return ctc_loss(T.log_softmax(logits, axis=-1), targets, lengths=lengths)
+
+    assert grad_check(f, lp) < 1e-3
+
+
+def test_batched_ctc_infeasible_row_raises():
+    lp, targets, _ = _ctc_batch(np.random.default_rng(6))
+    with pytest.raises(InfeasibleAlignmentError):
+        ctc_loss(Tensor(lp), targets, lengths=[5, 3, 2])  # row 2 needs 3 frames
+
+
 # -- label-smoothed CE ------------------------------------------------------
 
 

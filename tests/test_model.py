@@ -12,10 +12,12 @@ from trasr.model import (EVAL_CTX, ForwardCtx, LMConfig, MacCounter, ModelConfig
                          encode, encoder_layer, encoder_layer_lengths,
                          init_encoder_layer_params, init_lm_params, init_model_params,
                          lm_forward, multi_head_attention, position_wise_ffn, time_reduce)
+from trasr.losses import ce_label_smoothed, ctc_loss
 from trasr.optim import ParameterStore
+from trasr.rng import StreamCache
 from trasr.tensor import Tensor
 
-from conftest import random_features, tiny_model_config
+from conftest import encode_one, random_features, tiny_model_config
 
 SEEDS = (0, 1, 2)
 
@@ -163,7 +165,7 @@ def test_time_reduce_halves_and_drops_odd_tail():
     store.add("tr.w", Tensor(np.eye(2 * d)[:, :d]))  # picks the first frame of each pair
     store.add("tr.b", Tensor(np.zeros(d)))
     x = Tensor(np.arange(7.0 * d).reshape(7, d))
-    out = time_reduce(x, store, "tr")
+    out, _ = time_reduce(x, 7, store, "tr")
     assert out.shape == (3, d)
     assert np.array_equal(out.data, x.data[[0, 2, 4]])
 
@@ -174,7 +176,7 @@ def test_time_reduce_concatenates_adjacent_pairs():
     store.add("tr.w", Tensor(np.eye(2 * d)[:, d:]))  # picks the second frame
     store.add("tr.b", Tensor(np.zeros(d)))
     x = Tensor(np.arange(4.0 * d).reshape(4, d))
-    out = time_reduce(x, store, "tr")
+    out, _ = time_reduce(x, 4, store, "tr")
     assert np.array_equal(out.data, x.data[[1, 3]])
 
 
@@ -183,7 +185,7 @@ def test_time_reduce_too_short():
     store.add("tr.w", Tensor(np.zeros((8, 4))))
     store.add("tr.b", Tensor(np.zeros(4)))
     with pytest.raises(SequenceTooShortError):
-        time_reduce(Tensor(np.zeros((1, 4))), store, "tr")
+        time_reduce(Tensor(np.zeros((1, 4))), 1, store, "tr")
 
 
 # -- full encoder -----------------------------------------------------------
@@ -198,7 +200,7 @@ def test_encode_conv2d4_plus_tr_total_factor_8():
         params = init_model_params(cfg, seed=0)
         for T_in in rng.integers(20, 200, size=10):
             seq = random_features(rng, int(T_in), 16)
-            _, n = encode(seq, cfg, params)
+            _, n = encode_one(seq, cfg, params)
             assert n == output_length("conv2d4", int(T_in)) // 2
 
 
@@ -217,14 +219,14 @@ def test_encode_collapse_to_zero_raises():
     params = init_model_params(cfg, seed=0)
     seq = random_features(np.random.default_rng(0), 7, 16)  # conv4 -> 1 -> TR fails
     with pytest.raises(SequenceTooShortError):
-        encode(seq, cfg, params)
+        encode_one(seq, cfg, params)
 
 
 def test_pyramidal_three_halvings():
     cfg = tiny_model_config(e1=0, e2=3, tr_enabled=False, pyramidal=True)
     params = init_model_params(cfg, seed=0)
     seq = random_features(np.random.default_rng(0), 40, 16)
-    _, n = encode(seq, cfg, params)
+    _, n = encode_one(seq, cfg, params)
     assert n == ((40 // 2) // 2) // 2 == 5
 
 
@@ -234,8 +236,8 @@ def test_padding_invariance_of_encoder():
     rng = np.random.default_rng(1)
     body = rng.normal(size=(9, 16)).astype(np.float32)
     alloc = np.concatenate([body, 55.0 * np.ones((4, 16), dtype=np.float32)])
-    out1, _ = encode(FeatureSequence(body, 9), cfg, params)
-    out2, _ = encode(FeatureSequence(alloc, 9), cfg, params)
+    out1, _ = encode_one(FeatureSequence(body, 9), cfg, params)
+    out2, _ = encode_one(FeatureSequence(alloc, 9), cfg, params)
     assert np.allclose(out1.data, out2.data, atol=1e-5)
 
 
@@ -249,7 +251,7 @@ def test_full_model_composed_gradient(seed):
     seq = random_features(rng, 9, 16, dtype=np.float64)
 
     def forward():
-        x_e, _ = encode(seq, cfg, params)
+        x_e, _ = encode_one(seq, cfg, params)
         l1 = ctc_loss(ctc_log_probs(x_e, params), [5, 6])
         logits = decode_forward([2, 5, 6], x_e, cfg, params)
         l2 = ce_label_smoothed(logits, [5, 6, 3], reduce="sum")
@@ -273,13 +275,82 @@ def test_full_model_composed_gradient(seed):
     params.zero_grad()
 
 
+# -- batch-first forward ----------------------------------------------------
+
+
+def _row_terms(cfg, params, feats, lengths, targets, row):
+    """CTC and CE terms of batch row `row` from one batched forward, and the
+    gradient of their sum with respect to every parameter."""
+    params.zero_grad()
+    x_e, x_len = encode(feats, lengths, cfg, params)
+    lp = ctc_log_probs(x_e, params)
+    l_ctc = ctc_loss(lp[row:row + 1], [targets[row]], lengths=x_len[row:row + 1])
+    width = 1 + max(len(t) for t in targets)
+    prefix = np.full((len(targets), width), 4)
+    for b, t in enumerate(targets):
+        prefix[b, : len(t) + 1] = [2] + t
+    dec_len = np.array([len(t) + 1 for t in targets])
+    logits = decode_forward(prefix, x_e, cfg, params, lengths=dec_len, x_lengths=x_len)
+    l_ce = ce_label_smoothed(logits[row, : dec_len[row]], targets[row] + [3], 0.1,
+                             reduce="sum")
+    (l_ctc + l_ce).backward()
+    grads = {name: t.grad.copy() for name, t in params.items() if t.grad is not None}
+    return l_ctc.item(), l_ce.item(), grads
+
+
+ARCHS = {"tr": dict(e1=1, e2=1),
+         "pyramidal": dict(e1=0, e2=3, tr_enabled=False, pyramidal=True)}
+
+
+@pytest.mark.parametrize("post_norm", [False, True])
+@pytest.mark.parametrize("arch", sorted(ARCHS))
+@pytest.mark.parametrize("kind", ["conv2d4", "vggconv2d4", "identity"])
+def test_row_loss_and_gradient_independent_of_batchmates_and_padding(kind, arch, post_norm):
+    cfg = tiny_model_config(frontend_kind=kind, feature_dim=16, post_norm=post_norm,
+                            **ARCHS[arch])
+    params = init_model_params(cfg, seed=0, dtype=np.float64)
+    rng = np.random.default_rng(3)
+    lengths = [85, 77, 81]  # the middle row is the shortest, with odd lengths
+    feats = rng.normal(size=(3, 92, 16))  # frames past each length are garbage
+    targets = [[6], [5, 6], [6, 5]]
+    alone = _row_terms(cfg, params, feats[1:2, :77], [77], targets[1:2], 0)
+    in_batch = _row_terms(cfg, params, feats, lengths, targets, 1)
+    assert abs(alone[0] - in_batch[0]) < 1e-5 and abs(alone[1] - in_batch[1]) < 1e-5
+    assert alone[2].keys() == in_batch[2].keys()
+    for name, g in alone[2].items():
+        np.testing.assert_allclose(in_batch[2][name], g, rtol=0, atol=1e-5, err_msg=name)
+
+
+def test_dropout_rows_draw_like_unpadded_calls():
+    x = Tensor(np.random.default_rng(0).normal(size=(3, 6, 4)).astype(np.float32))
+    lengths = [4, 6, 1]
+    batched = ForwardCtx(train=True, dropout=0.3, streams=StreamCache(7))
+    got = batched.drop(x, "enc.layer0.mha", lengths).data
+    per_row = ForwardCtx(train=True, dropout=0.3, streams=StreamCache(7))
+    for row, n in enumerate(lengths):
+        want = per_row.drop(Tensor(x.data[row, :n]), "enc.layer0.mha").data
+        assert np.array_equal(got[row, :n], want)
+        assert np.array_equal(got[row, n:], x.data[row, n:])  # padding keeps scale 1
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4])
+def test_heads_axis_macs_equal_analytic_count(heads):
+    cfg = tiny_model_config(heads=heads, frontend_kind="conv2d4", feature_dim=16)
+    params = init_model_params(cfg, seed=0)
+    feats = np.random.default_rng(0).normal(size=(2, 60, 16)).astype(np.float32)
+    for batch in (feats[:1], feats):
+        counter = MacCounter()
+        encode(batch, [60] * len(batch), cfg, params, ForwardCtx(counter=counter))
+        assert counter.total == len(batch) * count_attention_macs(cfg, 60)["total_macs"]
+
+
 # -- decoder ----------------------------------------------------------------
 
 
 def test_decoder_causality_bit_exact(tiny_model):
     cfg, params = tiny_model
     seq = random_features(np.random.default_rng(0), 9, 16)
-    x_e, _ = encode(seq, cfg, params)
+    x_e, _ = encode_one(seq, cfg, params)
     base = decode_forward([2, 5, 6, 5], x_e, cfg, params).data
     perturbed = decode_forward([2, 5, 6, 6], x_e, cfg, params).data
     assert np.array_equal(base[:2], perturbed[:2])  # positions before the change
@@ -289,7 +360,7 @@ def test_decoder_causality_bit_exact(tiny_model):
 def test_decoder_empty_prefix_rejected(tiny_model):
     cfg, params = tiny_model
     seq = random_features(np.random.default_rng(0), 9, 16)
-    x_e, _ = encode(seq, cfg, params)
+    x_e, _ = encode_one(seq, cfg, params)
     with pytest.raises(ValueError):
         decode_forward([], x_e, cfg, params)
 
@@ -297,7 +368,7 @@ def test_decoder_empty_prefix_rejected(tiny_model):
 def test_decoder_and_lm_on_prefix_stack_equal_row_calls(tiny_model):
     cfg, params = tiny_model
     seq = random_features(np.random.default_rng(0), 9, 16)
-    x_e, _ = encode(seq, cfg, params)
+    x_e, _ = encode_one(seq, cfg, params)
     lm_cfg = LMConfig(layers=2, d_att=8, d_ff=16, heads=2, vocab_size=7)
     lm_params = init_lm_params(lm_cfg, seed=0)
     stack = np.array([[2, 5, 6, 5], [2, 6, 6, 4], [2, 4, 5, 6]])
@@ -314,7 +385,7 @@ def test_decoder_and_lm_on_prefix_stack_equal_row_calls(tiny_model):
 def test_decoder_logit_shape(tiny_model):
     cfg, params = tiny_model
     seq = random_features(np.random.default_rng(0), 9, 16)
-    x_e, _ = encode(seq, cfg, params)
+    x_e, _ = encode_one(seq, cfg, params)
     assert decode_forward([2, 5], x_e, cfg, params).shape == (2, cfg.vocab_size)
 
 
@@ -342,7 +413,7 @@ def test_measured_macs_equal_analytic_all_archs():
             T_in = 60
             seq = random_features(rng, T_in, 16)
             counter = MacCounter()
-            encode(seq, cfg, params, ForwardCtx(counter=counter))
+            encode_one(seq, cfg, params, ForwardCtx(counter=counter))
             assert counter.total == count_attention_macs(cfg, T_in)["total_macs"]
 
 
@@ -387,8 +458,8 @@ def test_lm_empty_prefix_rejected():
 def test_forward_deterministic_in_eval_mode(tiny_model):
     cfg, params = tiny_model
     seq = random_features(np.random.default_rng(0), 9, 16)
-    a, _ = encode(seq, cfg, params, EVAL_CTX)
-    b, _ = encode(seq, cfg, params, EVAL_CTX)
+    a, _ = encode_one(seq, cfg, params, EVAL_CTX)
+    b, _ = encode_one(seq, cfg, params, EVAL_CTX)
     assert np.array_equal(a.data, b.data)
 
 

@@ -379,3 +379,19 @@ def test_dead_prefixes_dropped_without_warning():
         want_score, want_body = exhaustive_best(s2s, cfg, [4, 1], lp, 6, lm_fn=lm)
         assert abs(res.score - want_score) < 1e-9
         assert res.tokens == want_body
+
+
+def test_ctc_scorer_at_weight_zero_is_ignored():
+    # at weight 0 a passed scorer must not change the search: 0 * (-inf) for
+    # prefixes longer than the 2 frames would be NaN and drop hypotheses
+    cfg = BeamConfig(beam_size=4, ctc_weight=0.0, lm_weight=0.0,
+                     insertion_penalty=0.5, max_len_ratio=2.0)
+    lp = random_log_probs(np.random.default_rng(5), 2, 5)
+    for trial in range(5):
+        s2s = batched(table_s2s(400 + trial))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = beam_search(s2s, cfg, SOS, EOS, [4, 1], 2, ctc_scorer=CtcPrefixScorer(lp))
+        want = beam_search(s2s, cfg, SOS, EOS, [4, 1], 2)
+        assert (got.tokens, got.score, got.n_expanded) == \
+            (want.tokens, want.score, want.n_expanded)

@@ -11,6 +11,7 @@ from trasr.config import resolve
 from trasr.data import SyntheticTaskSpec, Vocabulary, load_manifest, make_batches, synth_generate
 from trasr.errors import TrasrError
 from trasr.model import ForwardCtx, init_lm_params, init_model_params
+from trasr.rng import StreamCache
 from trasr.search import BeamConfig
 from trasr.training import (RunLock, batch_loss, decode_dataset, lm_perplexity,
                             run_lm_training, run_training)
@@ -175,6 +176,32 @@ def test_alpha_one_gives_decoder_zero_gradient(dataset):
     assert np.allclose(params["dec.layer0.self.wq"].grad, 0.0)
     assert not np.allclose(params["ctc.w"].grad, 0.0)
     params.zero_grad()
+
+
+def test_batched_dropout_step_equals_per_utterance_steps(dataset):
+    # a batch of three draws each dropout stream row by row, so its summed
+    # loss terms equal those of the three utterances run one by one
+    cfg = tiny_cfg(dataset, **{"model.dropout": "0.3", "train.label_smoothing": "0.1"})
+    vocab = Vocabulary(cfg.alphabet)
+    params = init_model_params(cfg.model, 0)
+    entries = load_manifest(dataset)[:3]
+
+    def summed(batches):
+        ctx = ForwardCtx(train=True, dropout=0.3, streams=StreamCache(5))
+        ctc = s2s = 0.0
+        for batch in batches:
+            _, stats, n_pos = batch_loss(batch, cfg.model, params, ctx,
+                                         alpha=0.3, label_smoothing=0.1)
+            ctc += stats.l_ctc * batch.target_lengths.sum()
+            s2s += stats.l_s2s * n_pos
+        return ctc, s2s
+
+    together = summed(make_batches(entries, vocab, 3))
+    one_by_one = summed(make_batches(entries, vocab, 1))
+    np.testing.assert_allclose(together, one_by_one, rtol=1e-5)
+    (batch,) = make_batches(entries, vocab, 3)
+    _, plain, _ = batch_loss(batch, cfg.model, params, ForwardCtx(), 0.3, 0.1)
+    assert abs(plain.l_s2s * sum(batch.target_lengths + 1) - together[1]) > 1e-3
 
 
 # -- language model ---------------------------------------------------------
