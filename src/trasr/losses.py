@@ -48,6 +48,7 @@ def ctc_loss(log_probs: Tensor, target, blank_id: int = 0, lengths=None) -> Tens
     frame counts `lengths` (default: all T'); the batch loss is the sum of
     the rows' losses, from one forward-backward recursion over [B, S].
     Differentiable; the gradient is the negative posterior symbol occupancy.
+    The recursion runs in float64; loss and gradient take log_probs' dtype.
     """
     single = log_probs.ndim == 2
     lp = log_probs.data.astype(np.float64)
@@ -116,7 +117,7 @@ def ctc_loss(log_probs: Tensor, target, blank_id: int = 0, lengths=None) -> Tens
     occ = np.exp(alpha + beta[:, :Tn] - lp_ext - log_p[:, None, None])
     grad = np.zeros_like(lp)
     np.add.at(grad, at_states, -occ)
-    grad = grad.reshape(log_probs.shape)
+    grad = grad.reshape(log_probs.shape).astype(log_probs.dtype, copy=False)
 
     loss = np.asarray(-log_p.sum(), dtype=log_probs.dtype)
 

@@ -108,14 +108,19 @@ def adam_step(params: ParameterStore, state: AdamState) -> None:
         m = state.m.get(name)
         v = state.v.get(name)
         if m is None:
-            m = np.zeros_like(t.data)
-            v = np.zeros_like(t.data)
-        m = b1 * m + (1.0 - b1) * g
-        v = b2 * v + (1.0 - b2) * g * g
-        state.m[name] = m
-        state.v[name] = v
-        mhat = m / (1.0 - b1 ** step)
-        vhat = v / (1.0 - b2 ** step)
-        t.data = t.data - (lr * mhat / (np.sqrt(vhat) + eps)).astype(t.data.dtype)
+            m = state.m[name] = np.zeros_like(t.data)
+            v = state.v[name] = np.zeros_like(t.data)
+        # in place, but in the operation order of m = b1*m + (1-b1)*g,
+        # v = b2*v + (1-b2)*g*g, t -= lr*mhat / (sqrt(vhat) + eps): bit-identical
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        upd = m / (1.0 - b1 ** step)
+        upd *= lr
+        denom = np.sqrt(v / (1.0 - b2 ** step))
+        denom += eps
+        upd /= denom
+        t.data -= upd
         t.grad = None
     params.step_count = step

@@ -1,7 +1,10 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
-Training runs in float32; building a graph from float64 arrays keeps every
-op in float64, which is what the finite-difference checker uses.
+A graph runs in the dtype of its arrays: float32 for the models, float64
+for the finite-difference checker. Tensor-tensor ops follow numpy's
+promotion, but a Python scalar operand of `add` or `mul` (and so of `-`,
+`/` and negation) takes the other operand's dtype, so a constant factor
+such as 1/sqrt(d_k) never lifts a float32 graph to float64.
 """
 
 from __future__ import annotations
@@ -130,10 +133,10 @@ class Tensor:
     __radd__ = __add__
 
     def __sub__(self, other):
-        return add(self, mul(_wrap(other), -1.0))
+        return add(self, -other)
 
     def __rsub__(self, other):
-        return add(_wrap(other), mul(self, -1.0))
+        return add(other, -self)
 
     def __mul__(self, other):
         return mul(self, other)
@@ -171,6 +174,16 @@ def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _wrap_pair(a, b) -> tuple[Tensor, Tensor]:
+    """Wrap two operands; a Python scalar (int or float, np.float64 included)
+    takes the dtype of a tensor on the other side."""
+    if isinstance(a, (int, float)) and isinstance(b, Tensor):
+        a = np.asarray(a, dtype=b.dtype)
+    elif isinstance(b, (int, float)) and isinstance(a, Tensor):
+        b = np.asarray(b, dtype=a.dtype)
+    return _wrap(a), _wrap(b)
+
+
 def _accum(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
@@ -198,7 +211,7 @@ def _result(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
 
 
 def add(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
+    a, b = _wrap_pair(a, b)
     data = a.data + b.data
 
     def backward(g):
@@ -209,12 +222,14 @@ def add(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
+    a, b = _wrap_pair(a, b)
     data = a.data * b.data
 
     def backward(g):
-        _accum(a, g * b.data)
-        _accum(b, g * a.data)
+        if a.requires_grad:
+            _accum(a, g * b.data)
+        if b.requires_grad:
+            _accum(b, g * a.data)
 
     return _result(data, (a, b), backward)
 
@@ -431,10 +446,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, axis: int = -1, eps: float
         raise ShapeError(
             f"layer_norm affine shapes {gain.shape}/{bias.shape} do not match axis size {n}"
         )
-    mu = x.data.mean(axis=axis, keepdims=True)
-    var = x.data.var(axis=axis, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    xc = x.data - x.data.mean(axis=axis, keepdims=True)
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=axis, keepdims=True) + eps)
+    xhat = xc * inv
 
     gshape = [1] * x.ndim
     gshape[axis] = n

@@ -3,19 +3,22 @@
 import numpy as np
 import pytest
 
+import trasr.losses as losses
 import trasr.tensor as T
+from trasr.data import Batch
 from trasr.errors import MaskError, SequenceTooShortError, ShapeError
-from trasr.frontend import FeatureSequence, output_length
+from trasr.frontend import FeatureSequence, FrontendConfig, output_length
 from trasr.gradcheck import grad_check
 from trasr.model import (EVAL_CTX, ForwardCtx, LMConfig, MacCounter, ModelConfig,
                          attention, count_attention_macs, ctc_log_probs, decode_forward,
                          encode, encoder_layer, encoder_layer_lengths,
                          init_encoder_layer_params, init_lm_params, init_model_params,
                          lm_forward, multi_head_attention, position_wise_ffn, time_reduce)
-from trasr.losses import ce_label_smoothed, ctc_loss
+from trasr.losses import ce_label_smoothed, ctc_loss, snapshot_teacher
 from trasr.optim import ParameterStore
 from trasr.rng import StreamCache
 from trasr.tensor import Tensor
+from trasr.training import batch_loss
 
 from conftest import encode_one, random_features, tiny_model_config
 
@@ -470,3 +473,83 @@ def test_init_deterministic_and_stream_isolated():
     c = init_model_params(cfg, seed=1)
     assert np.array_equal(a["enc.layer0.mha.wq"].data, b["enc.layer0.mha.wq"].data)
     assert not np.array_equal(a["enc.layer0.mha.wq"].data, c["enc.layer0.mha.wq"].data)
+
+
+# -- dtype ------------------------------------------------------------------
+
+
+@pytest.fixture
+def op_dtypes(monkeypatch):
+    """The dtypes of every op output and of every gradient handed to a node
+    that tracks one, in the tensor ops and the losses."""
+    seen = set()
+    result, accum = T._result, T._accum
+
+    def record_result(data, parents, backward):
+        seen.add(np.dtype(data.dtype))
+        return result(data, parents, backward)
+
+    def record_accum(t, g):
+        if t.requires_grad:
+            seen.add(np.asarray(g).dtype)
+        accum(t, g)
+
+    for module in (T, losses):
+        monkeypatch.setattr(module, "_result", record_result)
+        monkeypatch.setattr(module, "_accum", record_accum)
+    return seen
+
+
+def _desk_model(dtype):
+    fe = FrontendConfig(kind="conv2d4", d_att=64, feature_dim=16)
+    cfg = ModelConfig(e1=2, e2=4, dec_layers=2, d_att=64, d_ff=256, heads=4,
+                      vocab_size=9, dropout=0.1, frontend=fe)
+    return cfg, init_model_params(cfg, seed=0, dtype=dtype)
+
+
+def _desk_batch(dtype):
+    feats = np.random.default_rng(0).normal(size=(2, 64, 16)).astype(dtype)
+    targets = np.array([[5, 6, 7], [8, 5, 4]])
+    return Batch(["a", "b"], feats, np.array([64, 56]), targets, np.array([3, 2]))
+
+
+def _run_entry(entry, dtype):
+    """One training-mode forward and backward through `entry`; returns the
+    outputs and the parameter stores whose gradients it filled."""
+    ctx = ForwardCtx(train=True, dropout=0.1, streams=StreamCache(0))
+    prefix = np.array([[2, 5, 6], [2, 8, 5]])
+    if entry == "lm_forward":
+        lm_cfg = LMConfig(layers=2, d_att=32, d_ff=64, heads=2, vocab_size=9, dropout=0.1)
+        lm_params = init_lm_params(lm_cfg, seed=0, dtype=dtype)
+        logits = lm_forward(prefix, lm_cfg, lm_params, ctx, lengths=[3, 2])
+        T.tsum(logits).backward()
+        return [logits], lm_params
+    cfg, params = _desk_model(dtype)
+    batch = _desk_batch(dtype)
+    if entry.startswith("batch_loss"):
+        teacher = snapshot_teacher(params) if entry == "batch_loss+skd" else None
+        total, _, _ = batch_loss(batch, cfg, params, ctx, 0.3, 0.1, phi=0.5,
+                                 teacher=teacher, temperature=2.0)
+        total.backward()
+        return [total], params
+    x_e, x_len = encode(batch.features, batch.feature_lengths, cfg, params, ctx)
+    outs = [x_e]
+    if entry == "decode_forward":
+        outs.append(decode_forward(prefix, x_e, cfg, params, ctx, [3, 2], x_len))
+    T.tsum(outs[-1]).backward()
+    return outs, params
+
+
+@pytest.mark.parametrize("entry", ["encode", "decode_forward", "lm_forward",
+                                   "batch_loss", "batch_loss+skd"])
+def test_model_runs_in_its_parameter_dtype(entry, op_dtypes):
+    """A float32 model keeps float32 activations, logits and gradients; the
+    same model in float64 stays float64 (CTC and the teacher distribution
+    compute in float64 internally and hand back the model's dtype)."""
+    for dtype in (np.float32, np.float64):
+        op_dtypes.clear()
+        outs, params = _run_entry(entry, dtype)
+        assert op_dtypes == {np.dtype(dtype)}, f"{dtype.__name__}: {op_dtypes}"
+        assert all(out.dtype == dtype for out in outs)
+        grads = [t.grad for _, t in params.items() if t.grad is not None]
+        assert grads and all(g.dtype == dtype for g in grads)

@@ -100,6 +100,40 @@ def test_adam_deterministic_across_runs():
     assert np.array_equal(run(), run())
 
 
+def test_adam_in_place_three_steps_bit_identical_to_out_of_place_formula():
+    rng = np.random.default_rng(0)
+    init = {"w": rng.normal(size=(4, 3)).astype(np.float32),
+            "b": rng.normal(size=3).astype(np.float32)}
+    grads = [{name: rng.normal(size=v.shape).astype(np.float32) for name, v in init.items()}
+             for _ in range(3)]
+    store = ParameterStore()
+    for name, v in init.items():
+        store.add(name, Tensor(v.copy()))
+    state = AdamState(scale=1.0, d_att=64, warmup_steps=10)
+    live = {name: t.data for name, t in store.items()}
+    for g in grads:
+        for name, t in store.items():
+            t.grad = g[name].copy()
+        adam_step(store, state)
+
+    # the out-of-place update, one new array per term
+    ref = AdamState(scale=1.0, d_att=64, warmup_steps=10)
+    b1, b2, eps = ref.beta1, ref.beta2, ref.epsilon
+    for name, x in init.items():
+        m = v = np.zeros_like(x)
+        for step, g in enumerate(grads, start=1):
+            lr = ref.learning_rate(step)
+            m = b1 * m + (1.0 - b1) * g[name]
+            v = b2 * v + (1.0 - b2) * g[name] * g[name]
+            mhat = m / (1.0 - b1 ** step)
+            vhat = v / (1.0 - b2 ** step)
+            x = x - (lr * mhat / (np.sqrt(vhat) + eps)).astype(x.dtype)
+        assert store[name].data is live[name]  # updated in place
+        assert store[name].data.dtype == np.float32
+        assert np.array_equal(store[name].data, x)
+        assert np.array_equal(state.m[name], m) and np.array_equal(state.v[name], v)
+
+
 # -- parameter store --------------------------------------------------------
 
 

@@ -113,6 +113,38 @@ def test_embedding_lookup_grad_accumulates_rows():
     assert np.array_equal(table.grad, [[2, 2], [0, 0], [1, 1]])
 
 
+# -- dtype rule -------------------------------------------------------------
+
+SCALAR_EXPRESSIONS = {
+    "t * 0.5": lambda t: t * 0.5,
+    "0.5 * t": lambda t: 0.5 * t,
+    "t * np.float64(0.5)": lambda t: t * np.float64(0.5),
+    "t + 1": lambda t: t + 1,
+    "t + 1.0": lambda t: t + 1.0,
+    "1 - t": lambda t: 1 - t,
+    "t - 1": lambda t: t - 1,
+    "t / 2": lambda t: t / 2,
+    "-t": lambda t: -t,
+}
+
+
+@pytest.mark.parametrize("expr", sorted(SCALAR_EXPRESSIONS))
+def test_python_scalar_takes_the_tensor_dtype(expr):
+    for dtype in (np.float32, np.float64):
+        t = Tensor(np.array([1.5, -2.0], dtype=dtype), requires_grad=True)
+        y = SCALAR_EXPRESSIONS[expr](t)
+        assert y.dtype == dtype, f"{expr} on {dtype.__name__} gave {y.dtype}"
+        T.tsum(y).backward()
+        assert t.grad.dtype == dtype
+
+
+def test_tensor_operands_keep_numpy_promotion():
+    a = Tensor(np.ones(2, dtype=np.float32))
+    b = Tensor(np.ones(2, dtype=np.float64))
+    assert (a * b).dtype == np.float64 and (a + b).dtype == np.float64
+    assert (a - b).dtype == np.float64 and (b - a).dtype == np.float64
+
+
 # -- dropout ----------------------------------------------------------------
 
 
