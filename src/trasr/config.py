@@ -1,11 +1,14 @@
 """Flat `section.key = value` experiment configuration.
 
-Lines are UTF-8, '#' starts a comment, values may be single- or
-double-quoted to preserve surrounding whitespace. Unknown keys are errors.
+Lines are UTF-8 and '#' starts a comment. A value may be single- or
+double-quoted to keep surrounding whitespace or a '#': it then runs to the
+last matching quote, after which only a comment may follow. Unknown keys are
+errors. Defaults are the fields of the config dataclasses (see `SECTIONS`).
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -25,83 +28,29 @@ def _bool(s: str) -> bool:
     raise ValueError(f"not a boolean: {s!r}")
 
 
-# key -> (parser, default); None default means "required when used"
-KEYS: dict[str, tuple] = {
-    "model.e1": (int, 2),
-    "model.e2": (int, 10),
-    "model.dec_layers": (int, 6),
-    "model.d_att": (int, 256),
-    "model.d_ff": (int, 2048),
-    "model.heads": (int, 4),
-    "model.tr_enabled": (_bool, True),
-    "model.pyramidal": (_bool, False),
-    "model.post_norm": (_bool, False),
-    "model.dropout": (float, 0.1),
-    "model.frontend": (str, "conv2d4"),
-    "model.frontend_pe": (str, "auto"),  # auto | on | off
-    "model.feature_dim": (int, 40),
-    "data.alphabet": (str, " abcdefghijklmnopqrstuvwxyz'"),
-    "train.epochs": (int, 150),
-    "train.batch_size": (int, 8),
-    "train.alpha": (float, 0.3),
-    "train.label_smoothing": (float, 0.1),
-    "train.lr_scale": (float, 5.0),
-    "train.warmup_steps": (int, 25000),
-    "train.seed": (int, 1),
-    "train.keep_best": (int, 5),
-    "train.finetune_lr": (float, 1e-4),
-    "train.finetune_epochs": (int, 50),
-    "train.specaugment": (_bool, True),
-    "train.freq_masks": (int, 2),
-    "train.freq_mask_max": (int, 10),
-    "train.time_masks": (int, 2),
-    "train.time_mask_max": (int, 20),
-    "kd.phi_final": (float, 0.5),
-    "kd.mode": (str, "linear"),
-    "kd.cadence": (int, 1),
-    "kd.freeze_teacher": (_bool, False),
-    "kd.temperature": (float, 1.0),
-    "decode.beam_size": (int, 20),
-    "decode.ctc_weight": (float, 0.5),
-    "decode.lm_weight": (float, 0.7),
-    "decode.insertion_penalty": (float, 2.0),
-    "decode.max_len_ratio": (float, 1.0),
-    "lm.layers": (int, 2),
-    "lm.d_att": (int, 64),
-    "lm.d_ff": (int, 256),
-    "lm.heads": (int, 2),
-    "lm.dropout": (float, 0.0),
-    "lm.epochs": (int, 50),
-    "lm.batch_size": (int, 8),
-    "lm.lr_scale": (float, 1.0),
-    "lm.warmup_steps": (int, 100),
-    "paths.train_manifest": (str, ""),
-    "paths.dev_manifest": (str, ""),
-    "paths.lm_checkpoint": (str, ""),
-}
-
-
 @dataclass
 class TrainConfig:
-    epochs: int
-    batch_size: int
-    alpha: float
-    label_smoothing: float
-    lr_scale: float
-    warmup_steps: int
-    seed: int
-    keep_best: int
-    finetune_lr: float
-    finetune_epochs: int
-    specaugment: bool
-    freq_masks: int
-    freq_mask_max: int
-    time_masks: int
-    time_mask_max: int
+    epochs: int = 150
+    batch_size: int = 8
+    alpha: float = 0.3
+    label_smoothing: float = 0.1
+    lr_scale: float = 5.0
+    warmup_steps: int = 25000
+    seed: int = 1
+    keep_best: int = 5
+    finetune_lr: float = 1e-4
+    finetune_epochs: int = 50
+    specaugment: bool = True
+    freq_masks: int = 2
+    freq_mask_max: int = 10
+    time_masks: int = 2
+    time_mask_max: int = 20
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValueError(f"train.batch_size must be >= 1, got {self.batch_size}")
+        for name, low in (("batch_size", 1), ("warmup_steps", 1), ("keep_best", 1),
+                          ("freq_mask_max", 0), ("time_mask_max", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"train.{name} must be >= {low}, got {getattr(self, name)}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"train.alpha must be in [0, 1], got {self.alpha}")
         if not 0.0 <= self.label_smoothing < 1.0:
@@ -110,14 +59,42 @@ class TrainConfig:
 
 @dataclass
 class LMTrainConfig:
-    epochs: int
-    batch_size: int
-    lr_scale: float
-    warmup_steps: int
+    epochs: int = 50
+    batch_size: int = 8
+    lr_scale: float = 1.0
+    warmup_steps: int = 100
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValueError(f"lm.batch_size must be >= 1, got {self.batch_size}")
+        for name in ("batch_size", "warmup_steps"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"lm.{name} must be >= 1, got {getattr(self, name)}")
+
+
+# (section, dataclass, fields that `resolve` fills itself): every other field
+# is the key f"{section}.{field}", parsed by its annotation, defaulting to its
+# default.
+SECTIONS = (
+    ("model", ModelConfig, ("vocab_size", "frontend")),
+    ("train", TrainConfig, ()),
+    ("kd", KDConfig, ("total_epochs",)),
+    ("decode", BeamConfig, ()),
+    ("lm", LMConfig, ("vocab_size",)),
+    ("lm", LMTrainConfig, ()),
+)
+_PARSERS = {"int": int, "float": float, "bool": _bool, "str": str}
+
+# key -> (parser, default)
+KEYS: dict[str, tuple] = {
+    **{f"{section}.{f.name}": (_PARSERS[f.type], f.default)
+       for section, cls, resolved in SECTIONS for f in fields(cls) if f.name not in resolved},
+    "model.frontend": (str, FrontendConfig.kind),
+    "model.frontend_pe": (str, "auto"),  # auto | on | off
+    "model.feature_dim": (int, FrontendConfig.feature_dim),
+    "data.alphabet": (str, " abcdefghijklmnopqrstuvwxyz'"),
+    "paths.train_manifest": (str, ""),
+    "paths.dev_manifest": (str, ""),
+    "paths.lm_checkpoint": (str, ""),
+}
 
 
 @dataclass
@@ -146,6 +123,10 @@ def unquote(value: str) -> str:
     return value
 
 
+# a quoted value runs to the last matching quote that only a comment follows
+_QUOTED = re.compile(r"""(['"])(.*)\1\s*(?:#.*)?""")
+
+
 def parse_flat(text: str) -> dict[str, str]:
     values: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -155,14 +136,19 @@ def parse_flat(text: str) -> dict[str, str]:
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected 'section.key = value'")
         key, _, value = stripped.partition("=")
-        key = key.strip()
-        value = value.split("#", 1)[0].strip() if not value.strip().startswith(("'", '"')) \
-            else value.strip()
-        value = unquote(value)
+        key, value = key.strip(), value.strip()
         if key not in KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
+        if value[:1] in ("'", '"'):
+            quoted = _QUOTED.fullmatch(value)
+            if quoted is None:
+                raise ConfigError(f"line {lineno}: a quoted value must end in its quote, "
+                                  "followed by nothing or a '#' comment")
+            value = quoted.group(2)
+        else:
+            value = value.split("#", 1)[0].strip()
         values[key] = value
     return values
 
@@ -206,8 +192,7 @@ def resolve(values: dict[str, str] | None = None,
             apply_positional_encoding=None if pe_mode == "auto" else pe_mode == "on",
         )
         model = _section(ModelConfig, raw, "model", vocab_size=vocab_size, frontend=frontend)
-        kd = _section(KDConfig, raw, "kd", total_epochs=raw["train.epochs"],
-                      teacher_snapshot_cadence=raw["kd.cadence"])
+        kd = _section(KDConfig, raw, "kd", total_epochs=raw["train.epochs"])
         decode = _section(BeamConfig, raw, "decode")
         lm = _section(LMConfig, raw, "lm", vocab_size=vocab_size)
         train = _section(TrainConfig, raw, "train")

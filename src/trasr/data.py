@@ -114,7 +114,7 @@ def save_manifest(path, entries) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def load_manifest(path, check_files: bool = True) -> list[ManifestEntry]:
+def load_manifest(path) -> list[ManifestEntry]:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
@@ -133,7 +133,7 @@ def load_manifest(path, check_files: bool = True) -> list[ManifestEntry]:
             raise FormatError(f"{path}:{lineno}: duplicate utterance id {utt_id!r}")
         seen.add(utt_id)
         feat = path.parent / rel
-        if check_files and not feat.exists():
+        if not feat.exists():
             raise FormatError(f"{path}:{lineno}: feature file {feat} does not exist")
         entries.append(ManifestEntry(utt_id, feat, transcript))
     if not entries:
@@ -220,16 +220,9 @@ class Batch:
     targets: np.ndarray        # [B, L_max], PAD-filled token ids
     target_lengths: np.ndarray
 
-    def sequences(self):
-        """Yield (utt_id, FeatureSequence, target id list) without padding."""
-        for i, utt_id in enumerate(self.utt_ids):
-            t = int(self.feature_lengths[i])
-            l = int(self.target_lengths[i])
-            yield utt_id, FeatureSequence(self.features[i], t), list(self.targets[i, :l])
 
-
-def make_batches(entries: list[ManifestEntry], vocab: Vocabulary, batch_size: int,
-                 sort_by_length: bool = True) -> list[Batch]:
+def make_batches(entries: list[ManifestEntry], vocab: Vocabulary,
+                 batch_size: int) -> list[Batch]:
     """Length-sorted bucketing with PAD/zero padding and true-length records."""
     if batch_size < 1:
         raise ValueError(f"batch size must be >= 1, got {batch_size}")
@@ -237,8 +230,7 @@ def make_batches(entries: list[ManifestEntry], vocab: Vocabulary, batch_size: in
         raise ValueError("empty manifest")
     loaded = [(e, load_features(e.feature_path), vocab.tokenize(e.transcript))
               for e in entries]
-    if sort_by_length:
-        loaded.sort(key=lambda item: (item[1].length, item[0].utt_id))
+    loaded.sort(key=lambda item: (item[1].length, item[0].utt_id))
     batches = []
     for i in range(0, len(loaded), batch_size):
         chunk = loaded[i:i + batch_size]

@@ -18,14 +18,14 @@ class KDConfig:
     phi_final: float = 0.5
     total_epochs: int = 150
     mode: str = "linear"  # "linear" ramps to phi_final; "fixed" holds it
-    teacher_snapshot_cadence: int = 1  # epochs between teacher refreshes
+    cadence: int = 1  # epochs between teacher refreshes
     freeze_teacher: bool = False
     temperature: float = 1.0
 
     def __post_init__(self):
         if not 0.0 <= self.phi_final <= 1.0:
             raise ValueError(f"phi_final must be in [0, 1], got {self.phi_final}")
-        if self.teacher_snapshot_cadence < 1:
+        if self.cadence < 1:
             raise ValueError("teacher snapshot cadence must be >= 1")
         if self.mode not in ("fixed", "linear"):
             raise ValueError(f"unknown KD mode {self.mode!r}")
@@ -128,8 +128,9 @@ def ctc_loss(log_probs: Tensor, target, blank_id: int = 0, lengths=None) -> Tens
 
 
 def ce_label_smoothed(logits: Tensor, targets, epsilon: float = 0.1,
-                      mask=None, reduce: str = "mean") -> Tensor:
-    """Cross-entropy against (1-eps) one-hot + eps uniform, over unmasked rows."""
+                      mask=None) -> Tensor:
+    """Cross-entropy against (1-eps) one-hot + eps uniform, summed over
+    unmasked rows."""
     if not 0.0 <= epsilon < 1.0:
         raise ValueError(f"label smoothing must be in [0, 1), got {epsilon}")
     targets = np.asarray(targets, dtype=np.int64)
@@ -137,17 +138,12 @@ def ce_label_smoothed(logits: Tensor, targets, epsilon: float = 0.1,
     if targets.shape != (n,):
         raise ShapeError(f"targets shape {targets.shape} does not match logits rows {n}")
     weights = np.ones(n) if mask is None else np.asarray(mask, dtype=np.float64)
-    total = weights.sum()
-    if total == 0:
+    if weights.sum() == 0:
         raise MaskError("all positions masked in cross-entropy")
     lp = T.log_softmax(logits, axis=-1)
     picked = lp[np.arange(n), targets]
     per_pos = -(1.0 - epsilon) * picked - epsilon * T.tmean(lp, axis=-1)
-    w = Tensor(weights.astype(lp.dtype))
-    summed = T.tsum(per_pos * w)
-    if reduce == "sum":
-        return summed
-    return summed * (1.0 / float(total))
+    return T.tsum(per_pos * Tensor(weights.astype(lp.dtype)))
 
 
 def _teacher_probs(teacher_logits, temperature: float) -> np.ndarray:
@@ -161,23 +157,20 @@ def _teacher_probs(teacher_logits, temperature: float) -> np.ndarray:
 
 
 def skd_loss(teacher_logits, student_logits: Tensor, mask=None,
-             temperature: float = 1.0, reduce: str = "mean") -> Tensor:
-    """Cross-entropy of the student against the (detached) teacher distribution."""
+             temperature: float = 1.0) -> Tensor:
+    """Cross-entropy of the student against the (detached) teacher distribution,
+    summed over unmasked rows."""
     p_t = _teacher_probs(teacher_logits, temperature)
     if p_t.shape != student_logits.shape:
         raise ShapeError(
             f"teacher/student shape mismatch: {p_t.shape} vs {student_logits.shape}")
     n = p_t.shape[0]
     weights = np.ones(n) if mask is None else np.asarray(mask, dtype=np.float64)
-    total = weights.sum()
-    if total == 0:
+    if weights.sum() == 0:
         raise MaskError("all positions masked in distillation loss")
     lp_s = T.log_softmax(student_logits * (1.0 / temperature), axis=-1)
     per_pos = -T.tsum(lp_s * Tensor(p_t.astype(lp_s.dtype)), axis=-1)
-    summed = T.tsum(per_pos * Tensor(weights.astype(lp_s.dtype)))
-    if reduce == "sum":
-        return summed
-    return summed * (1.0 / float(total))
+    return T.tsum(per_pos * Tensor(weights.astype(lp_s.dtype)))
 
 
 def teacher_entropy(teacher_logits, mask=None, temperature: float = 1.0) -> float:

@@ -41,6 +41,11 @@ class ModelConfig:
     frontend: FrontendConfig | None = None
 
     def __post_init__(self):
+        if min(self.e1, self.e2, self.dec_layers) < 0:
+            raise ValueError(f"model e1, e2 and dec_layers must be >= 0, got "
+                             f"{self.e1}, {self.e2}, {self.dec_layers}")
+        if self.heads < 1:
+            raise ValueError(f"model heads must be >= 1, got {self.heads}")
         if self.d_att % self.heads != 0:
             raise ValueError(f"d_att={self.d_att} not divisible by heads={self.heads}")
         if self.tr_enabled and self.pyramidal:
@@ -76,9 +81,6 @@ class MacCounter:
 
     def add(self, n_q: int, n_k: int, d_k: int, batch: int = 1) -> None:
         self.total += 2 * batch * n_q * n_k * d_k
-
-    def reset(self) -> None:
-        self.total = 0
 
 
 @dataclass
@@ -372,6 +374,10 @@ class LMConfig:
     dropout: float = 0.0
 
     def __post_init__(self):
+        if self.layers < 0:
+            raise ValueError(f"LM layers must be >= 0, got {self.layers}")
+        if self.heads < 1:
+            raise ValueError(f"LM heads must be >= 1, got {self.heads}")
         if self.d_att % self.heads != 0:
             raise ValueError(f"d_att={self.d_att} not divisible by heads={self.heads}")
         if not 0.0 <= self.dropout < 1.0:

@@ -10,7 +10,7 @@ such as 1/sqrt(d_k) never lifts a float32 graph to float64.
 from __future__ import annotations
 
 import contextlib
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -78,12 +78,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def numpy(self) -> np.ndarray:
-        return self.data
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -352,21 +346,6 @@ def take(x: Tensor, index) -> Tensor:
         _accum(x, gx)
 
     return _result(data, (x,), backward)
-
-
-def concat(tensors: Iterable[Tensor], axis: int = -1) -> Tensor:
-    tensors = [_wrap(t) for t in tensors]
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(lo, hi)
-            _accum(t, g[tuple(sl)])
-
-    return _result(data, tensors, backward)
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator, train: bool,

@@ -87,7 +87,7 @@ def batch_loss(batch: Batch, model_cfg: ModelConfig, params: ParameterStore,
     logits = decode_forward(prefix, x_e, model_cfg, params, ctx, mask.sum(axis=1), x_len)
     logits = T.reshape(logits, -1, logits.shape[-1])
     dec_targets, mask = dec_targets.ravel(), mask.ravel()
-    l_s2s = ce_label_smoothed(logits, dec_targets, label_smoothing, mask, reduce="sum")
+    l_s2s = ce_label_smoothed(logits, dec_targets, label_smoothing, mask)
     n_correct = int(((logits.data.argmax(axis=-1) == dec_targets) & mask).sum())
 
     n_ctc, n_pos = int(batch.target_lengths.sum()), int(mask.sum())
@@ -98,7 +98,7 @@ def batch_loss(batch: Batch, model_cfg: ModelConfig, params: ParameterStore,
             t_xe, t_len = encode(batch.features, batch.feature_lengths, model_cfg, teacher)
             t_logits = decode_forward(prefix, t_xe, model_cfg, teacher, x_lengths=t_len)
         t_logits = t_logits.data.reshape(logits.shape)
-        l_skd = skd_loss(t_logits, logits, mask, temperature, reduce="sum") * (1.0 / n_pos)
+        l_skd = skd_loss(t_logits, logits, mask, temperature) * (1.0 / n_pos)
         total = finetune_loss(l_ctc, l_s2s, l_skd, alpha, phi)
         skd_val = l_skd.item()
         ent = teacher_entropy(t_logits, mask, temperature)
@@ -182,7 +182,7 @@ def run_training(cfg: ExperimentConfig, out_dir, mode: str = "plain",
             if mode != "plain":
                 phi = phi_schedule(epoch, kd)
                 if teacher is None or (not kd.freeze_teacher
-                                       and (epoch - 1) % kd.teacher_snapshot_cadence == 0):
+                                       and (epoch - 1) % kd.cadence == 0):
                     teacher = snapshot_teacher(params)
 
             order = stream(seed, f"shuffle/epoch{epoch}").permutation(len(train_batches))
@@ -286,7 +286,7 @@ def run_lm_training(cfg: ExperimentConfig, transcripts: list[str], out_dir,
             prefix, targets, mask = _shifted(chunk)
             logits = lm_forward(prefix, lm_cfg, params, ctx, mask.sum(axis=1))
             total = ce_label_smoothed(T.reshape(logits, -1, logits.shape[-1]),
-                                      targets.ravel(), 0.0, mask.ravel(), reduce="sum")
+                                      targets.ravel(), 0.0, mask.ravel())
             n_pos = int(mask.sum())
             loss = total * (1.0 / n_pos)
             if not np.isfinite(loss.data):

@@ -37,6 +37,17 @@ def test_parse_comments_and_quotes():
         "data.alphabet = \" ab\"\n")
     assert values["model.d_att"] == "64"
     assert values["data.alphabet"] == " ab"
+    # a quoted value ends at its closing quote; a comment may follow it
+    for line, want in (('data.alphabet = " ab" # with a space', " ab"),
+                       ("data.alphabet = ' ab'# no gap", " ab"),
+                       ('data.alphabet = " a#b"  ', " a#b"),
+                       ('data.alphabet = ""ab "', '"ab '),
+                       ("data.alphabet = 'a'b' # quote inside", "a'b")):
+        assert parse_flat(line + "\n")["data.alphabet"] == want, line
+    assert resolve(parse_flat('data.alphabet = " ab" # with a space\n')).vocab_size == 8
+    for line in ('data.alphabet = " ab" x', "data.alphabet = ' ab", 'data.alphabet = "'):
+        with pytest.raises(ConfigError, match="line 1"):
+            parse_flat(line + "\n")
 
 
 def test_unknown_key_rejected():
@@ -70,6 +81,10 @@ def test_invalid_combination_becomes_config_error():
     ("model.dropout", "1.0"), ("model.dropout", "-0.1"), ("lm.dropout", "1.0"),
     ("train.label_smoothing", "1.0"), ("train.alpha", "2"), ("train.batch_size", "0"),
     ("lm.batch_size", "0"), ("kd.temperature", "0"), ("kd.temperature", "-1"),
+    ("train.warmup_steps", "0"), ("lm.warmup_steps", "0"), ("train.freq_mask_max", "-1"),
+    ("train.time_mask_max", "-3"), ("model.heads", "0"), ("lm.heads", "0"),
+    ("model.e1", "-1"), ("model.e2", "-1"), ("model.dec_layers", "-1"), ("lm.layers", "-1"),
+    ("train.keep_best", "0"),
 ])
 def test_out_of_range_value_is_config_error(key, value):
     with pytest.raises(ConfigError):
@@ -112,3 +127,65 @@ def test_frontend_pe_mode_validation():
     assert not resolve({"model.frontend_pe": "off"}).model.frontend.apply_positional_encoding
     with pytest.raises(ConfigError):
         resolve({"model.frontend_pe": "sometimes"})
+
+
+# `dump_config(resolve({}))` at the time the key table was first derived from the
+# dataclass fields: every key, parser and default, pinned byte for byte.
+DEFAULTS_DUMP = (
+    "# resolved configuration\n"
+    "data.alphabet = \" abcdefghijklmnopqrstuvwxyz'\"\n"
+    "decode.beam_size = 20\n"
+    "decode.ctc_weight = 0.5\n"
+    "decode.insertion_penalty = 2.0\n"
+    "decode.lm_weight = 0.7\n"
+    "decode.max_len_ratio = 1.0\n"
+    "kd.cadence = 1\n"
+    "kd.freeze_teacher = false\n"
+    "kd.mode = linear\n"
+    "kd.phi_final = 0.5\n"
+    "kd.temperature = 1.0\n"
+    "lm.batch_size = 8\n"
+    "lm.d_att = 64\n"
+    "lm.d_ff = 256\n"
+    "lm.dropout = 0.0\n"
+    "lm.epochs = 50\n"
+    "lm.heads = 2\n"
+    "lm.layers = 2\n"
+    "lm.lr_scale = 1.0\n"
+    "lm.warmup_steps = 100\n"
+    "model.d_att = 256\n"
+    "model.d_ff = 2048\n"
+    "model.dec_layers = 6\n"
+    "model.dropout = 0.1\n"
+    "model.e1 = 2\n"
+    "model.e2 = 10\n"
+    "model.feature_dim = 40\n"
+    "model.frontend = conv2d4\n"
+    "model.frontend_pe = auto\n"
+    "model.heads = 4\n"
+    "model.post_norm = false\n"
+    "model.pyramidal = false\n"
+    "model.tr_enabled = true\n"
+    "paths.dev_manifest = \"\"\n"
+    "paths.lm_checkpoint = \"\"\n"
+    "paths.train_manifest = \"\"\n"
+    "train.alpha = 0.3\n"
+    "train.batch_size = 8\n"
+    "train.epochs = 150\n"
+    "train.finetune_epochs = 50\n"
+    "train.finetune_lr = 0.0001\n"
+    "train.freq_mask_max = 10\n"
+    "train.freq_masks = 2\n"
+    "train.keep_best = 5\n"
+    "train.label_smoothing = 0.1\n"
+    "train.lr_scale = 5.0\n"
+    "train.seed = 1\n"
+    "train.specaugment = true\n"
+    "train.time_mask_max = 20\n"
+    "train.time_masks = 2\n"
+    "train.warmup_steps = 25000\n"
+)
+
+
+def test_default_dump_is_pinned():
+    assert dump_config(resolve({})) == "".join(DEFAULTS_DUMP)

@@ -249,8 +249,10 @@ def test_batch_sequences_round_trip(tmp_path):
     batches = make_batches(load_manifest(man), v, 2)
     seen = {}
     for b in batches:
-        for utt_id, seq, targets in b.sequences():
-            seen[utt_id] = (seq.length, v.detokenize(targets))
+        for i, utt_id in enumerate(b.utt_ids):
+            n_tokens = int(b.target_lengths[i])
+            seen[utt_id] = (int(b.feature_lengths[i]),
+                            v.detokenize(list(b.targets[i, :n_tokens])))
     assert seen == {"u0": (4, "ab"), "u1": (5, "ab"), "u2": (6, "ab")}
 
 

@@ -257,7 +257,7 @@ def test_full_model_composed_gradient(seed):
         x_e, _ = encode_one(seq, cfg, params)
         l1 = ctc_loss(ctc_log_probs(x_e, params), [5, 6])
         logits = decode_forward([2, 5, 6], x_e, cfg, params)
-        l2 = ce_label_smoothed(logits, [5, 6, 3], reduce="sum")
+        l2 = ce_label_smoothed(logits, [5, 6, 3])
         return joint_loss(l1, l2, 0.3)
 
     forward().backward()
@@ -294,8 +294,7 @@ def _row_terms(cfg, params, feats, lengths, targets, row):
         prefix[b, : len(t) + 1] = [2] + t
     dec_len = np.array([len(t) + 1 for t in targets])
     logits = decode_forward(prefix, x_e, cfg, params, lengths=dec_len, x_lengths=x_len)
-    l_ce = ce_label_smoothed(logits[row, : dec_len[row]], targets[row] + [3], 0.1,
-                             reduce="sum")
+    l_ce = ce_label_smoothed(logits[row, : dec_len[row]], targets[row] + [3], 0.1)
     (l_ctc + l_ce).backward()
     grads = {name: t.grad.copy() for name, t in params.items() if t.grad is not None}
     return l_ctc.item(), l_ce.item(), grads
