@@ -74,8 +74,8 @@ def save_features(path, seq: FeatureSequence) -> None:
     Path(path).write_bytes(payload)
 
 
-def load_features(path) -> FeatureSequence:
-    blob = Path(path).read_bytes()
+def _feature_header(blob: bytes) -> tuple[int, int]:
+    """(T, F) from the first 16 bytes of a feature file."""
     if len(blob) < 16:
         raise FormatError(f"feature file truncated: {len(blob)} bytes, header needs 16")
     if blob[:4] != FEATURE_MAGIC:
@@ -85,6 +85,18 @@ def load_features(path) -> FeatureSequence:
         raise FormatError(f"unsupported feature-file version {version} at byte 4")
     if t < 1 or f < 1:
         raise FormatError(f"invalid dimensions T={t} F={f} at byte 8")
+    return t, f
+
+
+def feature_frames(path) -> int:
+    """A feature file's frame count T, read from its header alone."""
+    with open(path, "rb") as fh:
+        return _feature_header(fh.read(16))[0]
+
+
+def load_features(path) -> FeatureSequence:
+    blob = Path(path).read_bytes()
+    t, f = _feature_header(blob)
     expected = 16 + 4 * t * f
     if len(blob) != expected:
         raise FormatError(f"feature file has {len(blob)} bytes, expected {expected}")

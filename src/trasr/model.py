@@ -7,6 +7,10 @@ train/eval mode, dropout streams, and the optional attention MAC counter.
 Activations are padded batches [B, T, D] with per-row lengths; attention
 runs on [..., H, T, d_k] with the heads as an array axis, and padded keys
 are masked out, so a row's result does not depend on its batchmates.
+
+In search, `decode_forward` and `lm_forward` take a `KVCache` and feed only
+the positions it has not seen; training passes none and feeds the whole
+prefix through the same code.
 """
 
 from __future__ import annotations
@@ -100,6 +104,32 @@ class ForwardCtx:
 
 
 EVAL_CTX = ForwardCtx()
+
+
+class KVCache:
+    """Keys and values [B, H, n, d_k] of the `length` positions already fed,
+    per attention block (by parameter prefix), as raw arrays: inference only.
+    A self-attention block's K/V grow by the positions of each call; a
+    cross-attention block's K/V of the encoder output are projected on the
+    first call and reused after."""
+
+    def __init__(self):
+        self.length = 0
+        self.self_kv: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        self.src_kv: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+
+    def select(self, rows) -> None:
+        """Keep the self-attention rows `rows` (beam back-pointers), in order."""
+        self.self_kv = {p: (k[rows], v[rows]) for p, (k, v) in self.self_kv.items()}
+
+
+def _cache_start(cache: KVCache | None) -> int:
+    """Positions a forward can skip: those `cache` already holds."""
+    if cache is None:
+        return 0
+    if T.grad_enabled():
+        raise RuntimeError("a KVCache is inference-only: call under tensor.no_grad()")
+    return cache.length
 
 
 # -- parameter initialization ---------------------------------------------
@@ -197,15 +227,32 @@ def _swap_heads(x: Tensor) -> Tensor:
 
 def multi_head_attention(x_q: Tensor, x_kv: Tensor, params: ParameterStore, prefix: str,
                          heads: int, mask: np.ndarray | None = None,
-                         counter: MacCounter | None = None) -> Tensor:
-    """One attention call over [..., H, n, d_k]; `mask` broadcasts over H."""
+                         counter: MacCounter | None = None,
+                         cache: KVCache | None = None) -> Tensor:
+    """One attention call over [..., H, n, d_k]; `mask` broadcasts over H.
+
+    With a `cache`, self-attention (`x_kv is x_q`, the new positions) attends
+    over the cached K/V extended by those of x_q, and cross-attention reuses
+    the cached projection of `x_kv`."""
 
     def project(x, w):
         h = T.matmul(x, params[f"{prefix}.{w}"])
         return _swap_heads(T.reshape(h, *h.shape[:-1], heads, h.shape[-1] // heads))
 
-    out = _swap_heads(attention(project(x_q, "wq"), project(x_kv, "wk"),
-                                project(x_kv, "wv"), mask, counter))
+    if cache is None:
+        k, v = project(x_kv, "wk"), project(x_kv, "wv")
+    elif x_kv is x_q:
+        k, v = project(x_kv, "wk").data, project(x_kv, "wv").data
+        if prefix in cache.self_kv:
+            k_old, v_old = cache.self_kv[prefix]
+            k, v = np.concatenate([k_old, k], axis=-2), np.concatenate([v_old, v], axis=-2)
+        cache.self_kv[prefix] = k, v
+        k, v = Tensor(k), Tensor(v)
+    else:
+        if prefix not in cache.src_kv:
+            cache.src_kv[prefix] = project(x_kv, "wk").data, project(x_kv, "wv").data
+        k, v = map(Tensor, cache.src_kv[prefix])
+    out = _swap_heads(attention(project(x_q, "wq"), k, v, mask, counter))
     return T.matmul(T.reshape(out, *out.shape[:-2], -1), params[f"{prefix}.wo"])
 
 
@@ -230,10 +277,11 @@ def _residual(x: Tensor, sublayer, params: ParameterStore, ln: str, name: str,
 
 def encoder_layer(x: Tensor, params: ParameterStore, prefix: str, heads: int,
                   ctx: ForwardCtx = EVAL_CTX, mask: np.ndarray | None = None,
-                  post_norm: bool = False, lengths=None) -> Tensor:
+                  post_norm: bool = False, lengths=None,
+                  cache: KVCache | None = None) -> Tensor:
     mha, ffn = f"{prefix}.mha", f"{prefix}.ffn"
     x = _residual(x, lambda h: multi_head_attention(h, h, params, mha, heads, mask,
-                                                    ctx.counter),
+                                                    ctx.counter, cache),
                   params, f"{prefix}.ln1", mha, ctx, post_norm, lengths)
     return _residual(x, lambda h: position_wise_ffn(h, params, ffn),
                      params, f"{prefix}.ln2", ffn, ctx, post_norm, lengths)
@@ -290,43 +338,56 @@ def ctc_log_probs(x_e: Tensor, params: ParameterStore) -> Tensor:
     return T.log_softmax(T.matmul(x_e, params["ctc.w"]) + params["ctc.b"], axis=-1)
 
 
-def _causal_mask(n: int) -> np.ndarray:
-    return np.tril(np.ones((n, n), dtype=bool))
+def _causal_mask(n: int, start: int = 0) -> np.ndarray | None:
+    """Rows start..n-1 of the n x n causal mask, or None for one row (the
+    last, which sees every key)."""
+    if n - start == 1:
+        return None
+    return np.tril(np.ones((n - start, n), dtype=bool), k=start)
 
 
 def _embed(prefix, table: Tensor, d_att: int, ctx: ForwardCtx, name: str,
-           lengths=None) -> Tensor:
-    """A token prefix [n] -> [n, d_att], or prefixes [B, n] -> [B, n, d_att]
-    (right-padded when `lengths` gives their true lengths)."""
+           lengths=None, start: int = 0) -> Tensor:
+    """Positions start..n-1 of a token prefix [n] -> [n - start, d_att], or of
+    prefixes [B, n] -> [B, n - start, d_att] (right-padded when `lengths`
+    gives their true lengths)."""
     ids = np.asarray(prefix, dtype=np.int64)
-    if ids.shape[-1] == 0:
-        raise ValueError(f"{name}: prefix must not be empty")
-    e = T.take(table, ids) * math.sqrt(d_att)
-    e = e + Tensor(positional_encoding(ids.shape[-1], d_att, dtype=e.dtype))
+    n = ids.shape[-1]
+    if n <= start:
+        raise ValueError(f"{name}: prefix has {n} positions, need more than {start}")
+    e = T.take(table, ids[..., start:]) * math.sqrt(d_att)
+    e = e + Tensor(positional_encoding(n, d_att, dtype=e.dtype)[start:])
     return ctx.drop(e, name, lengths)
 
 
 def decode_forward(prefix, x_e: Tensor, cfg: ModelConfig, params: ParameterStore,
-                   ctx: ForwardCtx = EVAL_CTX, lengths=None, x_lengths=None) -> Tensor:
+                   ctx: ForwardCtx = EVAL_CTX, lengths=None, x_lengths=None,
+                   cache: KVCache | None = None) -> Tensor:
     """Next-token logits for every position of a sos-led prefix [n] -> [n, V],
     or of a stack of prefixes [B, n] -> [B, n, V]. A stack may share one
     encoder output, or be right-padded to true `lengths` against a padded
     encoder batch x_e [B, T', D] with true frame counts `x_lengths`; under
-    the causal mask padding only follows a row's true positions."""
-    y = _embed(prefix, params["dec.embed"], cfg.d_att, ctx, "dec.embed", lengths)
-    mask = _causal_mask(y.shape[-2])
+    the causal mask padding only follows a row's true positions. With a
+    `cache` holding the first m positions, only positions m.. are fed and
+    their logits [B, n - m, V] returned."""
+    start = _cache_start(cache)
+    y = _embed(prefix, params["dec.embed"], cfg.d_att, ctx, "dec.embed", lengths, start)
+    n = start + y.shape[-2]
+    mask = _causal_mask(n, start)
     x_mask = None if x_lengths is None else _key_mask(x_lengths, x_e.shape[-2])
     for j in range(cfg.dec_layers):
         p = f"dec.layer{j}"
         sa, ca, ffn = f"{p}.self", f"{p}.src", f"{p}.ffn"
         y = _residual(y, lambda h: multi_head_attention(h, h, params, sa, cfg.heads, mask,
-                                                        ctx.counter),
+                                                        ctx.counter, cache),
                       params, f"{p}.ln1", sa, ctx, cfg.post_norm, lengths)
         y = _residual(y, lambda h: multi_head_attention(h, x_e, params, ca, cfg.heads,
-                                                        x_mask, ctx.counter),
+                                                        x_mask, ctx.counter, cache),
                       params, f"{p}.ln2", ca, ctx, cfg.post_norm, lengths)
         y = _residual(y, lambda h: position_wise_ffn(h, params, ffn),
                       params, f"{p}.ln3", ffn, ctx, cfg.post_norm, lengths)
+    if cache is not None:
+        cache.length = n
     y = _ln_apply(y, params, "dec.ln_out")
     return T.matmul(y, params["dec.out.w"]) + params["dec.out.b"]
 
@@ -396,13 +457,20 @@ def init_lm_params(cfg: LMConfig, seed: int, dtype=np.float32) -> ParameterStore
 
 
 def lm_forward(prefix, cfg: LMConfig, params: ParameterStore,
-               ctx: ForwardCtx = EVAL_CTX, lengths=None) -> Tensor:
+               ctx: ForwardCtx = EVAL_CTX, lengths=None,
+               cache: KVCache | None = None) -> Tensor:
     """Next-token logits from a causal self-attention stack (no cross-attention)
     for a prefix [n] -> [n, V] or a stack of prefixes [B, n] -> [B, n, V],
-    right-padded when `lengths` gives their true lengths."""
-    y = _embed(prefix, params["lm.embed"], cfg.d_att, ctx, "lm.embed", lengths)
-    mask = _causal_mask(y.shape[-2])
+    right-padded when `lengths` gives their true lengths; with a `cache`, as
+    in `decode_forward`, only for the positions it does not hold."""
+    start = _cache_start(cache)
+    y = _embed(prefix, params["lm.embed"], cfg.d_att, ctx, "lm.embed", lengths, start)
+    n = start + y.shape[-2]
+    mask = _causal_mask(n, start)
     for i in range(cfg.layers):
-        y = encoder_layer(y, params, f"lm.layer{i}", cfg.heads, ctx, mask, lengths=lengths)
+        y = encoder_layer(y, params, f"lm.layer{i}", cfg.heads, ctx, mask, lengths=lengths,
+                          cache=cache)
+    if cache is not None:
+        cache.length = n
     y = _ln_apply(y, params, "lm.ln_out")
     return T.matmul(y, params["lm.out.w"]) + params["lm.out.b"]

@@ -7,7 +7,9 @@ becomes the probability of the prefix as a complete output.
 
 The beam is arrays only: prefixes [B, s + 1] at step s, running s2s and LM
 log-probabilities and scores [B], CTC states [B, T', 2]. Each step makes one
-call per scorer (`s2s_fn`, `lm_fn`: [B, s + 1] -> [B, V]; `CtcPrefixScorer.extend`
+call per scorer (`s2s_fn`, `lm_fn`: (prefixes [B, s + 1], parents) -> [B, V],
+where row i extends row parents[i] of the previous step's prefixes, None at
+step 0, so a scorer can carry state per hypothesis; `CtcPrefixScorer.extend`
 scores all B x C extensions), drops extensions scoring -inf (a prefix longer
 than the frames allow never recovers), and picks the next beam with one
 lexsort on (-score, tokens). A result is unfinished when the length cap, not
@@ -120,9 +122,11 @@ def beam_search(s2s_fn, cfg: BeamConfig, sos_id: int, eos_id: int, candidates,
                 lm_fn=None) -> SearchResult:
     """Best token sequence under the combined score.
 
-    `s2s_fn` (and `lm_fn`, when gamma != 0) map the beam's prefixes [B, n] to
-    next-token log-probabilities [B, V]. The result is unfinished when a
-    prefix cut off at the length cap outscores the best finished hypothesis.
+    `s2s_fn` (and `lm_fn`, when gamma != 0) map the beam's prefixes [B, n]
+    and their parents [B] (row indices into the previous call's prefixes,
+    None on the first call) to next-token log-probabilities [B, V]. The
+    result is unfinished when a prefix cut off at the length cap outscores
+    the best finished hypothesis.
     """
     cands = np.array([c for c in candidates if c not in (sos_id, eos_id)], dtype=np.int64)
     needed = max([eos_id, *cands]) + 1
@@ -133,14 +137,14 @@ def beam_search(s2s_fn, cfg: BeamConfig, sos_id: int, eos_id: int, candidates,
     if cfg.ctc_weight == 0.0:
         ctc_scorer = None  # 0 * (-inf) would make dead prefixes NaN
 
-    def score_beam(fn, prefixes, what):
-        scores = np.asarray(fn(prefixes), dtype=np.float64)
+    def score_beam(fn, prefixes, parents, what):
+        scores = np.asarray(fn(prefixes, parents), dtype=np.float64)
         if scores.shape[-1] < needed:
             raise VocabularyError(f"{what} returned {scores.shape[-1]} scores, need >= {needed}")
         return scores
 
     max_len = max(1, int(cfg.max_len_ratio * n_frames))
-    prefixes = np.array([[sos_id]], dtype=np.int64)
+    prefixes, parents = np.array([[sos_id]], dtype=np.int64), None
     s2s_sum, lm_sum = np.zeros(1), np.zeros(1)
     ctc_states = ctc_scorer.initial_state()[None] if ctc_scorer else None
     finished: list[tuple[float, list[int]]] = []  # (score, body tokens)
@@ -149,8 +153,8 @@ def beam_search(s2s_fn, cfg: BeamConfig, sos_id: int, eos_id: int, candidates,
     # one step past max_len scores eos for hypotheses of max_len tokens; its
     # extensions are only compared with the result
     for step in range(max_len + 1):
-        s2s = score_beam(s2s_fn, prefixes, "s2s model")
-        lm = score_beam(lm_fn, prefixes, "LM") if cfg.lm_weight != 0.0 \
+        s2s = score_beam(s2s_fn, prefixes, parents, "s2s model")
+        lm = score_beam(lm_fn, prefixes, parents, "LM") if cfg.lm_weight != 0.0 \
             else np.zeros_like(s2s)
         expanded += len(prefixes)
         ctc_final = ctc_ext = 0.0
@@ -168,10 +172,10 @@ def beam_search(s2s_fn, cfg: BeamConfig, sos_id: int, eos_id: int, candidates,
                                np.tile(cands, len(prefixes))])
         order = np.lexsort((*ext.T[::-1], -score))
         order = order[score[order] > -np.inf][: cfg.beam_size]
-        b, c = np.divmod(order, len(cands))
+        parents, c = np.divmod(order, len(cands))
         prefixes, beam_score = ext[order], score[order]
-        s2s_sum, lm_sum = s2s_ext[b, c], lm_ext[b, c]
-        ctc_states = ctc_states[b, c] if ctc_scorer else None
+        s2s_sum, lm_sum = s2s_ext[parents, c], lm_ext[parents, c]
+        ctc_states = ctc_states[parents, c] if ctc_scorer else None
         if not len(order) or step == max_len:
             break
         # s2s, CTC and (for gamma >= 0) LM terms only fall as a hypothesis

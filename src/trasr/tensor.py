@@ -31,6 +31,11 @@ def no_grad():
         _grad_enabled = prev
 
 
+def grad_enabled() -> bool:
+    """Whether ops record a graph (False inside `no_grad`)."""
+    return _grad_enabled
+
+
 def _as_array(data) -> np.ndarray:
     arr = np.asarray(data)
     if arr.dtype not in (np.float32, np.float64):
@@ -327,10 +332,9 @@ def transpose(x: Tensor, *axes) -> Tensor:
     if not axes:
         axes = tuple(range(x.ndim - 2)) + (x.ndim - 1, x.ndim - 2)
     data = x.data.transpose(axes)
-    inverse = np.argsort(axes)
 
     def backward(g):
-        _accum(x, g.transpose(inverse))
+        _accum(x, g.transpose(np.argsort(axes)))
 
     return _result(data, (x,), backward)
 
@@ -378,24 +382,24 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator, train: bool,
 def masked_softmax(x: Tensor, mask: np.ndarray | None = None, axis: int = -1) -> Tensor:
     """Softmax over unmasked positions; masked positions are exactly 0.
 
-    `mask` is boolean with True marking valid positions, broadcastable to x.
+    `mask` is boolean with True marking valid positions, broadcastable to x;
+    None means every position is valid.
     """
     x = _wrap(x)
     if mask is None:
-        valid = np.ones(x.shape, dtype=bool)
+        if x.shape[axis] == 0:
+            raise MaskError("softmax slice with every position masked")
+        ex = np.exp(x.data - x.data.max(axis=axis, keepdims=True))
     else:
         mask = np.asarray(mask, dtype=bool)
         try:
             valid = np.broadcast_to(mask, x.shape)
         except ValueError as e:
             raise ShapeError(f"mask shape {mask.shape} not broadcastable to {x.shape}") from e
-    if not valid.any(axis=axis).all():
-        raise MaskError("softmax slice with every position masked")
-
-    neg = np.finfo(x.data.dtype).min
-    shifted = np.where(valid, x.data, neg)
-    shifted = shifted - shifted.max(axis=axis, keepdims=True)
-    ex = np.exp(shifted) * valid
+        if not valid.any(axis=axis).all():
+            raise MaskError("softmax slice with every position masked")
+        shifted = np.where(valid, x.data, np.finfo(x.data.dtype).min)
+        ex = np.exp(shifted - shifted.max(axis=axis, keepdims=True)) * valid
     y = ex / ex.sum(axis=axis, keepdims=True)
 
     def backward(g):

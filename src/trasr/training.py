@@ -14,14 +14,15 @@ import numpy as np
 from . import tensor as T
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ExperimentConfig
-from .data import (Batch, EditStats, ManifestEntry, Vocabulary, load_features,
-                   load_manifest, make_batches, wer)
+from .data import (Batch, EditStats, ManifestEntry, Vocabulary, feature_frames,
+                   load_features, load_manifest, make_batches, wer)
 from .errors import ConfigError, SequenceTooShortError, TrasrError
 from .frontend import FeatureSequence, spec_augment
-from .losses import (ce_label_smoothed, ctc_loss, finetune_loss, joint_loss, phi_schedule,
-                     skd_loss, snapshot_teacher, teacher_entropy)
-from .model import (EVAL_CTX, ForwardCtx, ModelConfig, LMConfig, ctc_log_probs,
-                    decode_forward, encode, init_lm_params, init_model_params, lm_forward)
+from .losses import (ce_label_smoothed, ctc_loss, ctc_min_frames, finetune_loss, joint_loss,
+                     phi_schedule, skd_loss, snapshot_teacher, teacher_entropy)
+from .model import (EVAL_CTX, ForwardCtx, KVCache, ModelConfig, LMConfig, ctc_log_probs,
+                    decode_forward, encode, encoder_layer_lengths, init_lm_params,
+                    init_model_params, lm_forward)
 from .optim import AdamState, ParameterStore, adam_step
 from .rng import StreamCache, stream
 from .search import BeamConfig, CtcPrefixScorer, beam_search
@@ -124,6 +125,27 @@ def evaluate(batches: list[Batch], model_cfg: ModelConfig, params: ParameterStor
                       n_correct, n_pos, 0.0)
 
 
+def _feasible(entries: list[ManifestEntry], model_cfg: ModelConfig, vocab: Vocabulary,
+              what: str, log) -> tuple[list[ManifestEntry], list[dict]]:
+    """The entries whose encoder output has the frames their CTC target needs
+    (and one at least), and a {"utt_id", "reason"} record, logged, for each
+    of the others."""
+    kept, skipped = [], []
+    for e in entries:
+        frames = feature_frames(e.feature_path)
+        n = encoder_layer_lengths(model_cfg, frames)[2]
+        need = max(1, ctc_min_frames(vocab.tokenize(e.transcript)))
+        if n >= need:
+            kept.append(e)
+            continue
+        reason = f"{frames} input frames give {n} encoder frames, the CTC target needs {need}"
+        skipped.append({"utt_id": e.utt_id, "reason": reason})
+        log(f"skipping {what} utterance {e.utt_id}: {reason}")
+    if not kept:
+        raise TrasrError(f"every {what} utterance is too short for the model")
+    return kept, skipped
+
+
 def _record_line(record: dict) -> str:
     return json.dumps(record, sort_keys=True)
 
@@ -148,11 +170,16 @@ def run_training(cfg: ExperimentConfig, out_dir, mode: str = "plain",
     with RunLock(out_dir):
         (out_dir / "config.resolved").write_text(dump_config(cfg), encoding="utf-8")
         vocab = Vocabulary(cfg.alphabet)
-        train_entries = load_manifest(cfg.train_manifest)
-        dev_entries = load_manifest(cfg.dev_manifest) if cfg.dev_manifest else train_entries
+        model_cfg = cfg.model
+        train_entries, skipped = _feasible(load_manifest(cfg.train_manifest), model_cfg,
+                                           vocab, "training", log)
+        dev_entries = train_entries
+        if cfg.dev_manifest:
+            dev_entries, dev_skipped = _feasible(load_manifest(cfg.dev_manifest), model_cfg,
+                                                 vocab, "dev", log)
+            skipped += dev_skipped
 
         seed = cfg.train.seed
-        model_cfg = cfg.model
         params = init_model_params(model_cfg, seed)
         if init_checkpoint is not None:
             params.load_state_dict(load_checkpoint(init_checkpoint))
@@ -226,6 +253,8 @@ def run_training(cfg: ExperimentConfig, out_dir, mode: str = "plain",
                 "checkpoint": ckpt_path.name,
                 "wall_time": time.perf_counter() - t0,
             }
+            if skipped:
+                record["skipped"] = skipped
             records.append(record)
             with open(record_path, "a", encoding="utf-8") as fh:
                 fh.write(_record_line(record) + "\n")
@@ -325,6 +354,20 @@ class DecodeResult:
     skipped: str = ""  # why the utterance was not decoded; its hypothesis is empty
 
 
+def _cached_scorer(forward):
+    """A beam scorer (prefixes [B, n], parents) -> last-position log-probs
+    [B, V] over `forward(prefixes, cache)`, whose one KVCache follows the
+    beam: before each step its rows are gathered by `parents`."""
+    cache = KVCache()
+
+    def score(prefixes, parents):
+        with T.no_grad():
+            if parents is not None:
+                cache.select(parents)
+            return T.log_softmax(forward(prefixes, cache), axis=-1).data[:, -1]
+    return score
+
+
 def decode_utterance(seq: FeatureSequence, model_cfg: ModelConfig,
                      params: ParameterStore, beam_cfg: BeamConfig, vocab: Vocabulary,
                      lm_cfg: LMConfig | None = None,
@@ -334,19 +377,12 @@ def decode_utterance(seq: FeatureSequence, model_cfg: ModelConfig,
         ctc_lp = ctc_log_probs(x_e, params).data[0]
     scorer = CtcPrefixScorer(ctc_lp, blank_id=Vocabulary.BLANK) \
         if beam_cfg.ctc_weight > 0 else None
-
-    def s2s_fn(prefixes):
-        with T.no_grad():
-            logits = decode_forward(prefixes, x_e, model_cfg, params)
-            return T.log_softmax(logits, axis=-1).data[:, -1]
-
+    s2s_fn = _cached_scorer(lambda p, cache: decode_forward(p, x_e, model_cfg, params,
+                                                             cache=cache))
     lm_fn = None
     if beam_cfg.lm_weight != 0.0 and lm_params is not None:
-        def lm_fn(prefixes):
-            with T.no_grad():
-                logits = lm_forward(prefixes, lm_cfg, lm_params)
-                return T.log_softmax(logits, axis=-1).data[:, -1]
-
+        lm_fn = _cached_scorer(lambda p, cache: lm_forward(p, lm_cfg, lm_params,
+                                                           cache=cache))
     return beam_search(s2s_fn, beam_cfg, Vocabulary.SOS, Vocabulary.EOS,
                        vocab.character_ids(), int(n[0]), ctc_scorer=scorer, lm_fn=lm_fn)
 

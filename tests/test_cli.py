@@ -191,6 +191,42 @@ def test_decode_skips_too_short_utterance(dataset, trained, tmp_path):
     assert report["skipped"][0]["utt_id"] == "short"
 
 
+def test_train_skips_infeasible_utterances(tmp_path, capsys):
+    # conv2d4 and a TR layer after one encoder layer leave 2 of these 12
+    # utterances fewer encoder frames than their CTC targets need
+    data = tmp_path / "data"
+    assert main(["synth-data", "--out", str(data), "--n-utterances", "12",
+                 "--feature-dim", "16", "--seed", "3", "--frames-per-token", "8", "12"]) == 0
+    assert TINY[1].startswith("data.alphabet=")
+
+    def train(manifest, out):  # the data uses synth-data's default alphabet
+        return main(["train", "--out", str(out), "--set", f"paths.train_manifest={manifest}",
+                     "--set", "model.frontend=conv2d4"] + TINY[2:])
+
+    capsys.readouterr()
+    assert train(data / "manifest.tsv", tmp_path / "run") == 0
+    out = capsys.readouterr().out
+    records = [json.loads(line) for line in
+               (tmp_path / "run" / "epochs.jsonl").read_text().splitlines()]
+    assert len(records) == 2
+    for record in records:
+        assert [s["utt_id"] for s in record["skipped"]] == ["utt0001", "utt0009"]
+        assert all("encoder frames" in s["reason"] for s in record["skipped"])
+    assert "utt0001" in out and "utt0009" in out
+
+    only_short = tmp_path / "short.tsv"
+    only_short.write_text("".join(f"{e.utt_id}\t{e.feature_path}\t{e.transcript}\n"
+                                  for e in load_manifest(data / "manifest.tsv")
+                                  if e.utt_id in ("utt0001", "utt0009")))
+    assert train(only_short, tmp_path / "run-short") == 3
+    assert "every training utterance" in capsys.readouterr().err
+
+
+def test_train_epoch_records_have_no_skipped_field_when_all_fit(trained):
+    records = [json.loads(line) for line in (trained / "epochs.jsonl").read_text().splitlines()]
+    assert records and all("skipped" not in r for r in records)
+
+
 def test_decode_lm_weight_without_lm_exit_2(dataset, trained, tmp_path):
     rc = main(["decode", "--out", str(tmp_path / "dec"), "--checkpoint",
                str(trained / "epoch0002.ckpt"), "--manifest", str(dataset),

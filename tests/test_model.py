@@ -9,7 +9,7 @@ from trasr.data import Batch
 from trasr.errors import MaskError, SequenceTooShortError, ShapeError
 from trasr.frontend import FeatureSequence, FrontendConfig, output_length
 from trasr.gradcheck import grad_check
-from trasr.model import (EVAL_CTX, ForwardCtx, LMConfig, MacCounter, ModelConfig,
+from trasr.model import (EVAL_CTX, ForwardCtx, KVCache, LMConfig, MacCounter, ModelConfig,
                          attention, count_attention_macs, ctc_log_probs, decode_forward,
                          encode, encoder_layer, encoder_layer_lengths,
                          init_encoder_layer_params, init_lm_params, init_model_params,
@@ -382,6 +382,72 @@ def test_decoder_and_lm_on_prefix_stack_equal_row_calls(tiny_model):
                                    rtol=0, atol=1e-5)
         np.testing.assert_allclose(lm[b], lm_forward(row, lm_cfg, lm_params).data,
                                    rtol=0, atol=1e-5)
+
+
+# Beam steps (parents, new tokens): the first call feeds sos and 2 tokens
+# into an empty cache, later calls feed 1 or 2 tokens per row. Row i of a
+# step extends row parents[i] of the step before; the third step repeats
+# hypothesis 0 and drops hypothesis 1.
+STEPS = [(None, 2), ([0, 1, 2], 1), ([2, 0, 0], 2), ([1, 2, 0], 1)]
+
+
+def _check_cached_steps(forward):
+    """Run `forward(prefixes, cache)` over STEPS on random tokens: the cached
+    logits of the new positions equal the full-prefix ones. Returns the cache."""
+    rng = np.random.default_rng(0)
+    cache, prefixes = KVCache(), np.full((3, 1), 2)
+    for parents, width in STEPS:
+        if parents is not None:
+            prefixes = prefixes[parents]
+            cache.select(parents)
+        prefixes = np.hstack([prefixes, rng.integers(4, 7, size=(3, width))])
+        fed = prefixes.shape[1] - cache.length
+        with T.no_grad():
+            got = forward(prefixes, cache).data
+            want = forward(prefixes, None).data[:, -fed:]
+        assert got.shape == want.shape and cache.length == prefixes.shape[1]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+    return cache
+
+
+@pytest.mark.parametrize("dec_layers", [0, 2])
+@pytest.mark.parametrize("heads", [1, 2, 4])
+@pytest.mark.parametrize("post_norm", [False, True])
+def test_cached_decoder_steps_equal_full_prefix(post_norm, heads, dec_layers):
+    cfg = tiny_model_config(heads=heads, dec_layers=dec_layers, post_norm=post_norm)
+    params = init_model_params(cfg, seed=0, dtype=np.float64)
+    seq = random_features(np.random.default_rng(1), 9, 16, dtype=np.float64)
+    x_e, _ = encode(seq.features[None], [seq.length], cfg, params)
+    cache = _check_cached_steps(
+        lambda p, c: decode_forward(p, x_e, cfg, params, cache=c))
+    # cross-attention K/V: one projection of the shared encoder output per layer
+    assert sorted(cache.src_kv) == [f"dec.layer{j}.src" for j in range(dec_layers)]
+    d_k = cfg.d_att // heads
+    for k, v in cache.src_kv.values():
+        assert k.shape == v.shape == (1, heads, x_e.shape[1], d_k)
+    for k, v in cache.self_kv.values():
+        assert k.shape == v.shape == (3, heads, cache.length, d_k)
+
+
+@pytest.mark.parametrize("layers", [0, 2])
+@pytest.mark.parametrize("heads", [1, 2, 4])
+def test_cached_lm_steps_equal_full_prefix(heads, layers):
+    cfg = LMConfig(layers=layers, d_att=16, d_ff=32, heads=heads, vocab_size=7)
+    params = init_lm_params(cfg, seed=0, dtype=np.float64)
+    cache = _check_cached_steps(lambda p, c: lm_forward(p, cfg, params, cache=c))
+    assert sorted(cache.self_kv) == [f"lm.layer{i}.mha" for i in range(layers)]
+    assert not cache.src_kv
+
+
+def test_cache_with_gradients_enabled_raises(tiny_model):
+    cfg, params = tiny_model
+    x_e, _ = encode_one(random_features(np.random.default_rng(0), 9, 16), cfg, params)
+    lm_cfg = LMConfig(layers=1, d_att=8, d_ff=16, heads=2, vocab_size=7)
+    lm_params = init_lm_params(lm_cfg, seed=0)
+    with pytest.raises(RuntimeError, match="inference-only"):
+        decode_forward([[2, 5]], x_e, cfg, params, cache=KVCache())
+    with pytest.raises(RuntimeError, match="inference-only"):
+        lm_forward([[2, 5]], lm_cfg, lm_params, cache=KVCache())
 
 
 def test_decoder_logit_shape(tiny_model):

@@ -7,10 +7,13 @@ import numpy as np
 import pytest
 
 from trasr.losses import ctc_loss
+from trasr.model import (LMConfig, decode_forward, encode, init_lm_params, init_model_params,
+                         lm_forward)
 from trasr.search import BeamConfig, CtcPrefixScorer, beam_search, combined_score
-from trasr.tensor import Tensor
+from trasr.tensor import Tensor, log_softmax, no_grad
+from trasr.training import _cached_scorer
 
-from conftest import brute_force_prefix, random_log_probs
+from conftest import brute_force_prefix, random_features, random_log_probs, tiny_model_config
 
 SOS, EOS = 2, 3
 
@@ -31,8 +34,9 @@ def table_s2s(trial):
 
 
 def batched(fn):
-    """Beam scoring function, prefixes [B, n] -> [B, V], from a per-prefix one."""
-    def scores(prefixes):
+    """Beam scoring function, (prefixes [B, n], parents) -> [B, V], from a
+    per-prefix one; it keeps no state, so it ignores `parents`."""
+    def scores(prefixes, parents):
         return np.stack([fn([int(t) for t in p]) for p in prefixes])
     return scores
 
@@ -395,3 +399,72 @@ def test_ctc_scorer_at_weight_zero_is_ignored():
         want = beam_search(s2s, cfg, SOS, EOS, [4, 1], 2)
         assert (got.tokens, got.score, got.n_expanded) == \
             (want.tokens, want.score, want.n_expanded)
+
+
+def recording(fn, calls):
+    """A `batched(fn)` scorer that appends each call's (prefixes, parents)."""
+    inner = batched(fn)
+
+    def scores(prefixes, parents):
+        calls.append((prefixes.copy(), parents))
+        return inner(prefixes, parents)
+    return scores
+
+
+@pytest.mark.parametrize("beam", [1, 3, 8])
+def test_scorers_get_parents_of_each_prefix(beam):
+    rng = np.random.default_rng(beam)
+    cfg = BeamConfig(beam_size=beam, ctc_weight=0.4, lm_weight=0.5,
+                     insertion_penalty=0.5, max_len_ratio=1.5)
+    for trial in range(5):
+        s2s_calls, lm_calls = [], []
+        beam_search(recording(table_s2s(500 + trial), s2s_calls), cfg, SOS, EOS, [4, 1], 4,
+                    ctc_scorer=CtcPrefixScorer(random_log_probs(rng, 4, 5)),
+                    lm_fn=recording(table_s2s(600 + trial), lm_calls))
+        assert len(s2s_calls) == len(lm_calls) > 1
+        for calls in (s2s_calls, lm_calls):
+            (first, parents), *rest = calls
+            assert parents is None and first.tolist() == [[SOS]]
+            previous = first
+            for prefixes, parents in rest:
+                assert np.array_equal(prefixes[:, :-1], previous[parents])
+                previous = prefixes
+        assert all(np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+                   for a, b in zip(s2s_calls[1:], lm_calls[1:]))
+
+
+def test_cached_model_scorers_search_like_full_prefix_ones():
+    """Beam search over a float64 decoder and LM: the decoding scorers, which
+    keep one KVCache each and gather it by `parents`, find the same
+    hypotheses as scorers that re-run every prefix in full."""
+    cfg = tiny_model_config(dec_layers=2, heads=4)
+    params = init_model_params(cfg, seed=0, dtype=np.float64)
+    lm_cfg = LMConfig(layers=2, d_att=16, d_ff=32, heads=2, vocab_size=7)
+    lm_params = init_lm_params(lm_cfg, seed=0, dtype=np.float64)
+    bc = BeamConfig(beam_size=4, ctc_weight=0.3, lm_weight=0.4, insertion_penalty=0.5)
+
+    def full_prefix(forward):
+        def score(prefixes, parents):
+            with no_grad():
+                return log_softmax(forward(prefixes, None), axis=-1).data[:, -1]
+        return score
+
+    for trial in range(4):
+        seq = random_features(np.random.default_rng(trial), 12, 16, dtype=np.float64)
+        with no_grad():
+            x_e, _ = encode(seq.features[None], [seq.length], cfg, params)
+        lp = random_log_probs(np.random.default_rng(50 + trial), x_e.shape[1], 7)
+
+        def dec(p, c):
+            return decode_forward(p, x_e, cfg, params, cache=c)
+
+        def lm(p, c):
+            return lm_forward(p, lm_cfg, lm_params, cache=c)
+
+        full, cached = [beam_search(wrap(dec), bc, SOS, EOS, [4, 5, 6], x_e.shape[1],
+                                    ctc_scorer=CtcPrefixScorer(lp), lm_fn=wrap(lm))
+                        for wrap in (full_prefix, _cached_scorer)]
+        assert cached.n_expanded > 4
+        assert (cached.tokens, cached.finished, cached.n_expanded) == \
+            (full.tokens, full.finished, full.n_expanded)
+        assert abs(cached.score - full.score) < 1e-10

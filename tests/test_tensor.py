@@ -193,6 +193,44 @@ def test_masked_softmax_grad(seed):
           rng.normal(size=(2, 5)), 1e-4)
 
 
+def _softmax_reference(x, mask, axis=-1):
+    """The all-purpose masked softmax formula, an all-true mask for None."""
+    valid = np.broadcast_to(np.ones(x.shape, dtype=bool) if mask is None else mask, x.shape)
+    shifted = np.where(valid, x, np.finfo(x.dtype).min)
+    shifted = shifted - shifted.max(axis=axis, keepdims=True)
+    ex = np.exp(shifted) * valid
+    return ex / ex.sum(axis=axis, keepdims=True)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("masked", [False, True])
+def test_masked_softmax_bitwise_equals_reference_formula(dtype, masked):
+    rng = np.random.default_rng(3)
+    x = (rng.normal(size=(2, 3, 4, 5)) * 4).astype(dtype)
+    g = rng.normal(size=x.shape).astype(dtype)
+    mask = np.tril(np.ones((4, 5), dtype=bool), k=1) if masked else None
+    t = Tensor(x, requires_grad=True)
+    y = T.masked_softmax(t, mask)
+    y.backward(g)
+    want = _softmax_reference(x, mask)
+    assert y.dtype == dtype and np.array_equal(y.data, want)
+    assert np.array_equal(t.grad, want * (g - (g * want).sum(axis=-1, keepdims=True)))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("axes", [(), ((2, 0, 3, 1),), (1, 3, 0, 2)])
+def test_transpose_bitwise_equals_reference_formula(dtype, axes):
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=(2, 3, 4, 5)).astype(dtype)
+    perm = (0, 1, 3, 2) if not axes else tuple(axes[0]) if len(axes) == 1 else axes
+    g = rng.normal(size=x.transpose(perm).shape).astype(dtype)
+    t = Tensor(x, requires_grad=True)
+    y = T.transpose(t, *axes)
+    y.backward(g)
+    assert np.array_equal(y.data, x.transpose(perm))
+    assert t.grad.dtype == dtype and np.array_equal(t.grad, g.transpose(np.argsort(perm)))
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_log_softmax_grad_and_normalization(seed):
     rng = np.random.default_rng(seed)
