@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 from .tensor import Tensor, no_grad
 from .optim import AdamState, ParameterStore, adam_step, warmup_lr
 from .gradcheck import grad_check
-from .frontend import FeatureSequence, FrontendConfig, output_length, spec_augment, subsample
+from .frontend import FeatureSequence, output_length, spec_augment, subsample
 from .model import (LMConfig, MacCounter, ModelConfig, attention, count_attention_macs,
                     decode_forward, encode, init_model_params, multi_head_attention,
                     time_reduce)
@@ -17,7 +17,7 @@ from .data import Vocabulary, wer, cer
 
 __all__ = [
     "Tensor", "no_grad", "AdamState", "ParameterStore", "adam_step", "warmup_lr",
-    "grad_check", "FeatureSequence", "FrontendConfig", "output_length", "spec_augment",
+    "grad_check", "FeatureSequence", "output_length", "spec_augment",
     "subsample", "LMConfig", "MacCounter", "ModelConfig", "attention",
     "count_attention_macs", "decode_forward", "encode", "init_model_params",
     "multi_head_attention", "time_reduce", "KDConfig",

@@ -49,10 +49,11 @@ def save_checkpoint(path, state: dict[str, np.ndarray]) -> None:
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
-    blob = Path(path).read_bytes()
+    """Read a checkpoint; each array is copied once out of the file's bytes."""
+    blob = memoryview(Path(path).read_bytes())
     off = 0
 
-    def need(n: int, what: str) -> bytes:
+    def need(n: int, what: str) -> memoryview:
         nonlocal off
         if off + n > len(blob):
             raise FormatError(f"checkpoint truncated at byte {off} while reading {what}")
@@ -69,7 +70,7 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
     for _ in range(count):
         (nlen,) = struct.unpack("<H", need(2, "name length"))
         try:
-            name = need(nlen, "name").decode("utf-8")
+            name = str(need(nlen, "name"), "utf-8")
         except UnicodeDecodeError as e:
             raise FormatError(f"undecodable parameter name at byte {off - nlen}") from e
         (rank,) = struct.unpack("<B", need(1, "rank"))
@@ -82,7 +83,7 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         arr = np.frombuffer(need(4 * n, f"data of {name!r}"), dtype="<f4").reshape(dims)
         if name in state:
             raise FormatError(f"duplicate parameter {name!r} in checkpoint")
-        state[name] = arr.copy()
+        state[name] = arr.copy()  # arr is a read-only view into blob
     if off != len(blob):
         raise FormatError(f"{len(blob) - off} trailing bytes after byte {off}")
     return state

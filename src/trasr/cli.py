@@ -148,20 +148,15 @@ ARCHES = ("no-tr", "tr0", "tr2", "pyramidal")
 
 def _arch_config(base: ModelConfig, arch: str, frontend_kind: str) -> ModelConfig:
     total = base.num_encoder_layers
-    fe = replace(base.frontend, kind=frontend_kind, channels=None,
-                 apply_positional_encoding=None)
-    common = dict(dec_layers=base.dec_layers, d_att=base.d_att, d_ff=base.d_ff,
-                  heads=base.heads, post_norm=base.post_norm,
-                  vocab_size=base.vocab_size, dropout=0.0, frontend=fe)
-    if arch == "no-tr":
-        return ModelConfig(e1=0, e2=total, tr_enabled=False, pyramidal=False, **common)
-    if arch == "tr0":
-        return ModelConfig(e1=0, e2=total, tr_enabled=True, pyramidal=False, **common)
-    if arch == "tr2":
-        return ModelConfig(e1=2, e2=total - 2, tr_enabled=True, pyramidal=False, **common)
-    if arch == "pyramidal":
-        return ModelConfig(e1=0, e2=total, tr_enabled=False, pyramidal=True, **common)
-    raise ValueError(f"unknown architecture {arch!r}")
+    layout = {
+        "no-tr": dict(e1=0, e2=total, tr_enabled=False, pyramidal=False),
+        "tr0": dict(e1=0, e2=total, tr_enabled=True, pyramidal=False),
+        "tr2": dict(e1=2, e2=total - 2, tr_enabled=True, pyramidal=False),
+        "pyramidal": dict(e1=0, e2=total, tr_enabled=False, pyramidal=True),
+    }
+    if arch not in layout:
+        raise ValueError(f"unknown architecture {arch!r}")
+    return replace(base, frontend=frontend_kind, dropout=0.0, **layout[arch])
 
 
 def benchmark_cells(cfg: ExperimentConfig, lengths: list[int], repetitions: int = 10,
@@ -183,7 +178,7 @@ def benchmark_cells(cfg: ExperimentConfig, lengths: list[int], repetitions: int 
                     continue
                 params = init_model_params(mcfg, cfg.train.seed)
                 feats = np.random.default_rng(0).normal(
-                    size=(1, length, mcfg.frontend.feature_dim)).astype(np.float32)
+                    size=(1, length, mcfg.feature_dim)).astype(np.float32)
                 times = []
                 measured = None
                 for _ in range(max(1, repetitions)):

@@ -13,7 +13,6 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigError
-from .frontend import FrontendConfig
 from .losses import KDConfig
 from .model import LMConfig, ModelConfig
 from .search import BeamConfig
@@ -47,7 +46,8 @@ class TrainConfig:
     time_mask_max: int = 20
 
     def __post_init__(self):
-        for name, low in (("batch_size", 1), ("warmup_steps", 1), ("keep_best", 1),
+        for name, low in (("epochs", 1), ("finetune_epochs", 1), ("batch_size", 1),
+                          ("warmup_steps", 1), ("keep_best", 1),
                           ("freq_mask_max", 0), ("time_mask_max", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"train.{name} must be >= {low}, got {getattr(self, name)}")
@@ -65,7 +65,7 @@ class LMTrainConfig:
     warmup_steps: int = 100
 
     def __post_init__(self):
-        for name in ("batch_size", "warmup_steps"):
+        for name in ("epochs", "batch_size", "warmup_steps"):
             if getattr(self, name) < 1:
                 raise ValueError(f"lm.{name} must be >= 1, got {getattr(self, name)}")
 
@@ -74,7 +74,7 @@ class LMTrainConfig:
 # is the key f"{section}.{field}", parsed by its annotation, defaulting to its
 # default.
 SECTIONS = (
-    ("model", ModelConfig, ("vocab_size", "frontend")),
+    ("model", ModelConfig, ("vocab_size",)),
     ("train", TrainConfig, ()),
     ("kd", KDConfig, ("total_epochs",)),
     ("decode", BeamConfig, ()),
@@ -87,9 +87,6 @@ _PARSERS = {"int": int, "float": float, "bool": _bool, "str": str}
 KEYS: dict[str, tuple] = {
     **{f"{section}.{f.name}": (_PARSERS[f.type], f.default)
        for section, cls, resolved in SECTIONS for f in fields(cls) if f.name not in resolved},
-    "model.frontend": (str, FrontendConfig.kind),
-    "model.frontend_pe": (str, "auto"),  # auto | on | off
-    "model.feature_dim": (int, FrontendConfig.feature_dim),
     "data.alphabet": (str, " abcdefghijklmnopqrstuvwxyz'"),
     "paths.train_manifest": (str, ""),
     "paths.dev_manifest": (str, ""),
@@ -164,11 +161,10 @@ def _section(cls, raw: dict, section: str, **extra):
 def resolve(values: dict[str, str] | None = None,
             overrides: dict[str, str] | None = None) -> ExperimentConfig:
     """Apply defaults, parse types, and assemble the config dataclasses."""
-    merged = dict(values or {})
-    for k, v in (overrides or {}).items():
+    merged = {**(values or {}), **(overrides or {})}
+    for k in merged:
         if k not in KEYS:
             raise ConfigError(f"unknown key {k!r}")
-        merged[k] = v
     raw: dict = {}
     for key, (parser, default) in KEYS.items():
         if key in merged:
@@ -181,17 +177,8 @@ def resolve(values: dict[str, str] | None = None,
 
     alphabet = raw["data.alphabet"]
     vocab_size = 5 + len(dict.fromkeys(alphabet))
-    pe_mode = raw["model.frontend_pe"]
-    if pe_mode not in ("auto", "on", "off"):
-        raise ConfigError(f"model.frontend_pe must be auto/on/off, got {pe_mode!r}")
     try:
-        frontend = FrontendConfig(
-            kind=raw["model.frontend"],
-            d_att=raw["model.d_att"],
-            feature_dim=raw["model.feature_dim"],
-            apply_positional_encoding=None if pe_mode == "auto" else pe_mode == "on",
-        )
-        model = _section(ModelConfig, raw, "model", vocab_size=vocab_size, frontend=frontend)
+        model = _section(ModelConfig, raw, "model", vocab_size=vocab_size)
         kd = _section(KDConfig, raw, "kd", total_epochs=raw["train.epochs"])
         decode = _section(BeamConfig, raw, "decode")
         lm = _section(LMConfig, raw, "lm", vocab_size=vocab_size)

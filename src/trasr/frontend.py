@@ -15,19 +15,11 @@ import numpy as np
 from . import tensor as T
 from .errors import SequenceTooShortError
 from .optim import ParameterStore
-from .rng import stream
 from .tensor import Tensor
 
 KINDS = ("conv2d4", "conv2d8", "vggconv2d4", "vggconv2d8", "identity")
 
-REDUCTION = {
-    "conv2d4": 4,
-    "conv2d8": 8,
-    "vggconv2d4": 4,
-    "vggconv2d8": 8,
-    "identity": 1,
-}
-
+# Halving stages per kind; `stage_shapes` gives their channels.
 _N_STAGES = {"conv2d4": 2, "conv2d8": 3, "vggconv2d4": 2, "vggconv2d8": 3, "identity": 0}
 
 
@@ -54,36 +46,6 @@ class FeatureSequence:
         return self.features[: self.length]
 
 
-@dataclass
-class FrontendConfig:
-    kind: str = "conv2d4"
-    d_att: int = 256
-    feature_dim: int = 40
-    channels: tuple[int, ...] | None = None
-    apply_positional_encoding: bool | None = None  # None: on for conv, off for vgg
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown front-end kind {self.kind!r}; choose from {KINDS}")
-        if self.channels is None:
-            if self.kind.startswith("vgg"):
-                self.channels = (64, 128, 256)[: _N_STAGES[self.kind]]
-            elif self.kind.startswith("conv"):
-                self.channels = (self.d_att,) * _N_STAGES[self.kind]
-            else:
-                self.channels = ()
-        self.channels = tuple(self.channels)
-        if len(self.channels) != _N_STAGES[self.kind]:
-            raise ValueError(
-                f"{self.kind} needs {_N_STAGES[self.kind]} channel counts, got {self.channels}")
-        if self.apply_positional_encoding is None:
-            self.apply_positional_encoding = not self.kind.startswith("vgg")
-
-    @property
-    def reduction(self) -> int:
-        return REDUCTION[self.kind]
-
-
 def _conv_len(L: int) -> int:
     return max(0, (L - 3) // 2 + 1)
 
@@ -102,6 +64,17 @@ def output_length(kind: str, T_in: int) -> int:
     elif kind != "identity":
         raise ValueError(f"unknown front-end kind {kind!r}")
     return n
+
+
+def stage_shapes(kind: str, d_att: int, feature_dim: int) -> list[tuple[int, int]]:
+    """(channels, feature bins) coming out of each of `kind`'s stages."""
+    vgg = kind.startswith("vgg")
+    channels = (64, 128, 256) if vgg else (d_att,) * 3
+    shapes, f = [], feature_dim
+    for c in channels[: _N_STAGES[kind]]:
+        f = f // 2 if vgg else _conv_len(f)
+        shapes.append((c, f))
+    return shapes
 
 
 def minimum_input_length(kind: str) -> int:
@@ -123,45 +96,6 @@ def positional_encoding(n: int, d: int, dtype=np.float32) -> np.ndarray:
     return pe.astype(dtype)
 
 
-def init_frontend_params(cfg: FrontendConfig, store: ParameterStore, seed: int,
-                         prefix: str = "frontend", dtype=np.float32) -> None:
-    """Create the front-end's parameters in `store` under `prefix`."""
-
-    def xavier(name, shape, fan_in, fan_out):
-        rng = stream(seed, f"init/{prefix}.{name}")
-        bound = np.sqrt(6.0 / (fan_in + fan_out))
-        store.add(f"{prefix}.{name}", Tensor(
-            rng.uniform(-bound, bound, size=shape).astype(dtype)))
-
-    def zeros(name, shape):
-        store.add(f"{prefix}.{name}", Tensor(np.zeros(shape, dtype=dtype)))
-
-    F = cfg.feature_dim
-    if cfg.kind.startswith("conv"):
-        c_in, f = 1, F
-        for s, c_out in enumerate(cfg.channels):
-            xavier(f"conv{s}.w", (c_out, c_in, 3, 3), c_in * 9, c_out * 9)
-            zeros(f"conv{s}.b", (c_out,))
-            c_in, f = c_out, _conv_len(f)
-        flat = c_in * f
-    elif cfg.kind.startswith("vgg"):
-        c_in, f = 1, F
-        for s, c_out in enumerate(cfg.channels):
-            xavier(f"stage{s}.conv0.w", (c_out, c_in, 3, 3), c_in * 9, c_out * 9)
-            zeros(f"stage{s}.conv0.b", (c_out,))
-            xavier(f"stage{s}.conv1.w", (c_out, c_out, 3, 3), c_out * 9, c_out * 9)
-            zeros(f"stage{s}.conv1.b", (c_out,))
-            f = f // 2
-            store.add(f"{prefix}.stage{s}.ln.gain", Tensor(np.ones(c_out * f, dtype=dtype)))
-            zeros(f"stage{s}.ln.bias", (c_out * f,))
-            c_in = c_out
-        flat = c_in * f
-    else:
-        flat = F
-    xavier("proj.w", (flat, cfg.d_att), flat, cfg.d_att)
-    zeros("proj.b", (cfg.d_att,))
-
-
 def _zero_padding(h: Tensor, lengths: np.ndarray) -> Tensor:
     """Zero the frames (axis 2) of h [B, C, T, F] beyond each row's length."""
     valid = np.arange(h.shape[2]) < lengths[:, None]
@@ -170,54 +104,57 @@ def _zero_padding(h: Tensor, lengths: np.ndarray) -> Tensor:
     return h * Tensor(valid[:, None, :, None].astype(h.dtype))
 
 
-def subsample(feats: np.ndarray, lengths, cfg: FrontendConfig, params: ParameterStore,
-              prefix: str = "frontend") -> tuple[Tensor, np.ndarray]:
-    """Map padded features [B, T, F] with true frame counts `lengths` [B] to
-    (X_0 of shape [B, n, d_att], true output lengths [B]); frames beyond a
-    row's length never influence its output."""
+def subsample(feats: np.ndarray, lengths, kind: str,
+              params: ParameterStore) -> tuple[Tensor, np.ndarray]:
+    """Map padded features [B, T, F] with true frame counts `lengths` [B]
+    through the `kind` front-end's 'frontend.*' parameters to (X_0 of shape
+    [B, n, d_att], true output lengths [B]); frames beyond a row's length
+    never influence its output. The positional encoding is added unless the
+    kind is VGG."""
     lengths = np.asarray(lengths, dtype=np.int64)
-    n_sub = np.array([output_length(cfg.kind, int(t)) for t in lengths], dtype=np.int64)
+    n_sub = np.array([output_length(kind, int(t)) for t in lengths], dtype=np.int64)
     if n_sub.min() < 1:
         raise SequenceTooShortError(
-            f"{cfg.kind} needs at least {minimum_input_length(cfg.kind)} frames, "
+            f"{kind} needs at least {minimum_input_length(kind)} frames, "
             f"got {int(lengths[n_sub.argmin()])}")
     feats = np.asarray(feats)[:, : lengths.max()]
     dtype = feats.dtype if feats.dtype in (np.float32, np.float64) else np.float32
     valid = np.arange(feats.shape[1]) < lengths[:, None]
     h = Tensor(np.where(valid[..., None], feats, 0).astype(dtype, copy=False))
 
-    if cfg.kind != "identity":
+    if kind != "identity":
         B, t, f = h.shape
         h = T.reshape(h, B, 1, t, f)
-        if cfg.kind.startswith("conv"):
+        if kind.startswith("conv"):
             # valid convolutions: an output frame reads only frames at or before
             # its row's last true frame, so padding needs no masking
-            for s in range(len(cfg.channels)):
-                h = T.relu(T.conv2d(h, params[f"{prefix}.conv{s}.w"],
-                                    params[f"{prefix}.conv{s}.b"], stride=2, padding=0))
+            for s in range(_N_STAGES[kind]):
+                h = T.relu(T.conv2d(h, params[f"frontend.conv{s}.w"],
+                                    params[f"frontend.conv{s}.b"], stride=2, padding=0))
         else:
             # padding-1 convolutions read one frame past a row's end, which
             # must be zero as for an unpadded sequence
             t_len = lengths
-            for s in range(len(cfg.channels)):
+            for s in range(_N_STAGES[kind]):
                 for conv in ("conv0", "conv1"):
                     h = T.relu(T.conv2d(_zero_padding(h, t_len),
-                                        params[f"{prefix}.stage{s}.{conv}.w"],
-                                        params[f"{prefix}.stage{s}.{conv}.b"],
+                                        params[f"frontend.stage{s}.{conv}.w"],
+                                        params[f"frontend.stage{s}.{conv}.b"],
                                         stride=1, padding=1))
                 h = T.max_pool2d(h, 2)
                 t_len = t_len // 2
                 _, c, t, f = h.shape
                 h = T.reshape(T.transpose(h, (0, 2, 1, 3)), B, t, c * f)
-                h = T.layer_norm(h, params[f"{prefix}.stage{s}.ln.gain"],
-                                 params[f"{prefix}.stage{s}.ln.bias"])
+                h = T.layer_norm(h, params[f"frontend.stage{s}.ln.gain"],
+                                 params[f"frontend.stage{s}.ln.bias"])
                 h = T.transpose(T.reshape(h, B, t, c, f), (0, 2, 1, 3))
         _, c, t, f = h.shape
         h = T.reshape(T.transpose(h, (0, 2, 1, 3)), B, t, c * f)
-    out = T.matmul(h, params[f"{prefix}.proj.w"]) + params[f"{prefix}.proj.b"]
+    out = T.matmul(h, params["frontend.proj.w"]) + params["frontend.proj.b"]
 
-    if cfg.apply_positional_encoding:
-        out = out + Tensor(positional_encoding(out.shape[1], cfg.d_att, dtype=out.dtype))
+    if not kind.startswith("vgg"):
+        _, n, d_att = out.shape
+        out = out + Tensor(positional_encoding(n, d_att, dtype=out.dtype))
     return out, n_sub
 
 

@@ -22,8 +22,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import SequenceTooShortError, ShapeError
-from .frontend import (FrontendConfig, output_length, positional_encoding,
-                       init_frontend_params, subsample)
+from .frontend import KINDS, output_length, positional_encoding, stage_shapes, subsample
 from .optim import ParameterStore
 from .rng import StreamCache, stream
 from .tensor import Tensor
@@ -42,12 +41,20 @@ class ModelConfig:
     post_norm: bool = False
     vocab_size: int = 32
     dropout: float = 0.1
-    frontend: FrontendConfig | None = None
+    frontend: str = "conv2d4"
+    feature_dim: int = 40
 
     def __post_init__(self):
+        if self.frontend not in KINDS:
+            raise ValueError(f"unknown front-end kind {self.frontend!r}; choose from {KINDS}")
         if min(self.e1, self.e2, self.dec_layers) < 0:
             raise ValueError(f"model e1, e2 and dec_layers must be >= 0, got "
                              f"{self.e1}, {self.e2}, {self.dec_layers}")
+        if self.d_att < 2 or self.d_att % 2:
+            raise ValueError(f"model d_att must be even and >= 2, got {self.d_att}")
+        if min(self.d_ff, self.feature_dim) < 1:
+            raise ValueError(f"model d_ff and feature_dim must be >= 1, got "
+                             f"{self.d_ff}, {self.feature_dim}")
         if self.heads < 1:
             raise ValueError(f"model heads must be >= 1, got {self.heads}")
         if self.d_att % self.heads != 0:
@@ -58,10 +65,6 @@ class ModelConfig:
             raise ValueError("pyramidal encoder needs at least 3 layers")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"model dropout must be in [0, 1), got {self.dropout}")
-        if self.frontend is None:
-            self.frontend = FrontendConfig(d_att=self.d_att)
-        if self.frontend.d_att != self.d_att:
-            raise ValueError("front-end output width must equal d_att")
 
     @property
     def num_encoder_layers(self) -> int:
@@ -136,8 +139,10 @@ def _cache_start(cache: KVCache | None) -> int:
 
 
 def _xavier(store: ParameterStore, seed: int, name: str, shape, dtype):
+    """Glorot-uniform weights; a conv kernel [O, C, kh, kw] has fans O and C
+    times its kernel area."""
     rng = stream(seed, f"init/{name}")
-    bound = math.sqrt(6.0 / (shape[0] + shape[1]))
+    bound = math.sqrt(6.0 / ((shape[0] + shape[1]) * math.prod(shape[2:])))
     store.add(name, Tensor(rng.uniform(-bound, bound, size=shape).astype(dtype)))
 
 
@@ -174,9 +179,29 @@ def init_time_reduction_params(store, seed, prefix, d_att, dtype=np.float32):
     _zeros(store, f"{prefix}.b", (d_att,), dtype)
 
 
+def init_frontend_params(cfg: ModelConfig, store: ParameterStore, seed: int,
+                         dtype=np.float32) -> None:
+    """The parameters `frontend.subsample` reads, under 'frontend.'."""
+    c_in, f = 1, cfg.feature_dim  # channels and feature bins into the projection
+    for s, (c_out, f) in enumerate(stage_shapes(cfg.frontend, cfg.d_att, cfg.feature_dim)):
+        if cfg.frontend.startswith("conv"):
+            _xavier(store, seed, f"frontend.conv{s}.w", (c_out, c_in, 3, 3), dtype)
+            _zeros(store, f"frontend.conv{s}.b", (c_out,), dtype)
+        else:
+            p = f"frontend.stage{s}"
+            _xavier(store, seed, f"{p}.conv0.w", (c_out, c_in, 3, 3), dtype)
+            _zeros(store, f"{p}.conv0.b", (c_out,), dtype)
+            _xavier(store, seed, f"{p}.conv1.w", (c_out, c_out, 3, 3), dtype)
+            _zeros(store, f"{p}.conv1.b", (c_out,), dtype)
+            _ln(store, f"{p}.ln", c_out * f, dtype)
+        c_in = c_out
+    _xavier(store, seed, "frontend.proj.w", (c_in * f, cfg.d_att), dtype)
+    _zeros(store, "frontend.proj.b", (cfg.d_att,), dtype)
+
+
 def init_model_params(cfg: ModelConfig, seed: int, dtype=np.float32) -> ParameterStore:
     store = ParameterStore()
-    init_frontend_params(cfg.frontend, store, seed, prefix="frontend", dtype=dtype)
+    init_frontend_params(cfg, store, seed, dtype)
     for i in range(cfg.num_encoder_layers):
         init_encoder_layer_params(store, seed, f"enc.layer{i}", cfg.d_att, cfg.d_ff, dtype)
     for prefix in cfg.reductions.values():
@@ -397,7 +422,7 @@ def decode_forward(prefix, x_e: Tensor, cfg: ModelConfig, params: ParameterStore
 
 def encoder_layer_lengths(cfg: ModelConfig, T_in: int) -> tuple[int, list[int], int]:
     """(front-end output length, per-layer input lengths, final length)."""
-    n = n0 = output_length(cfg.frontend.kind, T_in)
+    n = n0 = output_length(cfg.frontend, T_in)
     reductions, lengths = cfg.reductions, []
     for i in range(cfg.num_encoder_layers + 1):
         if i in reductions:
@@ -437,6 +462,10 @@ class LMConfig:
     def __post_init__(self):
         if self.layers < 0:
             raise ValueError(f"LM layers must be >= 0, got {self.layers}")
+        if self.d_att < 2 or self.d_att % 2:
+            raise ValueError(f"LM d_att must be even and >= 2, got {self.d_att}")
+        if self.d_ff < 1:
+            raise ValueError(f"LM d_ff must be >= 1, got {self.d_ff}")
         if self.heads < 1:
             raise ValueError(f"LM heads must be >= 1, got {self.heads}")
         if self.d_att % self.heads != 0:

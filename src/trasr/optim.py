@@ -58,7 +58,7 @@ class ParameterStore:
             t = self._entries[name]
             if t.data.shape != arr.shape:
                 raise ShapeError(f"shape mismatch for {name!r}: {t.data.shape} vs {arr.shape}")
-            t.data = arr.astype(t.data.dtype).copy()
+            t.data = arr.astype(t.data.dtype)  # a copy, even of the same dtype
 
     def clone_frozen(self) -> "ParameterStore":
         """Deep copy with gradients dropped; used for teacher snapshots."""

@@ -421,32 +421,30 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     return _result(data, (x,), backward)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, axis: int = -1, eps: float = 1e-12) -> Tensor:
-    """Normalize to zero mean / unit variance along `axis`, then affine."""
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Normalize to zero mean / unit variance along the last axis, then affine."""
     x, gain, bias = _wrap(x), _wrap(gain), _wrap(bias)
-    n = x.shape[axis]
+    n = x.shape[-1]
     if gain.shape != (n,) or bias.shape != (n,):
         raise ShapeError(
             f"layer_norm affine shapes {gain.shape}/{bias.shape} do not match axis size {n}"
         )
-    xc = x.data - x.data.mean(axis=axis, keepdims=True)
-    inv = 1.0 / np.sqrt((xc * xc).mean(axis=axis, keepdims=True) + eps)
+
+    def mean(a):
+        # what ndarray.mean computes, without its Python-level wrapper
+        return np.add.reduce(a, axis=-1, keepdims=True) / n
+
+    xc = x.data - mean(x.data)
+    inv = 1.0 / np.sqrt(mean(xc * xc) + 1e-12)
     xhat = xc * inv
-
-    gshape = [1] * x.ndim
-    gshape[axis] = n
-    gdata = gain.data.reshape(gshape)
-    data = xhat * gdata + bias.data.reshape(gshape)
-
-    reduce_axes = tuple(i for i in range(x.ndim) if i != axis % x.ndim)
+    data = xhat * gain.data + bias.data
+    reduce_axes = tuple(range(x.ndim - 1))
 
     def backward(g):
         _accum(gain, (g * xhat).sum(axis=reduce_axes))
         _accum(bias, g.sum(axis=reduce_axes))
-        gq = g * gdata
-        m1 = gq.mean(axis=axis, keepdims=True)
-        m2 = (gq * xhat).mean(axis=axis, keepdims=True)
-        _accum(x, inv * (gq - m1 - xhat * m2))
+        gq = g * gain.data
+        _accum(x, inv * (gq - mean(gq) - xhat * mean(gq * xhat)))
 
     return _result(data, (x, gain, bias), backward)
 
@@ -501,15 +499,12 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor | None = None,
     return _result(data, parents, backward)
 
 
-def max_pool2d(x: Tensor, size: int = 2, stride: int | None = None) -> Tensor:
-    """Max pooling over size x size windows; trailing partial windows dropped."""
+def max_pool2d(x: Tensor, size: int = 2) -> Tensor:
+    """Max pooling over non-overlapping size x size windows; trailing partial
+    windows dropped."""
     x = _wrap(x)
     if x.ndim != 4:
         raise ShapeError(f"max_pool2d expects 4-d input, got {x.shape}")
-    if stride is None:
-        stride = size
-    if stride != size:
-        raise ShapeError("max_pool2d supports stride == window size only")
     B, C, H, W = x.shape
     Ho, Wo = H // size, W // size
     if Ho < 1 or Wo < 1:

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from trasr.frontend import FeatureSequence, FrontendConfig, subsample
+from trasr.frontend import FeatureSequence, subsample
 from trasr.model import EVAL_CTX, ModelConfig, encode, init_model_params
 
 
@@ -50,12 +50,9 @@ def brute_force_prefix(log_probs, prefix, blank=0):
 def tiny_model_config(**overrides):
     """Small identity-frontend model; cheap enough for gradient checks."""
     d_att = overrides.pop("d_att", 16)
-    feature_dim = overrides.pop("feature_dim", d_att)
-    fe = FrontendConfig(kind=overrides.pop("frontend_kind", "identity"),
-                        d_att=d_att, feature_dim=feature_dim)
     defaults = dict(e1=1, e2=1, dec_layers=1, d_att=d_att, d_ff=32, heads=2,
                     tr_enabled=True, pyramidal=False, post_norm=False,
-                    vocab_size=7, dropout=0.0, frontend=fe)
+                    vocab_size=7, dropout=0.0, frontend="identity", feature_dim=d_att)
     defaults.update(overrides)
     return ModelConfig(**defaults)
 
@@ -70,9 +67,9 @@ def encode_one(seq, cfg, params, ctx=EVAL_CTX):
     return x_e[0], int(n[0])
 
 
-def subsample_one(seq, cfg, params):
+def subsample_one(seq, kind, params):
     """`subsample` on one FeatureSequence as a batch of one: ([n, d_att], n)."""
-    out, n = subsample(seq.features[None], [seq.length], cfg, params)
+    out, n = subsample(seq.features[None], [seq.length], kind, params)
     return out[0], int(n[0])
 
 

@@ -156,8 +156,8 @@ def test_criterion_4_frame_rate_8x():
         s1 = (L - 3) // 2 + 1
         return (s1 - 3) // 2 + 1
 
-    tr0 = tiny_model_config(e1=0, e2=2, frontend_kind="conv2d4", feature_dim=16)
-    tr2 = tiny_model_config(e1=2, e2=1, frontend_kind="conv2d4", feature_dim=16)
+    tr0 = tiny_model_config(e1=0, e2=2, frontend="conv2d4", feature_dim=16)
+    tr2 = tiny_model_config(e1=2, e2=1, frontend="conv2d4", feature_dim=16)
     rng = np.random.default_rng(0)
     lengths = rng.integers(40, 400, size=200)
     ok = True

@@ -28,6 +28,14 @@ def test_round_trip_bit_identical(tmp_path):
         assert loaded[name].dtype == np.float32
 
 
+def test_loaded_arrays_own_their_data(tmp_path):
+    # not views of the file's bytes, which would be read-only
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, sample_state(np.random.default_rng(0)))
+    for arr in load_checkpoint(path).values():
+        assert arr.flags.writeable and arr.base is None
+
+
 def test_file_bytes_follow_the_format(tmp_path):
     # float64, Fortran-order and 0-d entries, against bytes built by hand
     f_order = np.asfortranarray(np.arange(6.0).reshape(2, 3))

@@ -92,6 +92,16 @@ def test_out_of_range_value_exit_2(dataset, tmp_path, capsys):
     assert "config error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", [["model.d_att=7", "model.heads=1"], ["model.d_ff=0"],
+                                 ["model.feature_dim=0"], ["train.epochs=0"]])
+def test_width_or_epochs_out_of_range_exit_2(dataset, tmp_path, capsys, bad):
+    sets = [arg for kv in bad for arg in ("--set", kv)]
+    assert main(["train", "--out", str(tmp_path / "run"),
+                 "--set", f"paths.train_manifest={dataset}"] + TINY + sets) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("value", ['abcdefgh ', '"abcdefgh "', "'abcdefgh '"])
 def test_set_keeps_whitespace_like_config_file(tmp_path, value):
     # --set data.alphabet="abcdefgh " reaches argv as 'abcdefgh '; quotes kept by

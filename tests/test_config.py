@@ -84,11 +84,16 @@ def test_invalid_combination_becomes_config_error():
     ("train.warmup_steps", "0"), ("lm.warmup_steps", "0"), ("train.freq_mask_max", "-1"),
     ("train.time_mask_max", "-3"), ("model.heads", "0"), ("lm.heads", "0"),
     ("model.e1", "-1"), ("model.e2", "-1"), ("model.dec_layers", "-1"), ("lm.layers", "-1"),
-    ("train.keep_best", "0"),
+    ("train.keep_best", "0"), ("model.d_att", "7"), ("model.d_att", "0"), ("lm.d_att", "7"),
+    ("lm.d_att", "0"), ("model.d_ff", "0"), ("lm.d_ff", "0"), ("model.feature_dim", "0"),
+    ("train.epochs", "0"), ("train.finetune_epochs", "0"), ("lm.epochs", "0"),
+    ("model.frontend", "wavelet"),
 ])
 def test_out_of_range_value_is_config_error(key, value):
+    # one head, so that a width is not rejected for not dividing among the heads
+    heads = {"model.d_att": {"model.heads": "1"}, "lm.d_att": {"lm.heads": "1"}}
     with pytest.raises(ConfigError):
-        resolve({key: value})
+        resolve({**heads.get(key, {}), key: value})
 
 
 def test_bool_parsing_variants():
@@ -122,15 +127,15 @@ def test_overrides_take_precedence(tmp_path):
     assert cfg.model.d_att == 128
 
 
-def test_frontend_pe_mode_validation():
-    assert resolve({"model.frontend_pe": "on"}).model.frontend.apply_positional_encoding
-    assert not resolve({"model.frontend_pe": "off"}).model.frontend.apply_positional_encoding
-    with pytest.raises(ConfigError):
-        resolve({"model.frontend_pe": "sometimes"})
+def test_frontend_pe_is_not_a_key():
+    # the positional encoding follows from the front-end kind
+    with pytest.raises(ConfigError, match="unknown key"):
+        resolve({"model.frontend_pe": "on"})
 
 
 # `dump_config(resolve({}))` at the time the key table was first derived from the
-# dataclass fields: every key, parser and default, pinned byte for byte.
+# dataclass fields, less the `model.frontend_pe` key removed since: every key,
+# parser and default, pinned byte for byte.
 DEFAULTS_DUMP = (
     "# resolved configuration\n"
     "data.alphabet = \" abcdefghijklmnopqrstuvwxyz'\"\n"
@@ -161,7 +166,6 @@ DEFAULTS_DUMP = (
     "model.e2 = 10\n"
     "model.feature_dim = 40\n"
     "model.frontend = conv2d4\n"
-    "model.frontend_pe = auto\n"
     "model.heads = 4\n"
     "model.post_norm = false\n"
     "model.pyramidal = false\n"

@@ -4,17 +4,17 @@ import numpy as np
 import pytest
 
 from trasr.errors import SequenceTooShortError
-from trasr.frontend import (FeatureSequence, FrontendConfig, init_frontend_params,
-                            minimum_input_length, output_length, positional_encoding,
-                            spec_augment)
+from trasr.frontend import (KINDS, FeatureSequence, minimum_input_length, output_length,
+                            positional_encoding, spec_augment)
+from trasr.model import ModelConfig, init_frontend_params
 from trasr.optim import ParameterStore
 from trasr.rng import stream
 
 from conftest import subsample_one
 
 
-def make_frontend(kind, d_att=16, feature_dim=8, **kw):
-    cfg = FrontendConfig(kind=kind, d_att=d_att, feature_dim=feature_dim, **kw)
+def make_frontend(kind, d_att=16, feature_dim=8):
+    cfg = ModelConfig(frontend=kind, d_att=d_att, feature_dim=feature_dim, heads=2)
     store = ParameterStore()
     init_frontend_params(cfg, store, seed=0)
     return cfg, store
@@ -93,7 +93,7 @@ def test_subsample_shape_contract(kind):
     T_in = max(40, minimum_input_length(kind))
     seq = FeatureSequence(np.random.default_rng(0).normal(size=(T_in, 16)).astype(np.float32),
                           T_in)
-    out, n = subsample_one(seq, cfg, store)
+    out, n = subsample_one(seq, kind, store)
     assert n == output_length(kind, T_in)
     assert out.shape == (n, cfg.d_att)
 
@@ -101,7 +101,7 @@ def test_subsample_shape_contract(kind):
 def test_identity_kind_is_linear_projection():
     cfg, store = make_frontend("identity", d_att=6, feature_dim=4)
     x = np.random.default_rng(1).normal(size=(5, 4)).astype(np.float32)
-    out, n = subsample_one(FeatureSequence(x, 5), cfg, store)
+    out, n = subsample_one(FeatureSequence(x, 5), "identity", store)
     assert n == 5
     expect = x @ store["frontend.proj.w"].data + store["frontend.proj.b"].data
     pe = positional_encoding(5, 6)
@@ -109,44 +109,39 @@ def test_identity_kind_is_linear_projection():
 
 
 def test_too_short_input_names_minimum():
-    cfg, store = make_frontend("conv2d4")
+    _, store = make_frontend("conv2d4")
     seq = FeatureSequence(np.zeros((3, 8), dtype=np.float32), 3)
     with pytest.raises(SequenceTooShortError) as e:
-        subsample_one(seq, cfg, store)
+        subsample_one(seq, "conv2d4", store)
     assert str(minimum_input_length("conv2d4")) in str(e.value)
 
 
 def test_padding_rows_never_influence_output():
-    cfg, store = make_frontend("conv2d4")
+    _, store = make_frontend("conv2d4")
     rng = np.random.default_rng(2)
     body = rng.normal(size=(21, 8)).astype(np.float32)
     padded = np.concatenate([body, np.zeros((7, 8), dtype=np.float32)])
     garbage = np.concatenate([body, 99.0 * np.ones((7, 8), dtype=np.float32)])
-    out1, _ = subsample_one(FeatureSequence(padded, 21), cfg, store)
-    out2, _ = subsample_one(FeatureSequence(garbage, 21), cfg, store)
+    out1, _ = subsample_one(FeatureSequence(padded, 21), "conv2d4", store)
+    out2, _ = subsample_one(FeatureSequence(garbage, 21), "conv2d4", store)
     assert np.array_equal(out1.data, out2.data)
 
 
-def test_pe_flag_diff_equals_pe_matrix():
-    rng = np.random.default_rng(3)
-    x = rng.normal(size=(19, 8)).astype(np.float32)
-    cfg_on, store = make_frontend("conv2d4", apply_positional_encoding=True)
-    cfg_off = FrontendConfig(kind="conv2d4", d_att=16, feature_dim=8,
-                             apply_positional_encoding=False)
-    out_on, n = subsample_one(FeatureSequence(x, 19), cfg_on, store)
-    out_off, _ = subsample_one(FeatureSequence(x, 19), cfg_off, store)
-    assert np.allclose(out_on.data - out_off.data, positional_encoding(n, 16), atol=1e-6)
-
-
-def test_default_pe_on_for_conv_off_for_vgg():
-    assert FrontendConfig(kind="conv2d4", d_att=16, feature_dim=8).apply_positional_encoding
-    assert not FrontendConfig(kind="vggconv2d4", d_att=16,
-                              feature_dim=8).apply_positional_encoding
+@pytest.mark.parametrize("kind", KINDS)
+def test_positional_encoding_added_for_conv_and_identity_not_vgg(kind):
+    # with a zero projection the output is exactly what is added after it
+    _, store = make_frontend(kind, feature_dim=16)
+    store["frontend.proj.w"].data[...] = 0.0
+    store["frontend.proj.b"].data[...] = 0.0
+    x = np.random.default_rng(3).normal(size=(40, 16)).astype(np.float32)
+    out, n = subsample_one(FeatureSequence(x, 40), kind, store)
+    want = np.zeros((n, 16), np.float32) if kind.startswith("vgg") else positional_encoding(n, 16)
+    assert np.array_equal(out.data, want)
 
 
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
-        FrontendConfig(kind="wavelet", d_att=16)
+        ModelConfig(frontend="wavelet")
 
 
 # -- SpecAugment ------------------------------------------------------------

@@ -7,7 +7,7 @@ import trasr.losses as losses
 import trasr.tensor as T
 from trasr.data import Batch
 from trasr.errors import MaskError, SequenceTooShortError, ShapeError
-from trasr.frontend import FeatureSequence, FrontendConfig, output_length
+from trasr.frontend import FeatureSequence, output_length
 from trasr.gradcheck import grad_check
 from trasr.model import (EVAL_CTX, ForwardCtx, KVCache, LMConfig, MacCounter, ModelConfig,
                          attention, count_attention_macs, ctc_log_probs, decode_forward,
@@ -198,7 +198,7 @@ def test_encode_conv2d4_plus_tr_total_factor_8():
     # TR0 and TR2 placements, 200 random lengths: n_out == (conv4 length) // 2
     rng = np.random.default_rng(0)
     for e1, e2 in ((0, 2), (2, 1)):
-        cfg = tiny_model_config(e1=e1, e2=e2, frontend_kind="conv2d4", d_att=16,
+        cfg = tiny_model_config(e1=e1, e2=e2, frontend="conv2d4", d_att=16,
                                 feature_dim=16)
         params = init_model_params(cfg, seed=0)
         for T_in in rng.integers(20, 200, size=10):
@@ -209,7 +209,7 @@ def test_encode_conv2d4_plus_tr_total_factor_8():
 
 def test_encode_length_contract_200_random_lengths():
     for e1, e2 in ((0, 2), (2, 1)):
-        cfg = tiny_model_config(e1=e1, e2=e2, frontend_kind="conv2d4", d_att=16,
+        cfg = tiny_model_config(e1=e1, e2=e2, frontend="conv2d4", d_att=16,
                                 feature_dim=16)
         for T_in in range(9, 209):
             n4 = output_length("conv2d4", T_in)
@@ -218,7 +218,7 @@ def test_encode_length_contract_200_random_lengths():
 
 
 def test_encode_collapse_to_zero_raises():
-    cfg = tiny_model_config(frontend_kind="conv2d4", d_att=16, feature_dim=16)
+    cfg = tiny_model_config(frontend="conv2d4", d_att=16, feature_dim=16)
     params = init_model_params(cfg, seed=0)
     seq = random_features(np.random.default_rng(0), 7, 16)  # conv4 -> 1 -> TR fails
     with pytest.raises(SequenceTooShortError):
@@ -308,7 +308,7 @@ ARCHS = {"tr": dict(e1=1, e2=1),
 @pytest.mark.parametrize("arch", sorted(ARCHS))
 @pytest.mark.parametrize("kind", ["conv2d4", "vggconv2d4", "identity"])
 def test_row_loss_and_gradient_independent_of_batchmates_and_padding(kind, arch, post_norm):
-    cfg = tiny_model_config(frontend_kind=kind, feature_dim=16, post_norm=post_norm,
+    cfg = tiny_model_config(frontend=kind, feature_dim=16, post_norm=post_norm,
                             **ARCHS[arch])
     params = init_model_params(cfg, seed=0, dtype=np.float64)
     rng = np.random.default_rng(3)
@@ -337,7 +337,7 @@ def test_dropout_rows_draw_like_unpadded_calls():
 
 @pytest.mark.parametrize("heads", [1, 2, 4])
 def test_heads_axis_macs_equal_analytic_count(heads):
-    cfg = tiny_model_config(heads=heads, frontend_kind="conv2d4", feature_dim=16)
+    cfg = tiny_model_config(heads=heads, frontend="conv2d4", feature_dim=16)
     params = init_model_params(cfg, seed=0)
     feats = np.random.default_rng(0).normal(size=(2, 60, 16)).astype(np.float32)
     for batch in (feats[:1], feats):
@@ -476,7 +476,7 @@ def test_measured_macs_equal_analytic_all_archs():
         for e1, e2, tr, pyr in ((0, 3, False, False), (0, 3, True, False),
                                 (2, 1, True, False), (0, 3, False, True)):
             cfg = tiny_model_config(e1=e1, e2=e2, tr_enabled=tr, pyramidal=pyr,
-                                    frontend_kind=kind, feature_dim=16)
+                                    frontend=kind, feature_dim=16)
             params = init_model_params(cfg, seed=0)
             T_in = 60
             seq = random_features(rng, T_in, 16)
@@ -566,9 +566,8 @@ def op_dtypes(monkeypatch):
 
 
 def _desk_model(dtype):
-    fe = FrontendConfig(kind="conv2d4", d_att=64, feature_dim=16)
     cfg = ModelConfig(e1=2, e2=4, dec_layers=2, d_att=64, d_ff=256, heads=4,
-                      vocab_size=9, dropout=0.1, frontend=fe)
+                      vocab_size=9, dropout=0.1, frontend="conv2d4", feature_dim=16)
     return cfg, init_model_params(cfg, seed=0, dtype=dtype)
 
 

@@ -152,6 +152,15 @@ def test_state_dict_round_trip():
     assert np.array_equal(other["a"].data, [1.0, 2.0])
 
 
+def test_load_state_dict_does_not_alias_its_input():
+    store = make_store({"a": [0.0, 0.0]})
+    src = np.array([1.0, 2.0])  # the parameter's own dtype
+    store.load_state_dict({"a": src})
+    src[0] = 99.0
+    assert not np.shares_memory(store["a"].data, src)
+    assert np.array_equal(store["a"].data, [1.0, 2.0])
+
+
 def test_load_state_dict_reports_missing_and_extra():
     store = make_store({"a": 1.0})
     with pytest.raises(ShapeError) as e:

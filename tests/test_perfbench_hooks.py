@@ -1,6 +1,8 @@
-"""The benchmark's tracer wraps trasr attributes by name; a renamed one
-would be skipped there and reported only as `trace.absent` > 0. This test
-fails instead. `perfbench/tracing.py` is loaded from its file, unchanged."""
+"""The benchmark reaches trasr by name: its tracer wraps trasr attributes,
+and its workloads set config keys. A renamed attribute would be skipped
+there and reported only as `trace.absent` > 0, and a removed key would fail
+the benchmark's set-up. These tests fail instead. The perfbench files are
+loaded from disk, unchanged."""
 
 import importlib
 import importlib.util
@@ -13,16 +15,20 @@ import pytest
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-@pytest.fixture
-def tracing(monkeypatch):
+def _load(monkeypatch, name):
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    monkeypatch.syspath_prepend(str(PERFBENCH))  # tracing imports perfbench's `stats`
-    monkeypatch.delitem(sys.modules, "stats", raising=False)
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", PERFBENCH / "tracing.py")
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
     spec.loader.exec_module(module)
-    yield module
+    return module
+
+
+@pytest.fixture
+def tracing(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # tracing imports perfbench's `stats`
+    monkeypatch.delitem(sys.modules, "stats", raising=False)
+    yield _load(monkeypatch, "tracing")
     sys.modules.pop("stats", None)
 
 
@@ -47,3 +53,24 @@ def test_traced_arguments_keep_their_positions():
 
     assert list(inspect.signature(model.decode_forward).parameters)[0] == "prefix"
     assert list(inspect.signature(model.encoder_layer).parameters)[2] == "prefix"
+
+
+# Keys that perfbench/harness.py's `setup_train` adds to a workload's config.
+SETUP_TRAIN_KEYS = ("data.alphabet", "train.epochs", "paths.train_manifest",
+                    "paths.dev_manifest")
+
+
+def test_every_workload_config_key_exists(monkeypatch):
+    from trasr.config import KEYS, resolve
+
+    workloads = _load(monkeypatch, "workloads")
+    tables = {name: value for name, value in vars(workloads).items()
+              if name.isupper() and isinstance(value, dict)}
+    assert {"DESK_MODEL", "DESK_TRAIN", "PAPER_MODEL", "PAPER_TRAIN", "DECODE",
+            "LM_MODEL"} <= set(tables)
+    for name, table in tables.items():
+        assert set(table) <= set(KEYS), f"{name}: {sorted(set(table) - set(KEYS))}"
+    assert set(SETUP_TRAIN_KEYS) <= set(KEYS)
+    for spec in (workloads.TRAIN_DESK, workloads.TRAIN_PAPER, workloads.DECODE_BEAM):
+        cfg = resolve({**spec.config, "data.alphabet": workloads.ALPHABET})
+        assert cfg.vocab_size == workloads.VOCAB_SIZE
