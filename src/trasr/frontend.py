@@ -84,16 +84,29 @@ def minimum_input_length(kind: str) -> int:
     return t
 
 
+_PE_TABLES: dict[tuple[int, np.dtype], np.ndarray] = {}
+
+
 def positional_encoding(n: int, d: int, dtype=np.float32) -> np.ndarray:
-    """Sinusoidal table: PE[t, 2i] = sin(t / 10000^(2i/d)), PE[t, 2i+1] = cos."""
+    """Sinusoidal table: PE[t, 2i] = sin(t / 10000^(2i/d)), PE[t, 2i+1] = cos.
+
+    Returns the first n rows of one read-only table per (d, dtype), which is
+    computed again, at least twice as long, when a longer one is asked for;
+    a row does not depend on the table's length."""
     if d % 2 != 0:
         raise ValueError(f"positional encoding needs an even width, got {d}")
-    t = np.arange(n, dtype=np.float64)[:, None]
-    inv = np.power(10000.0, -np.arange(0, d, 2, dtype=np.float64) / d)[None, :]
-    pe = np.empty((n, d), dtype=np.float64)
-    pe[:, 0::2] = np.sin(t * inv)
-    pe[:, 1::2] = np.cos(t * inv)
-    return pe.astype(dtype)
+    key = (d, np.dtype(dtype))
+    table = _PE_TABLES.get(key)
+    if table is None or len(table) < n:
+        rows = n if table is None else max(n, 2 * len(table))
+        t = np.arange(rows, dtype=np.float64)[:, None]
+        inv = np.power(10000.0, -np.arange(0, d, 2, dtype=np.float64) / d)[None, :]
+        pe = np.empty((rows, d), dtype=np.float64)
+        pe[:, 0::2] = np.sin(t * inv)
+        pe[:, 1::2] = np.cos(t * inv)
+        table = _PE_TABLES[key] = pe.astype(dtype)
+        table.flags.writeable = False
+    return table[:n]
 
 
 def _zero_padding(h: Tensor, lengths: np.ndarray) -> Tensor:

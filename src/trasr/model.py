@@ -111,15 +111,15 @@ EVAL_CTX = ForwardCtx()
 
 class KVCache:
     """Keys and values [B, H, n, d_k] of the `length` positions already fed,
-    per attention block (by parameter prefix), as raw arrays: inference only.
-    A self-attention block's K/V grow by the positions of each call; a
-    cross-attention block's K/V of the encoder output are projected on the
-    first call and reused after."""
+    per attention block (by parameter prefix): inference only. A
+    self-attention block's K/V (raw arrays) grow by the positions of each
+    call; a cross-attention block's K/V of the encoder output (Tensors) are
+    projected on the first call and reused after."""
 
     def __init__(self):
         self.length = 0
         self.self_kv: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        self.src_kv: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        self.src_kv: dict[str, tuple[Tensor, Tensor]] = {}
 
     def select(self, rows) -> None:
         """Keep the self-attention rows `rows` (beam back-pointers), in order."""
@@ -231,14 +231,15 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None,
               counter: MacCounter | None = None) -> Tensor:
     """softmax(q k^T / sqrt(d_k)) v over the last two axes; leading axes are
     batch axes and broadcast (one shared k/v serves a stack of queries)."""
-    if q.ndim < 2 or k.ndim < 2 or v.ndim < 2:
-        raise ShapeError(f"attention expects >= 2-d inputs, got {q.shape}, {k.shape}, {v.shape}")
-    if q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2]:
-        raise ShapeError(f"attention shape mismatch: q={q.shape} k={k.shape} v={v.shape}")
-    d_k = q.shape[-1]
+    q_shape, k_shape, v_shape = q.data.shape, k.data.shape, v.data.shape
+    if min(len(q_shape), len(k_shape), len(v_shape)) < 2:
+        raise ShapeError(f"attention expects >= 2-d inputs, got {q_shape}, {k_shape}, {v_shape}")
+    if q_shape[-1] != k_shape[-1] or k_shape[-2] != v_shape[-2]:
+        raise ShapeError(f"attention shape mismatch: q={q_shape} k={k_shape} v={v_shape}")
+    d_k = q_shape[-1]
     if counter is not None:
-        batch = math.prod(np.broadcast_shapes(q.shape[:-2], k.shape[:-2]))
-        counter.add(q.shape[-2], k.shape[-2], d_k, batch)
+        batch = math.prod(np.broadcast_shapes(q_shape[:-2], k_shape[:-2]))
+        counter.add(q_shape[-2], k_shape[-2], d_k, batch)
     scores = T.matmul(q, T.transpose(k)) * (1.0 / math.sqrt(d_k))
     weights = T.masked_softmax(scores, mask, axis=-1)
     return T.matmul(weights, v)
@@ -246,8 +247,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None,
 
 def _swap_heads(x: Tensor) -> Tensor:
     """[..., n, H, d_k] <-> [..., H, n, d_k]."""
-    lead = tuple(range(x.ndim - 3))
-    return T.transpose(x, lead + (x.ndim - 2, x.ndim - 3, x.ndim - 1))
+    nd = x.data.ndim
+    return T.transpose(x, tuple(range(nd - 3)) + (nd - 2, nd - 3, nd - 1))
 
 
 def multi_head_attention(x_q: Tensor, x_kv: Tensor, params: ParameterStore, prefix: str,
@@ -275,8 +276,8 @@ def multi_head_attention(x_q: Tensor, x_kv: Tensor, params: ParameterStore, pref
         k, v = Tensor(k), Tensor(v)
     else:
         if prefix not in cache.src_kv:
-            cache.src_kv[prefix] = project(x_kv, "wk").data, project(x_kv, "wv").data
-        k, v = map(Tensor, cache.src_kv[prefix])
+            cache.src_kv[prefix] = project(x_kv, "wk"), project(x_kv, "wv")
+        k, v = cache.src_kv[prefix]
     out = _swap_heads(attention(project(x_q, "wq"), k, v, mask, counter))
     return T.matmul(T.reshape(out, *out.shape[:-2], -1), params[f"{prefix}.wo"])
 

@@ -176,6 +176,8 @@ def _wrap(x) -> Tensor:
 def _wrap_pair(a, b) -> tuple[Tensor, Tensor]:
     """Wrap two operands; a Python scalar (int or float, np.float64 included)
     takes the dtype of a tensor on the other side."""
+    if isinstance(a, Tensor) and isinstance(b, Tensor):
+        return a, b
     if isinstance(a, (int, float)) and isinstance(b, Tensor):
         a = np.asarray(a, dtype=b.dtype)
     elif isinstance(b, (int, float)) and isinstance(a, Tensor):
@@ -198,11 +200,20 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
 
 
 def _result(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
-    out = Tensor(data)
+    """An op's output. `data` already has its operands' float dtype, so the
+    checks of `Tensor.__init__` are skipped; only a numpy scalar (what numpy
+    returns for a 0-d result, such as a full `tsum`) is made an array."""
+    out = Tensor.__new__(Tensor)
+    out.data = data if type(data) is np.ndarray else np.asarray(data)
+    out.grad = None
     if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward
+    else:
+        out.requires_grad = False
+        out._parents = ()
+        out._backward = None
     return out
 
 
@@ -235,20 +246,21 @@ def mul(a, b) -> Tensor:
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     a, b = _wrap(a), _wrap(b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError(f"matmul needs >=2-d operands, got {a.shape} and {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
-    if b.ndim == 2:
+    a_shape, b_shape = a.data.shape, b.data.shape
+    if len(a_shape) < 2 or len(b_shape) < 2:
+        raise ShapeError(f"matmul needs >=2-d operands, got {a_shape} and {b_shape}")
+    if a_shape[-1] != b_shape[-2]:
+        raise ShapeError(f"matmul inner dimensions disagree: {a_shape} x {b_shape}")
+    if len(b_shape) == 2:
         # a shared matrix: one GEMM over every row of a, not one per batch entry
         def rows(x):
             return x.reshape(-1, x.shape[-1])
 
-        data = (rows(a.data) @ b.data).reshape(*a.shape[:-1], b.shape[-1])
+        data = (rows(a.data) @ b.data).reshape(*a_shape[:-1], b_shape[-1])
 
         def backward(g):
             g = rows(g)
-            _accum(a, (g @ b.data.T).reshape(a.shape))
+            _accum(a, (g @ b.data.T).reshape(a_shape))
             _accum(b, rows(a.data).T @ g)
 
         return _result(data, (a, b), backward)
@@ -424,21 +436,21 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize to zero mean / unit variance along the last axis, then affine."""
     x, gain, bias = _wrap(x), _wrap(gain), _wrap(bias)
-    n = x.shape[-1]
-    if gain.shape != (n,) or bias.shape != (n,):
-        raise ShapeError(
-            f"layer_norm affine shapes {gain.shape}/{bias.shape} do not match axis size {n}"
-        )
+    xd = x.data
+    n = xd.shape[-1]
+    if gain.data.shape != (n,) or bias.data.shape != (n,):
+        raise ShapeError(f"layer_norm affine shapes {gain.data.shape}/{bias.data.shape} "
+                         f"do not match axis size {n}")
 
     def mean(a):
         # what ndarray.mean computes, without its Python-level wrapper
         return np.add.reduce(a, axis=-1, keepdims=True) / n
 
-    xc = x.data - mean(x.data)
+    xc = xd - mean(xd)
     inv = 1.0 / np.sqrt(mean(xc * xc) + 1e-12)
     xhat = xc * inv
     data = xhat * gain.data + bias.data
-    reduce_axes = tuple(range(x.ndim - 1))
+    reduce_axes = tuple(range(xd.ndim - 1))
 
     def backward(g):
         _accum(gain, (g * xhat).sum(axis=reduce_axes))
@@ -450,6 +462,29 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 
 
 # -- convolution and pooling --------------------------------------------
+
+
+def _patches(xp: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
+    """The kh x kw windows of xp [B, C, H, W] at `stride`, one per column:
+    [C·kh·kw, B·Ho·Wo] (im2col, Chellapilla et al. 2006)."""
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    win = win[:, :, ::stride, ::stride]  # [B, C, Ho, Wo, kh, kw]
+    B, C, Ho, Wo = win.shape[:4]
+    return win.transpose(1, 4, 5, 0, 2, 3).reshape(C * kh * kw, B * Ho * Wo)
+
+
+def _col2im(cols: np.ndarray, shape: tuple, kh: int, kw: int, stride: int) -> np.ndarray:
+    """The inverse of `_patches`: each column of cols [C·kh·kw, B·Ho·Wo]
+    added back onto its window of an array of `shape` [B, C, H, W]."""
+    B, C, H, W = shape
+    Ho, Wo = (H - kh) // stride + 1, (W - kw) // stride + 1
+    cols = cols.reshape(C, kh, kw, B, Ho, Wo)
+    out = np.zeros(shape, dtype=cols.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            out[:, :, i:i + stride * Ho:stride, j:j + stride * Wo:stride] += \
+                cols[:, i, j].transpose(1, 0, 2, 3)
+    return out
 
 
 def conv2d(x: Tensor, kernels: Tensor, bias: Tensor | None = None,
@@ -470,9 +505,9 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor | None = None,
     xp = x.data
     if padding:
         xp = np.pad(xp, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]  # [B, C, Ho, Wo, kh, kw]
-    data = np.einsum("bchwij,ocij->bohw", win, kernels.data, optimize=True)
+    # one GEMM: kernels [O, C·kh·kw] @ patches [C·kh·kw, B·Ho·Wo]
+    k2 = kernels.data.reshape(O, C * kh * kw)
+    data = (k2 @ _patches(xp, kh, kw, stride)).reshape(O, B, Ho, Wo).transpose(1, 0, 2, 3)
     if bias is not None:
         bias = _wrap(bias)
         if bias.shape != (O,):
@@ -480,20 +515,16 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor | None = None,
         data = data + bias.data.reshape(1, O, 1, 1)
 
     def backward(g):
-        _accum(kernels, np.einsum("bohw,bchwij->ocij", g, win, optimize=True))
+        g2 = g.transpose(1, 0, 2, 3).reshape(O, B * Ho * Wo)
+        if x.requires_grad:
+            # first, so that its buffers are freed before the patches are built
+            _accum(x, _col2im(k2.T @ g2, xp.shape, kh, kw, stride)
+                   [:, :, padding:padding + H, padding:padding + W])
         if bias is not None:
             _accum(bias, g.sum(axis=(0, 2, 3)))
-        if not x.requires_grad:
-            return
-        gwin = np.tensordot(kernels.data, g, axes=([0], [1]))  # [C, kh, kw, B, Ho, Wo]
-        gx = np.zeros_like(xp)
-        for i in range(kh):
-            for j in range(kw):
-                gx[:, :, i:i + stride * Ho:stride, j:j + stride * Wo:stride] += \
-                    gwin[:, i, j].transpose(1, 0, 2, 3)
-        if padding:
-            gx = gx[:, :, padding:-padding, padding:-padding]
-        _accum(x, gx)
+        if kernels.requires_grad:
+            # the patches are built again, not kept alive from the forward pass
+            _accum(kernels, (g2 @ _patches(xp, kh, kw, stride).T).reshape(kernels.shape))
 
     parents = (x, kernels) if bias is None else (x, kernels, bias)
     return _result(data, parents, backward)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -29,20 +30,46 @@ from .search import BeamConfig, CtcPrefixScorer, beam_search
 
 
 class RunLock:
-    """Exclusive ownership of an output directory via a lock file."""
+    """Exclusive ownership of an output directory via a lock file that holds
+    the owner's pid. A lock whose pid no longer exists is taken over, and
+    `log` says so; a lock with no pid, or with a live one, is not."""
 
-    def __init__(self, out_dir: Path):
+    def __init__(self, out_dir: Path, log=lambda s: None):
         self.path = Path(out_dir) / ".lock"
+        self.log = log
 
     def __enter__(self):
-        try:
-            self.path.touch(exist_ok=False)
-        except FileExistsError:
-            raise TrasrError(f"output directory locked by another run: {self.path}") from None
-        return self
+        for takeover in (False, True):
+            try:
+                fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            except FileExistsError:
+                pid = _dead_owner(self.path)
+                if takeover or pid is None:
+                    raise TrasrError(
+                        f"output directory locked by another run: {self.path}") from None
+                self.log(f"taking over {self.path}: its run (pid {pid}) no longer exists")
+                self.path.unlink(missing_ok=True)
+            else:
+                with os.fdopen(fd, "w", encoding="ascii") as fh:
+                    fh.write(f"{os.getpid()}\n")
+                return self
 
     def __exit__(self, *exc):
         self.path.unlink(missing_ok=True)
+
+
+def _dead_owner(path: Path) -> int | None:
+    """The pid a lock file holds when no process has it; None when the file
+    holds no pid, or the pid of a live process."""
+    try:
+        pid = int(path.read_text(encoding="ascii"))
+        if pid > 0:
+            os.kill(pid, 0)  # signal 0 only checks that the process exists
+    except ProcessLookupError:
+        return pid
+    except (OSError, ValueError, OverflowError):  # no pid, or another user's process
+        pass
+    return None
 
 
 @dataclass
@@ -167,7 +194,7 @@ def run_training(cfg: ExperimentConfig, out_dir, mode: str = "plain",
     if not cfg.train_manifest:
         raise ConfigError("paths.train_manifest is required for training")
 
-    with RunLock(out_dir):
+    with RunLock(out_dir, log):
         (out_dir / "config.resolved").write_text(dump_config(cfg), encoding="utf-8")
         vocab = Vocabulary(cfg.alphabet)
         model_cfg = cfg.model

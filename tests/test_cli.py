@@ -1,6 +1,9 @@
 """End-to-end command-line workflows and exit codes."""
 
+import csv
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -127,6 +130,19 @@ def test_locked_out_dir_exit_3(dataset, tmp_path):
     rc = main(["train", "--out", str(out),
                "--set", f"paths.train_manifest={dataset}"] + TINY)
     assert rc == 3
+
+
+def test_dead_pid_lock_is_taken_over(dataset, tmp_path, capsys):
+    out = tmp_path / "run"
+    out.mkdir()
+    proc = subprocess.Popen([sys.executable, "-c", "pass"])
+    proc.wait()
+    (out / ".lock").write_text(f"{proc.pid}\n")
+    rc = main(["train", "--out", str(out),
+               "--set", f"paths.train_manifest={dataset}"] + TINY)
+    assert rc == 0
+    assert f"pid {proc.pid}) no longer exists" in capsys.readouterr().out
+    assert not (out / ".lock").exists()
 
 
 def test_train_skd_phi_zero_matches_plain(dataset, trained, tmp_path):
@@ -325,3 +341,24 @@ def test_benchmark_writes_csv_and_matches_analytic(tmp_path, capsys):
         parts = line.split(",")
         if parts[i_meas]:
             assert parts[i_meas] == parts[i_ana]
+
+
+def test_benchmark_marks_layouts_needing_more_layers_not_applicable(tmp_path, capsys):
+    # one encoder layer: tr2 (2 layers before TR) and pyramidal (3 TR layers) do not fit
+    rc = main(["benchmark", "--out", str(tmp_path / "bench"), "--lengths", "64",
+               "--repetitions", "1",
+               "--set", "model.d_att=16", "--set", "model.d_ff=32",
+               "--set", "model.heads=2", "--set", "model.e1=1",
+               "--set", "model.e2=0", "--set", "model.dec_layers=1",
+               "--set", "model.feature_dim=16", "--set", f"data.alphabet={ALPHABET}"])
+    assert rc == 0
+    assert "match the analytic formula" in capsys.readouterr().out
+    with open(tmp_path / "bench" / "benchmark.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 4 * 5
+    for row in rows:
+        if row["arch"] in ("tr2", "pyramidal"):
+            assert row["note"] == "not applicable" and row["measured_macs"] == ""
+        else:
+            assert row["note"] != "not applicable"
+            assert row["measured_macs"] == "" or row["measured_macs"] == row["analytic_total_macs"]

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from trasr import frontend
 from trasr.errors import SequenceTooShortError
 from trasr.frontend import (KINDS, FeatureSequence, minimum_input_length, output_length,
                             positional_encoding, spec_augment)
@@ -74,6 +75,24 @@ def test_positional_encoding_values():
     assert np.allclose(pe[:, 0], np.sin(t))
     assert np.allclose(pe[:, 1], np.cos(t))
     assert np.allclose(pe[:, 2], np.sin(t / 100.0))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("d", [2, 16, 64])
+def test_positional_encoding_table_is_read_only_and_exact(monkeypatch, d, dtype):
+    monkeypatch.setattr(frontend, "_PE_TABLES", {})
+    for n in (1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 7, 233):
+        t = np.arange(n, dtype=np.float64)[:, None]
+        inv = np.power(10000.0, -np.arange(0, d, 2, dtype=np.float64) / d)[None, :]
+        want = np.empty((n, d), dtype=np.float64)
+        want[:, 0::2] = np.sin(t * inv)
+        want[:, 1::2] = np.cos(t * inv)
+        pe = positional_encoding(n, d, dtype=dtype)
+        assert pe.dtype == dtype and np.array_equal(pe, want.astype(dtype))
+        assert not pe.flags.writeable
+        with pytest.raises(ValueError):
+            pe[0, 0] = 1.0
+    assert len(frontend._PE_TABLES) == 1
 
 
 def test_positional_encoding_odd_width_rejected():

@@ -1,6 +1,8 @@
 """Autodiff core: forward values against closed forms, gradients against
 central finite differences, and the documented error behavior."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -136,6 +138,50 @@ def test_python_scalar_takes_the_tensor_dtype(expr):
         assert y.dtype == dtype, f"{expr} on {dtype.__name__} gave {y.dtype}"
         T.tsum(y).backward()
         assert t.grad.dtype == dtype
+
+
+OPS = {
+    "add": lambda a, b: T.add(a, b),
+    "mul": lambda a, b: T.mul(a, b),
+    "scalar sugar": lambda a, b: (2.0 - a) / 4 + (-b) * 0.5,
+    "matmul 2-d": lambda a, b: T.matmul(a, T.transpose(b[0], (1, 0))),
+    "matmul batched": lambda a, b: T.matmul(a, T.transpose(b)),
+    "relu": lambda a, b: T.relu(a),
+    "exp": lambda a, b: T.exp(a),
+    "log": lambda a, b: T.log(T.exp(a)),
+    "tsum axis": lambda a, b: T.tsum(a, axis=1),
+    "tsum 0-d": lambda a, b: T.tsum(a),
+    "tmean 0-d": lambda a, b: T.tmean(a),
+    "0-d times 0-d": lambda a, b: T.tsum(a) * T.tsum(b),
+    "reshape": lambda a, b: T.reshape(a, -1),
+    "transpose": lambda a, b: T.transpose(a, (2, 0, 1)),
+    "take": lambda a, b: a[np.array([1, 0, 1])],
+    "dropout": lambda a, b: T.dropout(a, 0.5, np.random.default_rng(0), True),
+    "masked_softmax": lambda a, b: T.masked_softmax(a),
+    "masked_softmax mask": lambda a, b: T.masked_softmax(a, np.tril(np.ones((3, 4), bool))),
+    "log_softmax": lambda a, b: T.log_softmax(a),
+    "layer_norm": lambda a, b: T.layer_norm(a, b[0, 0], b[1, 1]),
+    "conv2d": lambda a, b: T.conv2d(T.reshape(a, 1, 2, 3, 4), T.reshape(b, 3, 2, 2, 2)[:, :, :, :1],
+                                    b[0, 0, :3], stride=1, padding=1),
+    "max_pool2d": lambda a, b: T.max_pool2d(T.reshape(a, 1, 2, 3, 4), 2),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("grad", [True, False])
+@pytest.mark.parametrize("op", sorted(OPS))
+def test_op_returns_a_float_array_of_its_operand_dtype(op, grad, dtype):
+    rng = np.random.default_rng(6)
+    a = Tensor(rng.normal(size=(2, 3, 4)).astype(dtype), requires_grad=True)
+    b = Tensor(rng.normal(size=(2, 3, 4)).astype(dtype), requires_grad=True)
+    with contextlib.nullcontext() if grad else T.no_grad():
+        y = OPS[op](a, b)
+    assert type(y.data) is np.ndarray and y.data.dtype == dtype
+    assert y.requires_grad is grad and (y._backward is not None) is grad
+    if grad:
+        T.tsum(y).backward()
+        for t in (a, b):
+            assert t.grad is None or (type(t.grad) is np.ndarray and t.grad.dtype == dtype)
 
 
 def test_tensor_operands_keep_numpy_promotion():
@@ -324,6 +370,41 @@ def test_conv2d_grads(seed):
     check(lambda kk: T.tsum(T.exp(T.conv2d(Tensor(x0), kk, b) * 0.1)),
           np.asarray(k.data), 1e-4)
     check(lambda x: T.tsum(T.exp(T.conv2d(x, k, b, stride=2, padding=1) * 0.1)), x0, 1e-4)
+
+
+def _conv2d_reference(x, k, b, g, stride, padding):
+    """Output and gradients (x, kernels, bias) of conv2d by the einsum formula."""
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    win = np.lib.stride_tricks.sliding_window_view(xp, k.shape[2:], axis=(2, 3))
+    win = win[:, :, ::stride, ::stride]  # [B, C, Ho, Wo, kh, kw]
+    y = np.einsum("bchwij,ocij->bohw", win, k) + b.reshape(1, -1, 1, 1)
+    gk = np.einsum("bohw,bchwij->ocij", g, win)
+    gwin = np.einsum("bohw,ocij->bchwij", g, k)
+    gx = np.zeros_like(xp)
+    Ho, Wo = g.shape[2:]
+    for i in range(k.shape[2]):
+        for j in range(k.shape[3]):
+            gx[:, :, i:i + stride * Ho:stride, j:j + stride * Wo:stride] += gwin[..., i, j]
+    gx = gx[:, :, padding:xp.shape[2] - padding, padding:xp.shape[3] - padding]
+    return y, gx, gk, g.sum(axis=(0, 2, 3))
+
+
+@pytest.mark.parametrize("dtype,rtol", [(np.float32, 1e-5), (np.float64, 1e-12)])
+@pytest.mark.parametrize("stride,padding", [(2, 0), (1, 1)])
+@pytest.mark.parametrize("batch", [1, 3])
+def test_conv2d_matches_einsum_formula(dtype, rtol, stride, padding, batch):
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(batch, 3, 11, 9)).astype(dtype)
+    k = rng.normal(size=(4, 3, 3, 3)).astype(dtype)
+    b = rng.normal(size=4).astype(dtype)
+    tx, tk, tb = (Tensor(a, requires_grad=True) for a in (x, k, b))
+    y = T.conv2d(tx, tk, tb, stride=stride, padding=padding)
+    g = rng.normal(size=y.shape).astype(dtype)
+    y.backward(g)
+    for got, want in zip((y.data, tx.grad, tk.grad, tb.grad),
+                         _conv2d_reference(x, k, b, g, stride, padding)):
+        assert got.dtype == dtype and got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=rtol, atol=rtol * np.abs(want).max())
 
 
 def test_max_pool2d_forward_2x2():

@@ -2,6 +2,9 @@
 and dataset decoding."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -58,6 +61,36 @@ def test_run_lock_exclusive(tmp_path):
                 pass
     with RunLock(tmp_path):  # released after exit
         pass
+
+
+def _exited_pid() -> int:
+    """The pid of a process that has exited and been reaped."""
+    proc = subprocess.Popen([sys.executable, "-c", "pass"])
+    proc.wait()
+    return proc.pid
+
+
+def test_run_lock_takes_over_a_dead_pid(tmp_path):
+    lock = tmp_path / ".lock"
+    pid = _exited_pid()
+    lock.write_text(f"{pid}\n")
+    lines = []
+    with RunLock(tmp_path, lines.append):
+        assert lock.read_text() == f"{os.getpid()}\n"
+    assert not lock.exists()
+    assert len(lines) == 1 and f"pid {pid}" in lines[0] and "no longer exists" in lines[0]
+
+
+@pytest.mark.parametrize("held", ["live", "", "not a pid", "0", "-1"])
+def test_run_lock_refuses_a_live_or_missing_pid(tmp_path, held):
+    lock = tmp_path / ".lock"
+    text = f"{os.getpid()}\n" if held == "live" else held
+    lock.write_text(text)
+    lines = []
+    with pytest.raises(TrasrError, match="locked"):
+        with RunLock(tmp_path, lines.append):
+            pass
+    assert lock.read_text() == text and not lines
 
 
 # -- artifacts --------------------------------------------------------------
