@@ -8,6 +8,7 @@ little-endian float32 values row-major. Manifests are UTF-8 TSV lines
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -88,18 +89,25 @@ def _feature_header(blob: bytes) -> tuple[int, int]:
     return t, f
 
 
+def _check_size(n_bytes: int, t: int, f: int) -> None:
+    expected = 16 + 4 * t * f
+    if n_bytes != expected:
+        raise FormatError(f"feature file has {n_bytes} bytes, expected {expected}")
+
+
 def feature_frames(path) -> int:
-    """A feature file's frame count T, read from its header alone."""
+    """A feature file's frame count T, read from its header, after checking
+    the file's size against that header (the values are not read)."""
     with open(path, "rb") as fh:
-        return _feature_header(fh.read(16))[0]
+        t, f = _feature_header(fh.read(16))
+        _check_size(os.fstat(fh.fileno()).st_size, t, f)
+    return t
 
 
 def load_features(path) -> FeatureSequence:
     blob = Path(path).read_bytes()
     t, f = _feature_header(blob)
-    expected = 16 + 4 * t * f
-    if len(blob) != expected:
-        raise FormatError(f"feature file has {len(blob)} bytes, expected {expected}")
+    _check_size(len(blob), t, f)
     data = np.frombuffer(blob, dtype="<f4", offset=16).reshape(t, f).copy()
     if not np.isfinite(data).all():
         raise FormatError("feature file contains non-finite values")

@@ -5,6 +5,12 @@ for the finite-difference checker. Tensor-tensor ops follow numpy's
 promotion, but a Python scalar operand of `add` or `mul` (and so of `-`,
 `/` and negation) takes the other operand's dtype, so a constant factor
 such as 1/sqrt(d_k) never lifts a float32 graph to float64.
+
+A graph is used up by its one backward pass: once a node's gradient has
+gone to its inputs, the node drops its closure and its inputs, so what an
+op saved is freed as soon as its last consumer's gradient exists, and the
+root holds no graph afterwards. A second `backward()` through any node of
+that graph raises `RuntimeError`.
 """
 
 from __future__ import annotations
@@ -117,12 +123,20 @@ class Tensor:
                 if p.requires_grad and id(p) not in seen:
                     stack.append((p, False))
 
+        # Pop the nodes in reverse topological order and cut each one loose
+        # once it is done: its closure and parents go, so an array an op saved
+        # is freed as soon as its last consumer's gradient exists.
         _accum(self, grad)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+        while topo:
+            node = topo.pop()
+            if node._backward is None:
+                continue
+            if node.grad is not None:
                 node._backward(node.grad)
                 if node is not self:
                     node.grad = None  # free intermediate buffers
+            node._backward = _used_up
+            node._parents = ()
 
     # -- arithmetic sugar -------------------------------------------------
 
@@ -167,6 +181,11 @@ class Tensor:
 
     def mean(self, axis=None, keepdims=False):
         return tmean(self, axis=axis, keepdims=keepdims)
+
+
+def _used_up(g) -> None:
+    """The backward of a node whose graph one backward pass has consumed."""
+    raise RuntimeError("backward() through a graph that an earlier backward() used up")
 
 
 def _wrap(x) -> Tensor:

@@ -17,7 +17,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ExperimentConfig
 from .data import (Batch, EditStats, ManifestEntry, Vocabulary, feature_frames,
                    load_features, load_manifest, make_batches, wer)
-from .errors import ConfigError, SequenceTooShortError, TrasrError
+from .errors import ConfigError, FormatError, SequenceTooShortError, TrasrError
 from .frontend import FeatureSequence, spec_augment
 from .losses import (ce_label_smoothed, ctc_loss, ctc_min_frames, finetune_loss, joint_loss,
                      phi_schedule, skd_loss, snapshot_teacher, teacher_entropy)
@@ -106,12 +106,19 @@ def batch_loss(batch: Batch, model_cfg: ModelConfig, params: ParameterStore,
                temperature: float = 1.0):
     """Combined loss over one padded batch, normalized by target-token counts:
     one forward (and, with a teacher, one no-grad teacher forward) for the
-    whole batch, with every loss masked to each utterance's true lengths."""
-    x_e, x_len = encode(batch.features, batch.feature_lengths, model_cfg, params, ctx)
+    whole batch, with every loss masked to each utterance's true lengths.
+    The teacher runs first, so its transients are gone before the student's
+    graph is built."""
     targets = [list(row[:n]) for row, n in zip(batch.targets, batch.target_lengths)]
-    l_ctc = ctc_loss(ctc_log_probs(x_e, params), targets, Vocabulary.BLANK, x_len)
-
     prefix, dec_targets, mask = _shifted(targets)
+    if teacher is not None:
+        with T.no_grad():
+            t_xe, t_len = encode(batch.features, batch.feature_lengths, model_cfg, teacher)
+            t_logits = decode_forward(prefix, t_xe, model_cfg, teacher, x_lengths=t_len).data
+        t_logits = t_logits.reshape(-1, t_logits.shape[-1])
+
+    x_e, x_len = encode(batch.features, batch.feature_lengths, model_cfg, params, ctx)
+    l_ctc = ctc_loss(ctc_log_probs(x_e, params), targets, Vocabulary.BLANK, x_len)
     logits = decode_forward(prefix, x_e, model_cfg, params, ctx, mask.sum(axis=1), x_len)
     logits = T.reshape(logits, -1, logits.shape[-1])
     dec_targets, mask = dec_targets.ravel(), mask.ravel()
@@ -122,10 +129,6 @@ def batch_loss(batch: Batch, model_cfg: ModelConfig, params: ParameterStore,
     l_ctc = l_ctc * (1.0 / max(1, n_ctc))
     l_s2s = l_s2s * (1.0 / n_pos)
     if teacher is not None:
-        with T.no_grad():
-            t_xe, t_len = encode(batch.features, batch.feature_lengths, model_cfg, teacher)
-            t_logits = decode_forward(prefix, t_xe, model_cfg, teacher, x_lengths=t_len)
-        t_logits = t_logits.data.reshape(logits.shape)
         l_skd = skd_loss(t_logits, logits, mask, temperature) * (1.0 / n_pos)
         total = finetune_loss(l_ctc, l_s2s, l_skd, alpha, phi)
         skd_val = l_skd.item()
@@ -156,20 +159,26 @@ def _feasible(entries: list[ManifestEntry], model_cfg: ModelConfig, vocab: Vocab
               what: str, log) -> tuple[list[ManifestEntry], list[dict]]:
     """The entries whose encoder output has the frames their CTC target needs
     (and one at least), and a {"utt_id", "reason"} record, logged, for each
-    of the others."""
+    of the others: too short, or a feature file whose size disagrees with
+    its header."""
     kept, skipped = [], []
     for e in entries:
-        frames = feature_frames(e.feature_path)
-        n = encoder_layer_lengths(model_cfg, frames)[2]
-        need = max(1, ctc_min_frames(vocab.tokenize(e.transcript)))
-        if n >= need:
-            kept.append(e)
-            continue
-        reason = f"{frames} input frames give {n} encoder frames, the CTC target needs {need}"
+        try:
+            frames = feature_frames(e.feature_path)
+        except FormatError as err:
+            reason = f"{e.feature_path}: {err}"
+        else:
+            n = encoder_layer_lengths(model_cfg, frames)[2]
+            need = max(1, ctc_min_frames(vocab.tokenize(e.transcript)))
+            if n >= need:
+                kept.append(e)
+                continue
+            reason = f"{frames} input frames give {n} encoder frames, the CTC target needs {need}"
         skipped.append({"utt_id": e.utt_id, "reason": reason})
         log(f"skipping {what} utterance {e.utt_id}: {reason}")
     if not kept:
-        raise TrasrError(f"every {what} utterance is too short for the model")
+        raise TrasrError(f"every {what} utterance was skipped (too short for the model "
+                         f"or unreadable)")
     return kept, skipped
 
 
@@ -420,13 +429,14 @@ def decode_dataset(entries: list[ManifestEntry], model_cfg: ModelConfig,
     results = []
     total = EditStats(0, 0, 0, 0, 0)
     for e in entries:
-        seq = load_features(e.feature_path)
         try:
+            seq = load_features(e.feature_path)
             res = decode_utterance(seq, model_cfg, params, beam_cfg, vocab,
                                    lm_cfg=lm_cfg, lm_params=lm_params)
-        except SequenceTooShortError as err:
+        except (SequenceTooShortError, FormatError) as err:
             # an empty hypothesis: the reference words count as deletions
-            result = DecodeResult(e.utt_id, e.transcript, "", -math.inf, True, str(err))
+            reason = f"{e.feature_path}: {err}" if isinstance(err, FormatError) else str(err)
+            result = DecodeResult(e.utt_id, e.transcript, "", -math.inf, True, reason)
         else:
             result = DecodeResult(e.utt_id, e.transcript, vocab.detokenize(res.tokens),
                                   res.score, res.finished)

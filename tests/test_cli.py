@@ -248,6 +248,66 @@ def test_train_skips_infeasible_utterances(tmp_path, capsys):
     assert "every training utterance" in capsys.readouterr().err
 
 
+def _truncated_manifests(dataset, tmp_path):
+    """A manifest whose utt0002 points at a copy of its feature file cut to
+    half its bytes, and a manifest of that utterance alone."""
+    entries = load_manifest(dataset)
+    bad = tmp_path / "cut.trft"
+    blob = entries[2].feature_path.read_bytes()
+    bad.write_bytes(blob[: len(blob) // 2])
+    entries[2].feature_path = bad
+    mixed, only_bad = tmp_path / "mixed.tsv", tmp_path / "bad.tsv"
+    lines = [f"{e.utt_id}\t{e.feature_path}\t{e.transcript}\n" for e in entries]
+    mixed.write_text("".join(lines))
+    only_bad.write_text(lines[2])
+    return mixed, only_bad, bad
+
+
+def test_train_skips_an_unreadable_feature_file(dataset, tmp_path, capsys):
+    mixed, only_bad, bad = _truncated_manifests(dataset, tmp_path)
+
+    def train(manifest, out):
+        return main(["train", "--out", str(out), "--set", f"paths.train_manifest={manifest}",
+                     "--set", f"paths.dev_manifest={manifest}"] + TINY)
+
+    capsys.readouterr()
+    assert train(mixed, tmp_path / "run") == 0
+    out = capsys.readouterr().out
+    assert f"skipping training utterance utt0002: {bad}" in out
+    assert f"skipping dev utterance utt0002: {bad}" in out
+    records = [json.loads(line) for line in
+               (tmp_path / "run" / "epochs.jsonl").read_text().splitlines()]
+    assert len(records) == 2
+    for record in records:
+        assert [s["utt_id"] for s in record["skipped"]] == ["utt0002", "utt0002"]
+        assert all(s["reason"].startswith(f"{bad}: feature file has")
+                   for s in record["skipped"])
+
+    assert train(only_bad, tmp_path / "run-bad") == 3
+    assert "every training utterance" in capsys.readouterr().err
+
+
+def test_decode_skips_an_unreadable_feature_file(dataset, trained, tmp_path):
+    mixed, only_bad, bad = _truncated_manifests(dataset, tmp_path)
+
+    def decode(manifest, out):
+        return main(["decode", "--out", str(out), "--checkpoint",
+                     str(trained / "epoch0002.ckpt"), "--manifest", str(manifest),
+                     "--greedy"] + TINY)
+
+    assert decode(mixed, tmp_path / "dec") == 0
+    report = json.loads((tmp_path / "dec" / "report.json").read_text())
+    assert report["utterances"] == 6
+    assert [s["utt_id"] for s in report["skipped"]] == ["utt0002"]
+    assert report["skipped"][0]["reason"].startswith(f"{bad}: feature file has")
+    hyps = (tmp_path / "dec" / "hyps.tsv").read_text().splitlines()
+    assert len(hyps) == 6 and hyps[2] == "utt0002\t"
+
+    assert decode(only_bad, tmp_path / "dec-bad") == 3
+    report = json.loads((tmp_path / "dec-bad" / "report.json").read_text())
+    assert report["skipped"][0]["reason"].startswith(f"{bad}: ")
+
+
 def test_train_epoch_records_have_no_skipped_field_when_all_fit(trained):
     records = [json.loads(line) for line in (trained / "epochs.jsonl").read_text().splitlines()]
     assert records and all("skipped" not in r for r in records)

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trasr.data import (ManifestEntry, SyntheticTaskSpec, Vocabulary, cer,
-                        edit_stats, load_features, load_manifest, make_batches,
+from trasr.data import (ManifestEntry, SyntheticTaskSpec, Vocabulary, cer, edit_stats,
+                        feature_frames, load_features, load_manifest, make_batches,
                         save_features, save_manifest, synth_generate, synth_utterance,
                         token_templates, wer)
 from trasr.errors import FormatError, VocabularyError
@@ -78,6 +78,17 @@ def test_features_truncated_rejected(tmp_path):
     p.write_bytes(blob[:-3])
     with pytest.raises(FormatError):
         load_features(p)
+
+
+def test_feature_frames_checks_the_size_against_the_header(tmp_path):
+    p = tmp_path / "u.trft"
+    save_features(p, FeatureSequence(np.ones((3, 2), dtype=np.float32), 3))
+    assert feature_frames(p) == 3
+    blob = p.read_bytes()
+    for cut in (blob[:-3], blob + b"\0"):
+        p.write_bytes(cut)
+        with pytest.raises(FormatError, match=f"has {len(cut)} bytes, expected 40"):
+            feature_frames(p)
 
 
 def test_features_bad_magic_and_version(tmp_path):

@@ -2,6 +2,7 @@
 central finite differences, and the documented error behavior."""
 
 import contextlib
+import weakref
 
 import numpy as np
 import pytest
@@ -443,3 +444,36 @@ def test_detach_stops_gradients():
     x = Tensor(np.ones(3), requires_grad=True)
     T.tsum(Tensor(x.data) * 2.0 + x).backward()
     assert np.allclose(x.grad, np.ones(3))
+
+
+def test_second_backward_through_a_used_up_graph_raises():
+    x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    y = T.exp(x) * 3.0
+    loss = T.tsum(y)
+    loss.backward()
+    assert loss._parents == ()  # the returned loss holds no graph
+    with pytest.raises(RuntimeError, match="used up"):
+        loss.backward()
+    with pytest.raises(RuntimeError, match="used up"):
+        T.tsum(y * 2.0).backward()  # a new graph over a used-up node
+    x.grad = None
+    T.tsum(T.exp(x) * 3.0).backward()  # a leaf starts a fresh graph
+    np.testing.assert_array_equal(x.grad, np.exp(x.data) * 3.0)
+
+
+def test_backward_frees_an_activation_once_its_consumers_are_done():
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    w = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+    y = T.exp(T.matmul(x, w))
+    ref = weakref.ref(y.data)
+    e = y.data.copy()
+    loss = T.tsum(y * 2.0)
+    del y
+    assert ref() is not None  # the graph still holds the activation
+    loss.backward()
+    assert ref() is None
+    g = 2.0 * e  # d loss / d (x @ w)
+    np.testing.assert_array_equal(x.grad, g @ w.data.T)
+    np.testing.assert_array_equal(w.grad, x.data.T @ g)
+    check(lambda t: T.tsum(T.exp(T.matmul(t, Tensor(w.data))) * 2.0), x.data, 1e-6)
