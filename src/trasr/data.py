@@ -242,14 +242,27 @@ class Batch:
 
 
 def make_batches(entries: list[ManifestEntry], vocab: Vocabulary,
-                 batch_size: int) -> list[Batch]:
-    """Length-sorted bucketing with PAD/zero padding and true-length records."""
+                 batch_size: int, on_unreadable=None) -> list[Batch]:
+    """Length-sorted bucketing with PAD/zero padding and true-length records.
+
+    With `on_unreadable`, an entry whose feature file `load_features` rejects
+    is handed to on_unreadable(entry, error) and left out; without it, the
+    FormatError propagates.
+    """
     if batch_size < 1:
         raise ValueError(f"batch size must be >= 1, got {batch_size}")
     if not entries:
         raise ValueError("empty manifest")
-    loaded = [(e, load_features(e.feature_path), vocab.tokenize(e.transcript))
-              for e in entries]
+    loaded = []
+    for e in entries:
+        try:
+            seq = load_features(e.feature_path)
+        except FormatError as err:
+            if on_unreadable is None:
+                raise
+            on_unreadable(e, err)
+        else:
+            loaded.append((e, seq, vocab.tokenize(e.transcript)))
     loaded.sort(key=lambda item: (item[1].length, item[0].utt_id))
     batches = []
     for i in range(0, len(loaded), batch_size):

@@ -120,11 +120,12 @@ def ctc_loss(log_probs: Tensor, target, blank_id: int = 0, lengths=None) -> Tens
     grad = grad.reshape(log_probs.shape).astype(log_probs.dtype, copy=False)
 
     loss = np.asarray(-log_p.sum(), dtype=log_probs.dtype)
+    node = log_probs._node
 
     def backward(g):
-        _accum(log_probs, float(g) * grad)
+        _accum(node, float(g) * grad)
 
-    return _result(loss, (log_probs,), backward)
+    return _result(loss, (node,), backward)
 
 
 def ce_label_smoothed(logits: Tensor, targets, epsilon: float = 0.1,

@@ -96,31 +96,60 @@ class AdamState:
         return warmup_lr(step, self.scale, self.d_att, self.warmup_steps)
 
 
-def adam_step(params: ParameterStore, state: AdamState) -> None:
-    """One Adam update with bias correction; zeroes gradients afterwards."""
+def adam_step(params: ParameterStore, state: AdamState, loss: Tensor | None = None) -> None:
+    """One Adam update of every parameter, with bias correction; each
+    parameter's gradient is dropped once it is applied.
+
+    With `loss`, the step runs `loss.backward()` and applies each parameter's
+    update inside it, as soon as backward has finished that gradient (as in
+    LOMO, Lv et al. 2023), so the gradients of all parameters never exist at
+    once. Every op that reads a parameter has run its backward by then, so
+    the update in place changes no gradient. A parameter that the graph does
+    not reach raises `NotBackpropagatedError` before anything changes.
+    Without `loss`, the gradients must be set already; one missing raises
+    the same way. Both paths apply the same arithmetic per parameter, so
+    they give bitwise the same parameters and moments.
+    """
     step = params.step_count + 1
     lr = state.learning_rate(step)
-    b1, b2, eps = state.beta1, state.beta2, state.epsilon
-    for name, t in params.items():
-        if t.grad is None:
-            raise NotBackpropagatedError(f"parameter {name!r} has no gradient")
-        g = t.grad
-        m = state.m.get(name)
-        v = state.v.get(name)
-        if m is None:
-            m = state.m[name] = np.zeros_like(t.data)
-            v = state.v[name] = np.zeros_like(t.data)
-        # in place, but in the operation order of m = b1*m + (1-b1)*g,
-        # v = b2*v + (1-b2)*g*g, t -= lr*mhat / (sqrt(vhat) + eps): bit-identical
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        upd = m / (1.0 - b1 ** step)
-        upd *= lr
-        denom = np.sqrt(v / (1.0 - b2 ** step))
-        denom += eps
-        upd /= denom
-        t.data -= upd
-        t.grad = None
+    if loss is None:
+        for name, t in params.items():
+            if t.grad is None:
+                raise NotBackpropagatedError(f"parameter {name!r} has no gradient")
+        for name, t in params.items():
+            _adam_update(state, name, t.data, t.grad, step, lr)
+            t.grad = None
+    else:
+        names = {id(t._node): name for name, t in params.items()}
+
+        def update(node):
+            name = names.get(id(node))
+            if name is not None:
+                _adam_update(state, name, params[name].data, node.grad, step, lr)
+                node.grad = None
+
+        loss.backward(on_leaf=update, required=params.items())
     params.step_count = step
+
+
+def _adam_update(state: AdamState, name: str, x: np.ndarray, g: np.ndarray,
+                 step: int, lr: float) -> None:
+    """Adam on the parameter array x, in place, from its gradient g."""
+    b1, b2, eps = state.beta1, state.beta2, state.epsilon
+    m = state.m.get(name)
+    v = state.v.get(name)
+    if m is None:
+        m = state.m[name] = np.zeros_like(x)
+        v = state.v[name] = np.zeros_like(x)
+    # in place, but in the operation order of m = b1*m + (1-b1)*g,
+    # v = b2*v + (1-b2)*g*g, x -= lr*mhat / (sqrt(vhat) + eps): bit-identical
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * g * g
+    upd = m / (1.0 - b1 ** step)
+    upd *= lr
+    denom = np.sqrt(v / (1.0 - b2 ** step))
+    denom += eps
+    upd /= denom
+    x -= upd

@@ -6,21 +6,40 @@ promotion, but a Python scalar operand of `add` or `mul` (and so of `-`,
 `/` and negation) takes the other operand's dtype, so a constant factor
 such as 1/sqrt(d_k) never lifts a float32 graph to float64.
 
+Values and nodes. A `Tensor` is a value: its array `data`, and the node
+through which it joins a graph. An op output that tracks gradients gets a
+small `_Node` that holds only what backward needs of it: its gradient, its
+parents (nodes, never values), its backward closure, and the shape and
+dtype that `_accum` casts and sums a gradient down to. A leaf that tracks
+gradients (a parameter) has a node with no parents and no closure; a value
+that tracks none shares `_UNTRACKED`. So the graph holds no op output's
+array: a closure captures exactly the arrays its backward reads (`relu`,
+`exp` and the softmaxes their own output, `mul` and `matmul` an operand
+only when the other one tracks gradients, `add` and the shape ops none),
+and every other array is freed as soon as the forward code drops it.
+
 A graph is used up by its one backward pass: once a node's gradient has
-gone to its inputs, the node drops its closure and its inputs, so what an
+gone to its inputs, the node drops its closure and its parents, so what an
 op saved is freed as soon as its last consumer's gradient exists, and the
 root holds no graph afterwards. A second `backward()` through any node of
 that graph raises `RuntimeError`.
+
+Leaves are visited as soon as their gradient is final. `backward` orders
+the graph depth-first and places each leaf right after its last consumer,
+so it reaches the leaf, and calls `on_leaf` with its node, before any other
+closure runs (`optim.adam_step` applies a parameter's update there). This
+moves only leaves: every node's gradient sums its consumers' parts in the
+order a plain depth-first walk gives.
 """
 
 from __future__ import annotations
 
 import contextlib
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import MaskError, ShapeError
+from .errors import MaskError, NotBackpropagatedError, ShapeError
 
 _grad_enabled = True
 
@@ -59,17 +78,65 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
-class Tensor:
-    """An n-d array plus optional gradient bookkeeping."""
+class _Node:
+    """A value's place in a graph; it holds no array of the value."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("grad", "requires_grad", "_parents", "_backward", "shape", "dtype")
+
+    def __init__(self, shape: tuple, dtype, parents: tuple = (), backward=None):
+        self.grad: np.ndarray | None = None
+        self.requires_grad = True
+        self._parents = parents
+        self._backward = backward
+        self.shape = shape
+        self.dtype = dtype
+
+
+_UNTRACKED = _Node((), None)  # shared by every value that tracks no gradient
+_UNTRACKED.requires_grad = False
+
+
+class Tensor:
+    """An n-d array plus the node that tracks its gradient, if any."""
+
+    __slots__ = ("data", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = _as_array(data)
-        self.grad: np.ndarray | None = None
-        self.requires_grad = bool(requires_grad) and _grad_enabled
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward = None
+        self._node = _UNTRACKED
+        if requires_grad and _grad_enabled:
+            self.requires_grad = True
+
+    @property
+    def requires_grad(self) -> bool:
+        return self._node.requires_grad
+
+    @requires_grad.setter
+    def requires_grad(self, flag: bool) -> None:
+        """True makes an untracked value a leaf; False detaches it."""
+        if not flag:
+            self._node = _UNTRACKED
+        elif self._node is _UNTRACKED:
+            self._node = _Node(self.data.shape, self.data.dtype)
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return self._node.grad
+
+    @grad.setter
+    def grad(self, g) -> None:
+        if self._node.requires_grad:
+            self._node.grad = g
+        elif g is not None:
+            raise RuntimeError("a tensor that does not track gradients holds no gradient")
+
+    @property
+    def _parents(self) -> tuple:
+        return self._node._parents
+
+    @property
+    def _backward(self):
+        return self._node._backward
 
     @property
     def shape(self) -> tuple:
@@ -98,42 +165,65 @@ class Tensor:
 
     # -- autodiff ---------------------------------------------------------
 
-    def backward(self, grad=None) -> None:
-        """Accumulate gradients of `self` into every reachable leaf."""
-        if not self.requires_grad:
+    def backward(self, grad=None, on_leaf: Callable[[_Node], None] | None = None,
+                 required: Iterable[tuple[str, Tensor]] = ()) -> None:
+        """Accumulate gradients of `self` into every reachable leaf.
+
+        `on_leaf(node)` is called once for each reached leaf's node, as soon
+        as its gradient is final. Each (name, tensor) pair of `required` must
+        be reached: for the first that is not, `NotBackpropagatedError`
+        names it before any gradient is computed.
+        """
+        root = self._node
+        if not root.requires_grad:
             raise RuntimeError("backward() on a tensor that does not track gradients")
         if grad is None:
             grad = np.ones_like(self.data)
         else:
             grad = np.asarray(grad, dtype=self.data.dtype)
 
-        topo: list[Tensor] = []
+        # Depth-first post-order over the closures' nodes; a leaf goes in just
+        # before the first of its consumers to finish, which is the last one
+        # reversed order reaches.
+        topo: list[_Node] = []
         seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple[_Node, bool]] = [(root, False)]
         while stack:
-            node, processed = stack.pop()
-            if processed:
+            node, finished = stack.pop()
+            if finished:
+                for p in node._parents:
+                    if p._backward is None and id(p) not in seen:
+                        seen.add(id(p))
+                        topo.append(p)
                 topo.append(node)
                 continue
             if id(node) in seen:
                 continue
+            if node._backward is _used_up:
+                _used_up()
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
-                if p.requires_grad and id(p) not in seen:
+                if p._backward is not None and id(p) not in seen:
                     stack.append((p, False))
+        for name, t in required:
+            if id(t._node) not in seen:
+                raise NotBackpropagatedError(
+                    f"parameter {name!r} has no gradient: backward does not reach it")
 
         # Pop the nodes in reverse topological order and cut each one loose
         # once it is done: its closure and parents go, so an array an op saved
         # is freed as soon as its last consumer's gradient exists.
-        _accum(self, grad)
+        _accum(root, grad)
         while topo:
             node = topo.pop()
-            if node._backward is None:
+            if node._backward is None:  # a leaf, all of its consumers done
+                if on_leaf is not None:
+                    on_leaf(node)
                 continue
             if node.grad is not None:
                 node._backward(node.grad)
-                if node is not self:
+                if node is not root:
                     node.grad = None  # free intermediate buffers
             node._backward = _used_up
             node._parents = ()
@@ -183,7 +273,7 @@ class Tensor:
         return tmean(self, axis=axis, keepdims=keepdims)
 
 
-def _used_up(g) -> None:
+def _used_up(g=None) -> None:
     """The backward of a node whose graph one backward pass has consumed."""
     raise RuntimeError("backward() through a graph that an earlier backward() used up")
 
@@ -204,35 +294,34 @@ def _wrap_pair(a, b) -> tuple[Tensor, Tensor]:
     return _wrap(a), _wrap(b)
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
-    if not t.requires_grad:
+def _accum(node: _Node, g: np.ndarray) -> None:
+    if not node.requires_grad:
         return
     g = np.asarray(g)
-    if g.dtype != t.data.dtype:
-        g = g.astype(t.data.dtype)
-    if g.shape != t.data.shape:
-        g = _unbroadcast(g, t.data.shape)
-    if t.grad is None:
-        t.grad = g.copy()
+    if g.dtype != node.dtype:
+        g = g.astype(node.dtype)
+    if g.shape != node.shape:
+        g = _unbroadcast(g, node.shape)
+    if node.grad is None:
+        node.grad = g.copy()
     else:
-        t.grad += g
+        node.grad += g
 
 
-def _result(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
-    """An op's output. `data` already has its operands' float dtype, so the
-    checks of `Tensor.__init__` are skipped; only a numpy scalar (what numpy
-    returns for a 0-d result, such as a full `tsum`) is made an array."""
+def _result(data: np.ndarray, parents: Sequence[_Node], backward) -> Tensor:
+    """An op's output, given its operands' nodes. `data` already has its
+    operands' float dtype, so the checks of `Tensor.__init__` are skipped;
+    only a numpy scalar (what numpy returns for a 0-d result, such as a full
+    `tsum`) is made an array. A node is made only while gradients are
+    recorded and some operand tracks one."""
     out = Tensor.__new__(Tensor)
     out.data = data if type(data) is np.ndarray else np.asarray(data)
-    out.grad = None
-    if _grad_enabled and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward = backward
-    else:
-        out.requires_grad = False
-        out._parents = ()
-        out._backward = None
+    if _grad_enabled:
+        parents = tuple(p for p in parents if p.requires_grad)
+        if parents:
+            out._node = _Node(out.data.shape, out.data.dtype, parents, backward)
+            return out
+    out._node = _UNTRACKED
     return out
 
 
@@ -242,25 +331,30 @@ def _result(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
 def add(a, b) -> Tensor:
     a, b = _wrap_pair(a, b)
     data = a.data + b.data
+    an, bn = a._node, b._node
 
     def backward(g):
-        _accum(a, g)
-        _accum(b, g)
+        _accum(an, g)
+        _accum(bn, g)
 
-    return _result(data, (a, b), backward)
+    return _result(data, (an, bn), backward)
 
 
 def mul(a, b) -> Tensor:
     a, b = _wrap_pair(a, b)
     data = a.data * b.data
+    an, bn = a._node, b._node
+    # an operand's array is kept only for the other operand's gradient
+    ad = a.data if bn.requires_grad else None
+    bd = b.data if an.requires_grad else None
 
     def backward(g):
-        if a.requires_grad:
-            _accum(a, g * b.data)
-        if b.requires_grad:
-            _accum(b, g * a.data)
+        if an.requires_grad:
+            _accum(an, g * bd)
+        if bn.requires_grad:
+            _accum(bn, g * ad)
 
-    return _result(data, (a, b), backward)
+    return _result(data, (an, bn), backward)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -270,6 +364,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul needs >=2-d operands, got {a_shape} and {b_shape}")
     if a_shape[-1] != b_shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {a_shape} x {b_shape}")
+    an, bn = a._node, b._node
+    # an operand's array is kept only for the other operand's gradient
+    ad = a.data if bn.requires_grad else None
+    bd = b.data if an.requires_grad else None
     if len(b_shape) == 2:
         # a shared matrix: one GEMM over every row of a, not one per batch entry
         def rows(x):
@@ -279,62 +377,67 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
         def backward(g):
             g = rows(g)
-            _accum(a, (g @ b.data.T).reshape(a_shape))
-            _accum(b, rows(a.data).T @ g)
+            if an.requires_grad:
+                _accum(an, (g @ bd.T).reshape(a_shape))
+            if bn.requires_grad:
+                _accum(bn, rows(ad).T @ g)
 
-        return _result(data, (a, b), backward)
+        return _result(data, (an, bn), backward)
     data = np.matmul(a.data, b.data)
 
     def backward(g):
-        _accum(a, np.matmul(g, np.swapaxes(b.data, -1, -2)))
-        _accum(b, np.matmul(np.swapaxes(a.data, -1, -2), g))
+        if an.requires_grad:
+            _accum(an, np.matmul(g, np.swapaxes(bd, -1, -2)))
+        if bn.requires_grad:
+            _accum(bn, np.matmul(np.swapaxes(ad, -1, -2), g))
 
-    return _result(data, (a, b), backward)
+    return _result(data, (an, bn), backward)
 
 
 def relu(x: Tensor) -> Tensor:
     x = _wrap(x)
+    xn = x._node
     data = np.maximum(x.data, 0)
 
     def backward(g):
-        _accum(x, g * (x.data > 0))  # subgradient at 0 is 0
+        _accum(xn, g * (data > 0))  # x > 0 exactly where relu(x) > 0; subgradient 0 at 0
 
-    return _result(data, (x,), backward)
+    return _result(data, (xn,), backward)
 
 
 def exp(x: Tensor) -> Tensor:
     x = _wrap(x)
+    xn = x._node
     data = np.exp(x.data)
 
     def backward(g):
-        _accum(x, g * data)
+        _accum(xn, g * data)
 
-    return _result(data, (x,), backward)
+    return _result(data, (xn,), backward)
 
 
 def log(x: Tensor) -> Tensor:
     x = _wrap(x)
-    data = np.log(x.data)
+    xn, xd = x._node, x.data
+    data = np.log(xd)
 
     def backward(g):
-        _accum(x, g / x.data)
+        _accum(xn, g / xd)
 
-    return _result(data, (x,), backward)
+    return _result(data, (xn,), backward)
 
 
 def tsum(x: Tensor, axis=None, keepdims=False) -> Tensor:
     x = _wrap(x)
     data = x.data.sum(axis=axis, keepdims=keepdims)
+    xn, shape = x._node, x.data.shape
 
     def backward(g):
-        if axis is None:
-            _accum(x, np.broadcast_to(g, x.shape))
-        else:
-            if not keepdims:
-                g = np.expand_dims(g, axis)
-            _accum(x, np.broadcast_to(g, x.shape))
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        _accum(xn, np.broadcast_to(g, shape))
 
-    return _result(data, (x,), backward)
+    return _result(data, (xn,), backward)
 
 
 def tmean(x: Tensor, axis=None, keepdims=False) -> Tensor:
@@ -348,11 +451,12 @@ def reshape(x: Tensor, *shape) -> Tensor:
     if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
         shape = tuple(shape[0])
     data = x.data.reshape(shape)
+    xn, x_shape = x._node, x.data.shape
 
     def backward(g):
-        _accum(x, g.reshape(x.shape))
+        _accum(xn, g.reshape(x_shape))
 
-    return _result(data, (x,), backward)
+    return _result(data, (xn,), backward)
 
 
 def transpose(x: Tensor, *axes) -> Tensor:
@@ -363,24 +467,26 @@ def transpose(x: Tensor, *axes) -> Tensor:
     if not axes:
         axes = tuple(range(x.ndim - 2)) + (x.ndim - 1, x.ndim - 2)
     data = x.data.transpose(axes)
+    xn = x._node
 
     def backward(g):
-        _accum(x, g.transpose(np.argsort(axes)))
+        _accum(xn, g.transpose(np.argsort(axes)))
 
-    return _result(data, (x,), backward)
+    return _result(data, (xn,), backward)
 
 
 def take(x: Tensor, index) -> Tensor:
     """Basic or integer-array indexing with gradient scatter-add."""
     x = _wrap(x)
     data = x.data[index]
+    xn = x._node
 
     def backward(g):
-        gx = np.zeros_like(x.data)
+        gx = np.zeros(xn.shape, xn.dtype)
         np.add.at(gx, index, g)
-        _accum(x, gx)
+        _accum(xn, gx)
 
-    return _result(data, (x,), backward)
+    return _result(data, (xn,), backward)
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator, train: bool,
@@ -400,11 +506,12 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator, train: bool,
     for block in blocks:
         block[...] = (rng.random(block.shape) >= p).astype(x.data.dtype) / (1.0 - p)
     data = x.data * keep
+    xn = x._node
 
     def backward(g):
-        _accum(x, g * keep)
+        _accum(xn, g * keep)
 
-    return _result(data, (x,), backward)
+    return _result(data, (xn,), backward)
 
 
 # -- normalization and softmax ------------------------------------------
@@ -432,12 +539,13 @@ def masked_softmax(x: Tensor, mask: np.ndarray | None = None, axis: int = -1) ->
         shifted = np.where(valid, x.data, np.finfo(x.data.dtype).min)
         ex = np.exp(shifted - shifted.max(axis=axis, keepdims=True)) * valid
     y = ex / ex.sum(axis=axis, keepdims=True)
+    xn = x._node
 
     def backward(g):
         inner = (g * y).sum(axis=axis, keepdims=True)
-        _accum(x, y * (g - inner))
+        _accum(xn, y * (g - inner))
 
-    return _result(y, (x,), backward)
+    return _result(y, (xn,), backward)
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -445,11 +553,12 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
     data = shifted - lse
+    xn = x._node
 
     def backward(g):
-        _accum(x, g - np.exp(data) * g.sum(axis=axis, keepdims=True))
+        _accum(xn, g - np.exp(data) * g.sum(axis=axis, keepdims=True))
 
-    return _result(data, (x,), backward)
+    return _result(data, (xn,), backward)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
@@ -470,14 +579,15 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     xhat = xc * inv
     data = xhat * gain.data + bias.data
     reduce_axes = tuple(range(xd.ndim - 1))
+    xn, gn, bn, gd = x._node, gain._node, bias._node, gain.data
 
     def backward(g):
-        _accum(gain, (g * xhat).sum(axis=reduce_axes))
-        _accum(bias, g.sum(axis=reduce_axes))
-        gq = g * gain.data
-        _accum(x, inv * (gq - mean(gq) - xhat * mean(gq * xhat)))
+        _accum(gn, (g * xhat).sum(axis=reduce_axes))
+        _accum(bn, g.sum(axis=reduce_axes))
+        gq = g * gd
+        _accum(xn, inv * (gq - mean(gq) - xhat * mean(gq * xhat)))
 
-    return _result(data, (x, gain, bias), backward)
+    return _result(data, (xn, gn, bn), backward)
 
 
 # -- convolution and pooling --------------------------------------------
@@ -527,26 +637,30 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor | None = None,
     # one GEMM: kernels [O, C·kh·kw] @ patches [C·kh·kw, B·Ho·Wo]
     k2 = kernels.data.reshape(O, C * kh * kw)
     data = (k2 @ _patches(xp, kh, kw, stride)).reshape(O, B, Ho, Wo).transpose(1, 0, 2, 3)
+    xn, kn, bn = x._node, kernels._node, None
     if bias is not None:
         bias = _wrap(bias)
         if bias.shape != (O,):
             raise ShapeError(f"conv2d bias shape {bias.shape} != ({O},)")
         data = data + bias.data.reshape(1, O, 1, 1)
+        bn = bias._node
+    xp_shape, k_shape = xp.shape, kernels.shape
+    if not kn.requires_grad:
+        xp = None  # read only for the kernels' gradient
 
     def backward(g):
         g2 = g.transpose(1, 0, 2, 3).reshape(O, B * Ho * Wo)
-        if x.requires_grad:
+        if xn.requires_grad:
             # first, so that its buffers are freed before the patches are built
-            _accum(x, _col2im(k2.T @ g2, xp.shape, kh, kw, stride)
+            _accum(xn, _col2im(k2.T @ g2, xp_shape, kh, kw, stride)
                    [:, :, padding:padding + H, padding:padding + W])
-        if bias is not None:
-            _accum(bias, g.sum(axis=(0, 2, 3)))
-        if kernels.requires_grad:
+        if bn is not None:
+            _accum(bn, g.sum(axis=(0, 2, 3)))
+        if kn.requires_grad:
             # the patches are built again, not kept alive from the forward pass
-            _accum(kernels, (g2 @ _patches(xp, kh, kw, stride).T).reshape(kernels.shape))
+            _accum(kn, (g2 @ _patches(xp, kh, kw, stride).T).reshape(k_shape))
 
-    parents = (x, kernels) if bias is None else (x, kernels, bias)
-    return _result(data, parents, backward)
+    return _result(data, (xn, kn) if bn is None else (xn, kn, bn), backward)
 
 
 def max_pool2d(x: Tensor, size: int = 2) -> Tensor:
@@ -564,13 +678,14 @@ def max_pool2d(x: Tensor, size: int = 2) -> Tensor:
     flat = win.reshape(B, C, Ho, Wo, size * size)
     idx = flat.argmax(axis=-1)
     data = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
+    xn, flat_shape = x._node, flat.shape
 
     def backward(g):
-        gflat = np.zeros_like(flat)
+        gflat = np.zeros(flat_shape, xn.dtype)
         np.put_along_axis(gflat, idx[..., None], g[..., None], axis=-1)
         gwin = gflat.reshape(B, C, Ho, Wo, size, size).transpose(0, 1, 2, 4, 3, 5)
-        gx = np.zeros_like(x.data)
+        gx = np.zeros(xn.shape, xn.dtype)
         gx[:, :, :Ho * size, :Wo * size] = gwin.reshape(B, C, Ho * size, Wo * size)
-        _accum(x, gx)
+        _accum(xn, gx)
 
-    return _result(data, (x,), backward)
+    return _result(data, (xn,), backward)

@@ -155,31 +155,40 @@ def evaluate(batches: list[Batch], model_cfg: ModelConfig, params: ParameterStor
                       n_correct, n_pos, 0.0)
 
 
-def _feasible(entries: list[ManifestEntry], model_cfg: ModelConfig, vocab: Vocabulary,
-              what: str, log) -> tuple[list[ManifestEntry], list[dict]]:
-    """The entries whose encoder output has the frames their CTC target needs
-    (and one at least), and a {"utt_id", "reason"} record, logged, for each
-    of the others: too short, or a feature file whose size disagrees with
-    its header."""
+def _batches(entries: list[ManifestEntry], model_cfg: ModelConfig, vocab: Vocabulary,
+             batch_size: int, what: str, log) -> tuple[list[Batch], list[dict]]:
+    """The batches of the entries whose encoder output has the frames their
+    CTC target needs (and one at least), each feature file read once, and a
+    {"utt_id", "reason"} record, logged, for each of the others: too short,
+    or a feature file that cannot be read (its size disagrees with its
+    header, or its values are not finite)."""
     kept, skipped = [], []
+
+    def skip(e, reason):
+        skipped.append({"utt_id": e.utt_id, "reason": reason})
+        log(f"skipping {what} utterance {e.utt_id}: {reason}")
+
+    def unreadable(e, err):
+        skip(e, f"{e.feature_path}: {err}")
+
     for e in entries:
         try:
             frames = feature_frames(e.feature_path)
         except FormatError as err:
-            reason = f"{e.feature_path}: {err}"
+            unreadable(e, err)
+            continue
+        n = encoder_layer_lengths(model_cfg, frames)[2]
+        need = max(1, ctc_min_frames(vocab.tokenize(e.transcript)))
+        if n >= need:
+            kept.append(e)
         else:
-            n = encoder_layer_lengths(model_cfg, frames)[2]
-            need = max(1, ctc_min_frames(vocab.tokenize(e.transcript)))
-            if n >= need:
-                kept.append(e)
-                continue
-            reason = f"{frames} input frames give {n} encoder frames, the CTC target needs {need}"
-        skipped.append({"utt_id": e.utt_id, "reason": reason})
-        log(f"skipping {what} utterance {e.utt_id}: {reason}")
-    if not kept:
+            skip(e, f"{frames} input frames give {n} encoder frames, the CTC target needs {need}")
+    # the values are read once, here; a file of non-finite values is skipped
+    batches = make_batches(kept, vocab, batch_size, unreadable) if kept else []
+    if not batches:
         raise TrasrError(f"every {what} utterance was skipped (too short for the model "
                          f"or unreadable)")
-    return kept, skipped
+    return batches, skipped
 
 
 def _record_line(record: dict) -> str:
@@ -207,12 +216,13 @@ def run_training(cfg: ExperimentConfig, out_dir, mode: str = "plain",
         (out_dir / "config.resolved").write_text(dump_config(cfg), encoding="utf-8")
         vocab = Vocabulary(cfg.alphabet)
         model_cfg = cfg.model
-        train_entries, skipped = _feasible(load_manifest(cfg.train_manifest), model_cfg,
-                                           vocab, "training", log)
-        dev_entries = train_entries
+        batch_size = cfg.train.batch_size
+        train_batches, skipped = _batches(load_manifest(cfg.train_manifest), model_cfg,
+                                          vocab, batch_size, "training", log)
+        dev_batches = train_batches
         if cfg.dev_manifest:
-            dev_entries, dev_skipped = _feasible(load_manifest(cfg.dev_manifest), model_cfg,
-                                                 vocab, "dev", log)
+            dev_batches, dev_skipped = _batches(load_manifest(cfg.dev_manifest), model_cfg,
+                                                vocab, batch_size, "dev", log)
             skipped += dev_skipped
 
         seed = cfg.train.seed
@@ -231,8 +241,6 @@ def run_training(cfg: ExperimentConfig, out_dir, mode: str = "plain",
             kd = cfg.kd
 
         streams = StreamCache(seed)
-        train_batches = make_batches(train_entries, vocab, cfg.train.batch_size)
-        dev_batches = make_batches(dev_entries, vocab, cfg.train.batch_size)
 
         teacher = None
         records: list[dict] = []
@@ -246,6 +254,7 @@ def run_training(cfg: ExperimentConfig, out_dir, mode: str = "plain",
                 phi = phi_schedule(epoch, kd)
                 if teacher is None or (not kd.freeze_teacher
                                        and (epoch - 1) % kd.cadence == 0):
+                    teacher = None  # the old copy goes before the new one is made
                     teacher = snapshot_teacher(params)
 
             order = stream(seed, f"shuffle/epoch{epoch}").permutation(len(train_batches))
@@ -265,8 +274,7 @@ def run_training(cfg: ExperimentConfig, out_dir, mode: str = "plain",
                 if not np.isfinite(total.data):
                     raise TrasrError(
                         f"non-finite loss at epoch {epoch}, batch of {batch.utt_ids}")
-                total.backward()
-                adam_step(params, adam)
+                adam_step(params, adam, total)
                 agg += np.array([stats.l_ctc, stats.l_s2s, stats.l_skd, stats.total,
                                  stats.teacher_entropy]) * n_pos
                 n_total += n_pos
@@ -356,8 +364,7 @@ def run_lm_training(cfg: ExperimentConfig, transcripts: list[str], out_dir,
             loss = total * (1.0 / n_pos)
             if not np.isfinite(loss.data):
                 raise TrasrError(f"non-finite LM loss at epoch {epoch}")
-            loss.backward()
-            adam_step(params, adam)
+            adam_step(params, adam, loss)
             nll_sum += total.item()
             n_tok += n_pos
         ppl = float(np.exp(nll_sum / n_tok))

@@ -287,6 +287,36 @@ def test_train_skips_an_unreadable_feature_file(dataset, tmp_path, capsys):
     assert "every training utterance" in capsys.readouterr().err
 
 
+def test_train_skips_a_feature_file_of_non_finite_values(dataset, tmp_path, capsys):
+    entries = load_manifest(dataset)
+    bad = tmp_path / "nan.trft"
+    blob = bytearray(entries[2].feature_path.read_bytes())
+    blob[16:20] = np.array([np.nan], dtype="<f4").tobytes()  # the first value; size intact
+    bad.write_bytes(bytes(blob))
+    lines = [f"{e.utt_id}\t{bad if i == 2 else e.feature_path}\t{e.transcript}\n"
+             for i, e in enumerate(entries)]
+    mixed, only_bad = tmp_path / "mixed.tsv", tmp_path / "bad.tsv"
+    mixed.write_text("".join(lines))
+    only_bad.write_text(lines[2])
+
+    def train(manifest, out):
+        return main(["train", "--out", str(out),
+                     "--set", f"paths.train_manifest={manifest}"] + TINY)
+
+    capsys.readouterr()
+    assert train(mixed, tmp_path / "run") == 0
+    assert f"skipping training utterance utt0002: {bad}: " in capsys.readouterr().out
+    records = [json.loads(line) for line in
+               (tmp_path / "run" / "epochs.jsonl").read_text().splitlines()]
+    assert len(records) == 2
+    for record in records:
+        assert [s["utt_id"] for s in record["skipped"]] == ["utt0002"]
+        assert record["skipped"][0]["reason"] == f"{bad}: feature file contains non-finite values"
+
+    assert train(only_bad, tmp_path / "run-bad") == 3
+    assert "every training utterance" in capsys.readouterr().err
+
+
 def test_decode_skips_an_unreadable_feature_file(dataset, trained, tmp_path):
     mixed, only_bad, bad = _truncated_manifests(dataset, tmp_path)
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import trasr.tensor as T
 from trasr.errors import NotBackpropagatedError, ShapeError
 from trasr.optim import AdamState, ParameterStore, adam_step, warmup_lr
 from trasr.tensor import Tensor
@@ -179,3 +180,21 @@ def test_clone_frozen_is_isolated():
     clone = store.clone_frozen()
     store["a"].data[0] = 99.0
     assert np.array_equal(clone["a"].data, [1.0, 2.0])
+
+
+def test_fused_step_with_an_unreached_parameter_changes_nothing():
+    store = make_store({"used": [1.0, -1.0], "lonely": [2.0]})
+    state = AdamState(fixed_lr=0.01)
+    adam_step(store, state, T.tsum(store["used"] * store["used"]) + store["lonely"])
+    before = ({name: t.data.copy() for name, t in store.items()},
+              {k: a.copy() for k, a in state.m.items()}, {k: a.copy() for k, a in state.v.items()})
+
+    loss = T.tsum(store["used"] * 3.0)
+    with pytest.raises(NotBackpropagatedError, match="lonely"):
+        adam_step(store, state, loss)
+    assert store.step_count == 1
+    assert store["used"].grad is None  # the raise came before backward ran
+    after = ({name: t.data for name, t in store.items()}, state.m, state.v)
+    for old, new in zip(before, after):
+        assert old.keys() == new.keys()
+        assert all(np.array_equal(old[k], new[k]) for k in old)

@@ -477,3 +477,69 @@ def test_backward_frees_an_activation_once_its_consumers_are_done():
     np.testing.assert_array_equal(x.grad, g @ w.data.T)
     np.testing.assert_array_equal(w.grad, x.data.T @ g)
     check(lambda t: T.tsum(T.exp(T.matmul(t, Tensor(w.data))) * 2.0), x.data, 1e-6)
+
+
+def test_forward_frees_the_arrays_that_no_backward_reads():
+    # add reads neither operand and relu reads its own output, so the matmul
+    # output and the relu input are gone once forward drops its locals
+    rng = np.random.default_rng(1)
+    x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    w = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+    b = Tensor(rng.normal(size=5), requires_grad=True)
+
+    def forward():
+        h = T.matmul(x, w)
+        z = h + b
+        return T.tsum(T.relu(z) * 2.0), (weakref.ref(h.data), weakref.ref(z.data))
+
+    loss, refs = forward()
+    assert [r() for r in refs] == [None, None]
+    loss.backward()
+    g = 2.0 * (x.data @ w.data + b.data > 0)
+    np.testing.assert_allclose(x.grad, g @ w.data.T, rtol=1e-12)
+    np.testing.assert_allclose(w.grad, x.data.T @ g, rtol=1e-12)
+    np.testing.assert_allclose(b.grad, g.sum(axis=0), rtol=1e-12)
+    check(lambda t: T.tsum(T.relu(T.matmul(t, Tensor(w.data)) + Tensor(b.data)) * 2.0),
+          x.data, 1e-6)
+
+
+def test_a_softmax_output_stays_alive_until_backward():
+    x = Tensor(np.random.default_rng(2).normal(size=(2, 5)), requires_grad=True)
+    y = T.masked_softmax(x)
+    ref = weakref.ref(y.data)
+    loss = T.tsum(y * Tensor(np.arange(5.0)))
+    del y
+    assert ref() is not None  # its backward reads it
+    loss.backward()
+    assert ref() is None
+
+
+def test_each_leaf_is_visited_once_right_after_its_last_consumer():
+    events = []
+
+    def op(name, *inputs):
+        """The sum of `inputs`, logging when its backward runs."""
+        nodes = tuple(t._node for t in inputs)
+
+        def backward(g):
+            events.append(name)
+            for node in nodes:
+                T._accum(node, g)
+
+        return T._result(sum(t.data for t in inputs), nodes, backward)
+
+    a, b, c = (Tensor(np.ones(2), requires_grad=True) for _ in range(3))
+    leaves = {id(a._node): "a", id(b._node): "b", id(c._node): "c"}
+    u = op("u", a, b)
+    v = op("v", u, a, u)
+    w = op("w", v, b, c)  # a plain depth-first order visits c only after v's and u's backward
+    T.tsum(op("top", w, u)).backward(on_leaf=lambda node: events.append(leaves[id(node)]))
+
+    consumers = {"a": ["u", "v"], "b": ["u", "w"], "c": ["w"]}
+    assert sorted(e for e in events if e in consumers) == ["a", "b", "c"]
+    for leaf, users in consumers.items():
+        at = events.index(leaf)
+        last = max(events.index(user) for user in users)
+        assert last < at and all(e in consumers for e in events[last + 1:at]), events
+    # the gradients are the number of paths from each leaf to the root
+    assert [t.grad.tolist() for t in (a, b, c)] == [[4.0] * 2, [4.0] * 2, [1.0] * 2]

@@ -5,15 +5,19 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
 
+import trasr.training as training
 from trasr.checkpoint import load_checkpoint
 from trasr.config import resolve
 from trasr.data import SyntheticTaskSpec, Vocabulary, load_manifest, make_batches, synth_generate
 from trasr.errors import TrasrError
+from trasr.losses import snapshot_teacher
 from trasr.model import ForwardCtx, init_lm_params, init_model_params
+from trasr.optim import AdamState, adam_step
 from trasr.rng import StreamCache
 from trasr.search import BeamConfig
 from trasr.training import (RunLock, batch_loss, decode_dataset, lm_perplexity,
@@ -159,6 +163,21 @@ def test_skd_records_linear_phi_ramp(dataset, tmp_path):
     assert all(np.isfinite(r["teacher_entropy"]) for r in records)
 
 
+def test_the_old_teacher_is_gone_before_the_next_snapshot(dataset, tmp_path, monkeypatch):
+    snapshots = []  # weak references to the arrays of each teacher made
+
+    def snapshot(params):
+        assert all(ref() is None for refs in snapshots for ref in refs)
+        teacher = snapshot_teacher(params)
+        snapshots.append([weakref.ref(t.data) for _, t in teacher.items()])
+        return teacher
+
+    monkeypatch.setattr(training, "snapshot_teacher", snapshot)
+    cfg = tiny_cfg(dataset, **{"kd.phi_final": "0.5", "train.epochs": "3"})
+    run_training(cfg, tmp_path / "run", mode="skd", log=lambda s: None)
+    assert len(snapshots) == 3
+
+
 def test_finetune_phi_zero_lr_zero_is_noop(dataset, tmp_path):
     cfg = tiny_cfg(dataset)
     run_training(cfg, tmp_path / "pre", log=lambda s: None)
@@ -209,6 +228,32 @@ def test_alpha_one_gives_decoder_zero_gradient(dataset):
     assert np.allclose(params["dec.layer0.self.wq"].grad, 0.0)
     assert not np.allclose(params["ctc.w"].grad, 0.0)
     params.zero_grad()
+
+
+def test_fused_adam_step_equals_backward_then_step(dataset):
+    # two steps, so that the second one starts from nonzero moments
+    cfg = tiny_cfg(dataset, **{"model.dropout": "0.1", "train.label_smoothing": "0.1"})
+    (batch,) = make_batches(load_manifest(dataset)[:3], Vocabulary(cfg.alphabet), 3)
+
+    def train(fused):
+        params = init_model_params(cfg.model, 0)
+        state = AdamState(scale=1.0, d_att=cfg.model.d_att, warmup_steps=10)
+        ctx = ForwardCtx(train=True, dropout=0.1, streams=StreamCache(3))
+        for _ in range(2):
+            total, _, _ = batch_loss(batch, cfg.model, params, ctx, 0.3, 0.1)
+            if fused:
+                adam_step(params, state, total)
+            else:
+                total.backward()
+                adam_step(params, state)
+        assert all(t.grad is None for _, t in params.items())
+        return params, state
+
+    (p1, s1), (p2, s2) = train(True), train(False)
+    assert p1.names() == p2.names() and s1.m.keys() == s2.m.keys()
+    for name in p1.names():
+        assert np.array_equal(p1[name].data, p2[name].data), name
+        assert np.array_equal(s1.m[name], s2.m[name]) and np.array_equal(s1.v[name], s2.v[name])
 
 
 def test_batched_dropout_step_equals_per_utterance_steps(dataset):
