@@ -54,19 +54,7 @@ def _common(p: argparse.ArgumentParser, out_required: bool = True):
 
 def cmd_train(args) -> int:
     cfg = _load_cfg(args)
-    run_training(cfg, args.out, mode="plain")
-    return 0
-
-
-def cmd_train_skd(args) -> int:
-    cfg = _load_cfg(args)
-    run_training(cfg, args.out, mode="skd")
-    return 0
-
-
-def cmd_finetune_skd(args) -> int:
-    cfg = _load_cfg(args)
-    run_training(cfg, args.out, mode="finetune", init_checkpoint=args.init)
+    run_training(cfg, args.out, mode=args.mode, init_checkpoint=getattr(args, "init", None))
     return 0
 
 
@@ -241,16 +229,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="pre-train with the joint CTC/attention loss")
     _common(p)
-    p.set_defaults(fn=cmd_train)
+    p.set_defaults(fn=cmd_train, mode="plain")
 
     p = sub.add_parser("train-skd", help="train from scratch with self-distillation")
     _common(p)
-    p.set_defaults(fn=cmd_train_skd)
+    p.set_defaults(fn=cmd_train, mode="skd")
 
     p = sub.add_parser("finetune-skd", help="fine-tune a checkpoint with self-distillation")
     _common(p)
     p.add_argument("--init", type=Path, required=True, help="initial checkpoint")
-    p.set_defaults(fn=cmd_finetune_skd)
+    p.set_defaults(fn=cmd_train, mode="finetune")
 
     p = sub.add_parser("decode", help="beam-search decode a manifest")
     _common(p)

@@ -48,7 +48,8 @@ class TrainConfig:
     def __post_init__(self):
         for name, low in (("epochs", 1), ("finetune_epochs", 1), ("batch_size", 1),
                           ("warmup_steps", 1), ("keep_best", 1),
-                          ("freq_mask_max", 0), ("time_mask_max", 0)):
+                          ("freq_masks", 0), ("freq_mask_max", 0), ("time_masks", 0),
+                          ("time_mask_max", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"train.{name} must be >= {low}, got {getattr(self, name)}")
         if not 0.0 <= self.alpha <= 1.0:

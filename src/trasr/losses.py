@@ -207,4 +207,7 @@ def phi_schedule(t: int, cfg: KDConfig) -> float:
 
 def snapshot_teacher(params: ParameterStore) -> ParameterStore:
     """Deep-copy the student's parameters as a frozen teacher."""
-    return params.clone_frozen()
+    teacher = ParameterStore()
+    for name, t in params.items():
+        teacher.add(name, Tensor(t.data.copy()))
+    return teacher

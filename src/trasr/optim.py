@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotBackpropagatedError, ShapeError
+from .errors import ShapeError
 from .tensor import Tensor
 
 
@@ -60,14 +60,6 @@ class ParameterStore:
                 raise ShapeError(f"shape mismatch for {name!r}: {t.data.shape} vs {arr.shape}")
             t.data = arr.astype(t.data.dtype)  # a copy, even of the same dtype
 
-    def clone_frozen(self) -> "ParameterStore":
-        """Deep copy with gradients dropped; used for teacher snapshots."""
-        out = ParameterStore()
-        for name, t in self.items():
-            out.add(name, Tensor(t.data.copy(), requires_grad=True))
-        out.step_count = self.step_count
-        return out
-
 
 def warmup_lr(step: int, scale: float, d_att: int, warmup_steps: int) -> float:
     """Noam-style rate: scale * d_att^-1/2 * min(step^-1/2, step * warmup^-3/2)."""
@@ -96,39 +88,29 @@ class AdamState:
         return warmup_lr(step, self.scale, self.d_att, self.warmup_steps)
 
 
-def adam_step(params: ParameterStore, state: AdamState, loss: Tensor | None = None) -> None:
-    """One Adam update of every parameter, with bias correction; each
-    parameter's gradient is dropped once it is applied.
+def adam_step(params: ParameterStore, state: AdamState, loss: Tensor) -> None:
+    """One Adam update of every parameter, with bias correction, from the
+    gradients of `loss`.
 
-    With `loss`, the step runs `loss.backward()` and applies each parameter's
-    update inside it, as soon as backward has finished that gradient (as in
-    LOMO, Lv et al. 2023), so the gradients of all parameters never exist at
-    once. Every op that reads a parameter has run its backward by then, so
-    the update in place changes no gradient. A parameter that the graph does
-    not reach raises `NotBackpropagatedError` before anything changes.
-    Without `loss`, the gradients must be set already; one missing raises
-    the same way. Both paths apply the same arithmetic per parameter, so
-    they give bitwise the same parameters and moments.
+    The step runs `loss.backward()` and applies each parameter's update
+    inside it, as soon as backward has finished that gradient (as in LOMO,
+    Lv et al. 2023), then drops the gradient, so the gradients of all
+    parameters never exist at once. Every op that reads a parameter has run
+    its backward by then, so the update in place changes no gradient. A
+    parameter that the graph does not reach raises `NotBackpropagatedError`
+    before anything changes.
     """
     step = params.step_count + 1
     lr = state.learning_rate(step)
-    if loss is None:
-        for name, t in params.items():
-            if t.grad is None:
-                raise NotBackpropagatedError(f"parameter {name!r} has no gradient")
-        for name, t in params.items():
-            _adam_update(state, name, t.data, t.grad, step, lr)
-            t.grad = None
-    else:
-        names = {id(t._node): name for name, t in params.items()}
+    names = {id(t._node): name for name, t in params.items()}
 
-        def update(node):
-            name = names.get(id(node))
-            if name is not None:
-                _adam_update(state, name, params[name].data, node.grad, step, lr)
-                node.grad = None
+    def update(node):
+        name = names.get(id(node))
+        if name is not None:
+            _adam_update(state, name, params[name].data, node.grad, step, lr)
+            node.grad = None
 
-        loss.backward(on_leaf=update, required=params.items())
+    loss.backward(on_leaf=update, required=params.items())
     params.step_count = step
 
 

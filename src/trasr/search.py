@@ -39,6 +39,11 @@ class BeamConfig:
             raise ValueError(f"beam size must be >= 1, got {self.beam_size}")
         if not 0.0 <= self.ctc_weight <= 1.0:
             raise ValueError(f"ctc weight must be in [0, 1], got {self.ctc_weight}")
+        if not 0.0 < self.max_len_ratio < math.inf:
+            raise ValueError(f"max length ratio must be finite and > 0, got {self.max_len_ratio}")
+        for name in ("lm_weight", "insertion_penalty"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 class CtcPrefixScorer:

@@ -3,6 +3,7 @@ evaluation, LM training, and dataset decoding."""
 
 from __future__ import annotations
 
+import fcntl
 import json
 import math
 import os
@@ -30,46 +31,28 @@ from .search import BeamConfig, CtcPrefixScorer, beam_search
 
 
 class RunLock:
-    """Exclusive ownership of an output directory via a lock file that holds
-    the owner's pid. A lock whose pid no longer exists is taken over, and
-    `log` says so; a lock with no pid, or with a live one, is not."""
+    """Exclusive ownership of an output directory: an advisory `flock` on
+    `<out>/.lock`. The kernel drops it however its process ends, so the file
+    a killed run leaves behind is simply taken by the next run."""
 
-    def __init__(self, out_dir: Path, log=lambda s: None):
+    def __init__(self, out_dir: Path):
         self.path = Path(out_dir) / ".lock"
-        self.log = log
 
     def __enter__(self):
-        for takeover in (False, True):
-            try:
-                fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            except FileExistsError:
-                pid = _dead_owner(self.path)
-                if takeover or pid is None:
-                    raise TrasrError(
-                        f"output directory locked by another run: {self.path}") from None
-                self.log(f"taking over {self.path}: its run (pid {pid}) no longer exists")
-                self.path.unlink(missing_ok=True)
-            else:
-                with os.fdopen(fd, "w", encoding="ascii") as fh:
-                    fh.write(f"{os.getpid()}\n")
+        self.fd = os.open(self.path, os.O_CREAT | os.O_WRONLY)
+        try:
+            fcntl.flock(self.fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            # a holder that was finishing may have unlinked the file we opened
+            if os.path.samestat(os.fstat(self.fd), os.stat(self.path)):
                 return self
+        except OSError:
+            pass
+        os.close(self.fd)
+        raise TrasrError(f"output directory locked by another run: {self.path}")
 
     def __exit__(self, *exc):
         self.path.unlink(missing_ok=True)
-
-
-def _dead_owner(path: Path) -> int | None:
-    """The pid a lock file holds when no process has it; None when the file
-    holds no pid, or the pid of a live process."""
-    try:
-        pid = int(path.read_text(encoding="ascii"))
-        if pid > 0:
-            os.kill(pid, 0)  # signal 0 only checks that the process exists
-    except ProcessLookupError:
-        return pid
-    except (OSError, ValueError, OverflowError):  # no pid, or another user's process
-        pass
-    return None
+        os.close(self.fd)
 
 
 @dataclass
@@ -212,7 +195,7 @@ def run_training(cfg: ExperimentConfig, out_dir, mode: str = "plain",
     if not cfg.train_manifest:
         raise ConfigError("paths.train_manifest is required for training")
 
-    with RunLock(out_dir, log):
+    with RunLock(out_dir):
         (out_dir / "config.resolved").write_text(dump_config(cfg), encoding="utf-8")
         vocab = Vocabulary(cfg.alphabet)
         model_cfg = cfg.model

@@ -87,7 +87,11 @@ def test_invalid_combination_becomes_config_error():
     ("train.keep_best", "0"), ("model.d_att", "7"), ("model.d_att", "0"), ("lm.d_att", "7"),
     ("lm.d_att", "0"), ("model.d_ff", "0"), ("lm.d_ff", "0"), ("model.feature_dim", "0"),
     ("train.epochs", "0"), ("train.finetune_epochs", "0"), ("lm.epochs", "0"),
-    ("model.frontend", "wavelet"),
+    ("model.frontend", "wavelet"), ("train.freq_masks", "-1"), ("train.time_masks", "-2"),
+    ("decode.max_len_ratio", "nan"), ("decode.max_len_ratio", "inf"),
+    ("decode.max_len_ratio", "0"), ("decode.max_len_ratio", "-1"),
+    ("decode.lm_weight", "nan"), ("decode.lm_weight", "-inf"),
+    ("decode.insertion_penalty", "nan"), ("decode.insertion_penalty", "inf"),
 ])
 def test_out_of_range_value_is_config_error(key, value):
     # one head, so that a width is not rejected for not dividing among the heads

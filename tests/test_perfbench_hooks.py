@@ -74,3 +74,16 @@ def test_every_workload_config_key_exists(monkeypatch):
     for spec in (workloads.TRAIN_DESK, workloads.TRAIN_PAPER, workloads.DECODE_BEAM):
         cfg = resolve({**spec.config, "data.alphabet": workloads.ALPHABET})
         assert cfg.vocab_size == workloads.VOCAB_SIZE
+
+
+def test_graph_node_count_sees_the_backward_closure(tracing):
+    """perfbench counts `tensor.graph_nodes` from an op output's `_backward`;
+    without it the count would read 0 and no gate would notice."""
+    import numpy as np
+
+    import trasr.tensor as T
+
+    x = T.Tensor(np.ones(3), requires_grad=True)
+    assert tracing._records_node(None, None, x * 2.0) == 1
+    with T.no_grad():
+        assert tracing._records_node(None, None, x * 2.0) == 0

@@ -1,11 +1,13 @@
 """Training loops: artifacts, determinism, distillation modes, LM training,
 and dataset decoding."""
 
+import fcntl
 import json
 import os
 import subprocess
 import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from trasr.data import SyntheticTaskSpec, Vocabulary, load_manifest, make_batche
 from trasr.errors import TrasrError
 from trasr.losses import snapshot_teacher
 from trasr.model import ForwardCtx, init_lm_params, init_model_params
-from trasr.optim import AdamState, adam_step
+from trasr.optim import AdamState, _adam_update, adam_step
 from trasr.rng import StreamCache
 from trasr.search import BeamConfig
 from trasr.training import (RunLock, batch_loss, decode_dataset, lm_perplexity,
@@ -74,27 +76,54 @@ def _exited_pid() -> int:
     return proc.pid
 
 
-def test_run_lock_takes_over_a_dead_pid(tmp_path):
+@pytest.mark.parametrize("held", ["dead", "", "not a pid", "0", "-1"])
+def test_run_lock_takes_a_file_left_without_a_holder(tmp_path, held):
     lock = tmp_path / ".lock"
-    pid = _exited_pid()
-    lock.write_text(f"{pid}\n")
-    lines = []
-    with RunLock(tmp_path, lines.append):
-        assert lock.read_text() == f"{os.getpid()}\n"
+    lock.write_text(f"{_exited_pid()}\n" if held == "dead" else held)
+    with RunLock(tmp_path):
+        assert lock.exists()
     assert not lock.exists()
-    assert len(lines) == 1 and f"pid {pid}" in lines[0] and "no longer exists" in lines[0]
 
 
-@pytest.mark.parametrize("held", ["live", "", "not a pid", "0", "-1"])
-def test_run_lock_refuses_a_live_or_missing_pid(tmp_path, held):
-    lock = tmp_path / ".lock"
-    text = f"{os.getpid()}\n" if held == "live" else held
-    lock.write_text(text)
-    lines = []
+def test_run_lock_refuses_a_live_holder_until_it_is_killed(tmp_path):
+    src = Path(training.__file__).resolve().parents[1]
+    holder = subprocess.Popen(
+        [sys.executable, "-c",
+         "import sys; sys.path.insert(0, sys.argv[1])\n"
+         "from trasr.training import RunLock\n"
+         "with RunLock(sys.argv[2]):\n"
+         "    print('held', flush=True); sys.stdin.read()",
+         str(src), str(tmp_path)],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+    try:
+        assert holder.stdout.readline() == "held\n"
+        with pytest.raises(TrasrError, match="locked"):
+            with RunLock(tmp_path):
+                pass
+    finally:
+        holder.kill()  # SIGKILL: the holder leaves its file behind
+        holder.wait()
+        holder.stdin.close()
+        holder.stdout.close()
+    assert (tmp_path / ".lock").exists()
+    with RunLock(tmp_path):
+        pass
+
+
+def test_run_lock_refuses_a_file_unlinked_after_it_was_opened(tmp_path, monkeypatch):
+    # a holder that is finishing unlinks the file between our open and flock
+    flock = fcntl.flock
+
+    def unlink_then_flock(fd, op):
+        (tmp_path / ".lock").unlink()
+        flock(fd, op)
+
+    monkeypatch.setattr(training.fcntl, "flock", unlink_then_flock)
+    lock = RunLock(tmp_path)
     with pytest.raises(TrasrError, match="locked"):
-        with RunLock(tmp_path, lines.append):
-            pass
-    assert lock.read_text() == text and not lines
+        lock.__enter__()
+    with pytest.raises(OSError):
+        os.fstat(lock.fd)  # its descriptor is closed
 
 
 # -- artifacts --------------------------------------------------------------
@@ -245,7 +274,11 @@ def test_fused_adam_step_equals_backward_then_step(dataset):
                 adam_step(params, state, total)
             else:
                 total.backward()
-                adam_step(params, state)
+                params.step_count += 1
+                step = params.step_count
+                for name, t in params.items():
+                    _adam_update(state, name, t.data, t.grad, step, state.learning_rate(step))
+                    t.grad = None
         assert all(t.grad is None for _, t in params.items())
         return params, state
 
