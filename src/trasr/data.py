@@ -8,7 +8,6 @@ little-endian float32 values row-major. Manifests are UTF-8 TSV lines
 
 from __future__ import annotations
 
-import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -89,25 +88,12 @@ def _feature_header(blob: bytes) -> tuple[int, int]:
     return t, f
 
 
-def _check_size(n_bytes: int, t: int, f: int) -> None:
-    expected = 16 + 4 * t * f
-    if n_bytes != expected:
-        raise FormatError(f"feature file has {n_bytes} bytes, expected {expected}")
-
-
-def feature_frames(path) -> int:
-    """A feature file's frame count T, read from its header, after checking
-    the file's size against that header (the values are not read)."""
-    with open(path, "rb") as fh:
-        t, f = _feature_header(fh.read(16))
-        _check_size(os.fstat(fh.fileno()).st_size, t, f)
-    return t
-
-
 def load_features(path) -> FeatureSequence:
     blob = Path(path).read_bytes()
     t, f = _feature_header(blob)
-    _check_size(len(blob), t, f)
+    expected = 16 + 4 * t * f
+    if len(blob) != expected:
+        raise FormatError(f"feature file has {len(blob)} bytes, expected {expected}")
     data = np.frombuffer(blob, dtype="<f4", offset=16).reshape(t, f).copy()
     if not np.isfinite(data).all():
         raise FormatError("feature file contains non-finite values")
@@ -241,29 +227,16 @@ class Batch:
     target_lengths: np.ndarray
 
 
-def make_batches(entries: list[ManifestEntry], vocab: Vocabulary,
-                 batch_size: int, on_unreadable=None) -> list[Batch]:
-    """Length-sorted bucketing with PAD/zero padding and true-length records.
-
-    With `on_unreadable`, an entry whose feature file `load_features` rejects
-    is handed to on_unreadable(entry, error) and left out; without it, the
-    FormatError propagates.
-    """
+def make_batches(loaded: list[tuple[ManifestEntry, FeatureSequence]], vocab: Vocabulary,
+                 batch_size: int) -> list[Batch]:
+    """Length-sorted bucketing of (entry, its loaded features) pairs with
+    PAD/zero padding and true-length records."""
     if batch_size < 1:
         raise ValueError(f"batch size must be >= 1, got {batch_size}")
-    if not entries:
+    if not loaded:
         raise ValueError("empty manifest")
-    loaded = []
-    for e in entries:
-        try:
-            seq = load_features(e.feature_path)
-        except FormatError as err:
-            if on_unreadable is None:
-                raise
-            on_unreadable(e, err)
-        else:
-            loaded.append((e, seq, vocab.tokenize(e.transcript)))
-    loaded.sort(key=lambda item: (item[1].length, item[0].utt_id))
+    loaded = sorted(((e, seq, vocab.tokenize(e.transcript)) for e, seq in loaded),
+                    key=lambda item: (item[1].length, item[0].utt_id))
     batches = []
     for i in range(0, len(loaded), batch_size):
         chunk = loaded[i:i + batch_size]

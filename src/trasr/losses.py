@@ -19,7 +19,6 @@ class KDConfig:
     total_epochs: int = 150
     mode: str = "linear"  # "linear" ramps to phi_final; "fixed" holds it
     cadence: int = 1  # epochs between teacher refreshes
-    freeze_teacher: bool = False
     temperature: float = 1.0
 
     def __post_init__(self):

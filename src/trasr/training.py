@@ -13,12 +13,13 @@ from pathlib import Path
 
 import numpy as np
 
+from . import data
 from . import tensor as T
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ExperimentConfig
-from .data import (Batch, EditStats, ManifestEntry, Vocabulary, feature_frames,
-                   load_features, load_manifest, make_batches, wer)
-from .errors import ConfigError, FormatError, SequenceTooShortError, TrasrError
+from .data import (Batch, EditStats, ManifestEntry, Vocabulary, load_manifest,
+                   make_batches, wer)
+from .errors import ConfigError, FormatError, TrasrError
 from .frontend import FeatureSequence, spec_augment
 from .losses import (ce_label_smoothed, ctc_loss, ctc_min_frames, finetune_loss, joint_loss,
                      phi_schedule, skd_loss, snapshot_teacher, teacher_entropy)
@@ -123,55 +124,66 @@ def batch_loss(batch: Batch, model_cfg: ModelConfig, params: ParameterStore,
     return total, stats, n_pos
 
 
+def _pooled(batch_stats: list[EpochStats]) -> EpochStats:
+    """Per-batch stats pooled over their target positions: each loss is the
+    position-weighted mean, summed in float64 in batch order; counts add up."""
+    sums = np.zeros(5)
+    for s in batch_stats:
+        sums += np.array([s.l_ctc, s.l_s2s, s.l_skd, s.total,
+                          s.teacher_entropy]) * s.n_positions
+    n_pos = sum(s.n_positions for s in batch_stats)
+    l_ctc, l_s2s, l_skd, total, entropy = sums / n_pos
+    return EpochStats(l_ctc, l_s2s, l_skd, total, sum(s.n_correct for s in batch_stats),
+                      n_pos, entropy)
+
+
 def evaluate(batches: list[Batch], model_cfg: ModelConfig, params: ParameterStore,
              alpha: float, label_smoothing: float) -> EpochStats:
-    sums = np.zeros(4)
-    n_correct = n_pos = 0
     with T.no_grad():
-        for batch in batches:
-            _, stats, pos = batch_loss(batch, model_cfg, params, EVAL_CTX,
-                                       alpha, label_smoothing)
-            sums += np.array([stats.l_ctc, stats.l_s2s, stats.total, 0.0]) * pos
-            n_correct += stats.n_correct
-            n_pos += pos
-    return EpochStats(sums[0] / n_pos, sums[1] / n_pos, 0.0, sums[2] / n_pos,
-                      n_correct, n_pos, 0.0)
+        return _pooled([batch_loss(batch, model_cfg, params, EVAL_CTX, alpha,
+                                   label_smoothing)[1] for batch in batches])
+
+
+def vet(entry: ManifestEntry, model_cfg: ModelConfig,
+        target: list[int] | None = None) -> tuple[FeatureSequence | None, str]:
+    """(the entry's features, "") if a run can use the utterance, else (None,
+    why not), its feature file read once. A file that cannot be read or whose
+    frames are not `model_cfg.feature_dim` wide is named by its path. The
+    encoder output needs one frame, and in training (given the `target`) as
+    many as the CTC target needs."""
+    try:
+        # looked up in `data` at each call, so that a wrapper put on
+        # `data.load_features` (perfbench's tracer) sees every read
+        seq = data.load_features(entry.feature_path)
+    except FormatError as err:
+        return None, f"{entry.feature_path}: {err}"
+    if seq.feature_dim != model_cfg.feature_dim:
+        return None, (f"{entry.feature_path}: {seq.feature_dim} features per frame, "
+                      f"the model takes {model_cfg.feature_dim}")
+    n = encoder_layer_lengths(model_cfg, seq.length)[2]
+    need, needer = (1, "decoding") if target is None else \
+        (max(1, ctc_min_frames(target)), "the CTC target")
+    if n < need:
+        return None, f"{seq.length} input frames give {n} encoder frames, {needer} needs {need}"
+    return seq, ""
 
 
 def _batches(entries: list[ManifestEntry], model_cfg: ModelConfig, vocab: Vocabulary,
              batch_size: int, what: str, log) -> tuple[list[Batch], list[dict]]:
-    """The batches of the entries whose encoder output has the frames their
-    CTC target needs (and one at least), each feature file read once, and a
-    {"utt_id", "reason"} record, logged, for each of the others: too short,
-    or a feature file that cannot be read (its size disagrees with its
-    header, or its values are not finite)."""
+    """The batches of the entries `vet` accepts, and a {"utt_id", "reason"}
+    record, logged, for each of the others, in manifest order."""
     kept, skipped = [], []
-
-    def skip(e, reason):
-        skipped.append({"utt_id": e.utt_id, "reason": reason})
-        log(f"skipping {what} utterance {e.utt_id}: {reason}")
-
-    def unreadable(e, err):
-        skip(e, f"{e.feature_path}: {err}")
-
     for e in entries:
-        try:
-            frames = feature_frames(e.feature_path)
-        except FormatError as err:
-            unreadable(e, err)
-            continue
-        n = encoder_layer_lengths(model_cfg, frames)[2]
-        need = max(1, ctc_min_frames(vocab.tokenize(e.transcript)))
-        if n >= need:
-            kept.append(e)
+        seq, reason = vet(e, model_cfg, vocab.tokenize(e.transcript))
+        if seq is None:
+            skipped.append({"utt_id": e.utt_id, "reason": reason})
+            log(f"skipping {what} utterance {e.utt_id}: {reason}")
         else:
-            skip(e, f"{frames} input frames give {n} encoder frames, the CTC target needs {need}")
-    # the values are read once, here; a file of non-finite values is skipped
-    batches = make_batches(kept, vocab, batch_size, unreadable) if kept else []
-    if not batches:
-        raise TrasrError(f"every {what} utterance was skipped (too short for the model "
-                         f"or unreadable)")
-    return batches, skipped
+            kept.append((e, seq))
+    if not kept:
+        raise TrasrError(f"every {what} utterance was skipped (unreadable, of the wrong "
+                         f"width or too short for the model)")
+    return make_batches(kept, vocab, batch_size), skipped
 
 
 def _record_line(record: dict) -> str:
@@ -235,21 +247,19 @@ def run_training(cfg: ExperimentConfig, out_dir, mode: str = "plain",
             phi = 0.0
             if mode != "plain":
                 phi = phi_schedule(epoch, kd)
-                if teacher is None or (not kd.freeze_teacher
-                                       and (epoch - 1) % kd.cadence == 0):
+                if (epoch - 1) % kd.cadence == 0:
                     teacher = None  # the old copy goes before the new one is made
                     teacher = snapshot_teacher(params)
 
             order = stream(seed, f"shuffle/epoch{epoch}").permutation(len(train_batches))
-            agg = np.zeros(5)
-            n_total = 0
+            batch_stats = []
             ctx = ForwardCtx(train=True, dropout=model_cfg.dropout, streams=streams)
             for b in order:
                 batch = train_batches[b]
                 batch_in = batch
                 if cfg.train.specaugment:
                     batch_in = _augment_batch(batch, cfg, streams)
-                total, stats, n_pos = batch_loss(
+                total, stats, _ = batch_loss(
                     batch_in, model_cfg, params, ctx, cfg.train.alpha,
                     cfg.train.label_smoothing, phi=phi,
                     teacher=teacher if phi > 0.0 else None,
@@ -258,10 +268,9 @@ def run_training(cfg: ExperimentConfig, out_dir, mode: str = "plain",
                     raise TrasrError(
                         f"non-finite loss at epoch {epoch}, batch of {batch.utt_ids}")
                 adam_step(params, adam, total)
-                agg += np.array([stats.l_ctc, stats.l_s2s, stats.l_skd, stats.total,
-                                 stats.teacher_entropy]) * n_pos
-                n_total += n_pos
+                batch_stats.append(stats)
 
+            train = _pooled(batch_stats)
             dev = evaluate(dev_batches, model_cfg, params, cfg.train.alpha,
                            cfg.train.label_smoothing)
             ckpt_path = out_dir / f"epoch{epoch:04d}.ckpt"
@@ -269,11 +278,11 @@ def run_training(cfg: ExperimentConfig, out_dir, mode: str = "plain",
 
             record = {
                 "epoch": epoch,
-                "train_ctc": agg[0] / n_total,
-                "train_s2s": agg[1] / n_total,
-                "train_skd": agg[2] / n_total,
-                "train_total": agg[3] / n_total,
-                "teacher_entropy": agg[4] / n_total,
+                "train_ctc": train.l_ctc,
+                "train_s2s": train.l_s2s,
+                "train_skd": train.l_skd,
+                "train_total": train.total,
+                "teacher_entropy": train.teacher_entropy,
                 "phi": phi,
                 "dev_loss": dev.total,
                 "dev_accuracy": dev.accuracy,
@@ -419,15 +428,13 @@ def decode_dataset(entries: list[ManifestEntry], model_cfg: ModelConfig,
     results = []
     total = EditStats(0, 0, 0, 0, 0)
     for e in entries:
-        try:
-            seq = load_features(e.feature_path)
-            res = decode_utterance(seq, model_cfg, params, beam_cfg, vocab,
-                                   lm_cfg=lm_cfg, lm_params=lm_params)
-        except (SequenceTooShortError, FormatError) as err:
+        seq, reason = vet(e, model_cfg)
+        if seq is None:
             # an empty hypothesis: the reference words count as deletions
-            reason = f"{e.feature_path}: {err}" if isinstance(err, FormatError) else str(err)
             result = DecodeResult(e.utt_id, e.transcript, "", -math.inf, True, reason)
         else:
+            res = decode_utterance(seq, model_cfg, params, beam_cfg, vocab,
+                                   lm_cfg=lm_cfg, lm_params=lm_params)
             result = DecodeResult(e.utt_id, e.transcript, vocab.detokenize(res.tokens),
                                   res.score, res.finished)
         results.append(result)

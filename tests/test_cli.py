@@ -10,7 +10,7 @@ import pytest
 
 from trasr.checkpoint import load_checkpoint
 from trasr.cli import _load_cfg, build_parser, main
-from trasr.data import load_manifest, save_features
+from trasr.data import load_features, load_manifest, save_features
 from trasr.frontend import FeatureSequence
 from trasr.training import RunLock
 
@@ -336,6 +336,125 @@ def test_decode_skips_an_unreadable_feature_file(dataset, trained, tmp_path):
     assert decode(only_bad, tmp_path / "dec-bad") == 3
     report = json.loads((tmp_path / "dec-bad" / "report.json").read_text())
     assert report["skipped"][0]["reason"].startswith(f"{bad}: ")
+
+
+IDENTITY = TINY + ["--set", "model.frontend=identity"]
+
+
+@pytest.fixture(scope="module")
+def trained_identity(dataset, tmp_path_factory):
+    out = tmp_path_factory.mktemp("cli-train-identity")
+    assert main(["train", "--out", str(out),
+                 "--set", f"paths.train_manifest={dataset}"] + IDENTITY) == 0
+    return out
+
+
+def _wrong_width_manifests(dataset, tmp_path):
+    """A manifest of the six utterances with, in fourth place, one whose
+    feature file has 12 features per frame where the model takes 16, and a
+    manifest of that utterance alone."""
+    entries = load_manifest(dataset)
+    bad = tmp_path / "wide12.trft"
+    feats = load_features(entries[3].feature_path).features[:, :12]
+    save_features(bad, FeatureSequence(feats, len(feats)))
+    lines = [f"{e.utt_id}\t{e.feature_path}\t{e.transcript}\n" for e in entries]
+    lines.insert(3, f"wide\t{bad}\tab\n")
+    mixed, only_bad = tmp_path / "mixed.tsv", tmp_path / "bad.tsv"
+    mixed.write_text("".join(lines))
+    only_bad.write_text(lines[3])
+    return mixed, only_bad, f"{bad}: 12 features per frame, the model takes 16"
+
+
+@pytest.mark.parametrize("batch_size", ["1", "8"])
+def test_train_skips_a_feature_file_of_the_wrong_width(dataset, tmp_path, capsys, batch_size):
+    mixed, only_bad, reason = _wrong_width_manifests(dataset, tmp_path)
+
+    def train(manifest, out):
+        return main(["train", "--out", str(out), "--set", f"paths.train_manifest={manifest}"]
+                    + IDENTITY + ["--set", f"train.batch_size={batch_size}"])
+
+    capsys.readouterr()
+    assert train(mixed, tmp_path / "run") == 0
+    assert f"skipping training utterance wide: {reason}\n" in capsys.readouterr().out
+    records = [json.loads(line) for line in
+               (tmp_path / "run" / "epochs.jsonl").read_text().splitlines()]
+    assert len(records) == 2
+    assert all(r["skipped"] == [{"utt_id": "wide", "reason": reason}] for r in records)
+
+    assert train(only_bad, tmp_path / "run-bad") == 3
+    assert "every training utterance was skipped" in capsys.readouterr().err
+
+
+def test_decode_skips_a_feature_file_of_the_wrong_width(dataset, trained_identity, tmp_path,
+                                                        capsys):
+    mixed, only_bad, reason = _wrong_width_manifests(dataset, tmp_path)
+
+    def decode(manifest, out):
+        return main(["decode", "--out", str(out), "--checkpoint",
+                     str(trained_identity / "epoch0002.ckpt"), "--manifest", str(manifest),
+                     "--greedy"] + IDENTITY)
+
+    assert decode(mixed, tmp_path / "dec") == 0
+    report = json.loads((tmp_path / "dec" / "report.json").read_text())
+    assert report["utterances"] == 7
+    assert report["skipped"] == [{"utt_id": "wide", "reason": reason}]
+    hyps = (tmp_path / "dec" / "hyps.tsv").read_text().splitlines()
+    assert len(hyps) == 7 and hyps[3] == "wide\t"
+
+    capsys.readouterr()
+    assert decode(only_bad, tmp_path / "dec-bad") == 3
+    assert "every utterance was skipped" in capsys.readouterr().err
+
+
+def test_every_skip_kind_is_named_once_in_manifest_order(dataset, trained, tmp_path, capsys):
+    # good utterances, with one of each kind of bad one between them
+    entries = load_manifest(dataset)
+    blob = entries[0].feature_path.read_bytes()
+    cut = tmp_path / "cut.trft"
+    cut.write_bytes(blob[: len(blob) // 2])
+    nan = tmp_path / "nan.trft"
+    nan.write_bytes(blob[:16] + np.array([np.nan], dtype="<f4").tobytes() + blob[20:])
+    wide = tmp_path / "wide.trft"
+    save_features(wide, FeatureSequence(np.zeros((40, 12), dtype=np.float32), 40))
+    short = tmp_path / "short.trft"  # conv2d4 needs 7 input frames
+    save_features(short, FeatureSequence(np.zeros((5, 16), dtype=np.float32), 5))
+    bad = [("cut", cut), ("nan", nan), ("wide", wide), ("short", short)]
+    lines = []
+    for i, e in enumerate(entries):
+        lines.append(f"{e.utt_id}\t{e.feature_path}\t{e.transcript}\n")
+        if i < len(bad):
+            lines.append(f"{bad[i][0]}\t{bad[i][1]}\tab\n")
+    manifest = tmp_path / "mixed.tsv"
+    manifest.write_text("".join(lines))
+    names = [name for name, _ in bad]
+
+    capsys.readouterr()
+    assert main(["train", "--out", str(tmp_path / "run"),
+                 "--set", f"paths.train_manifest={manifest}"] + TINY) == 0
+    logged = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()
+              if line.startswith("skipping ")]
+    assert logged == [f"skipping training utterance {name}" for name in names]
+    records = [json.loads(line) for line in
+               (tmp_path / "run" / "epochs.jsonl").read_text().splitlines()]
+    assert len(records) == 2
+    for record in records:
+        assert [s["utt_id"] for s in record["skipped"]] == names
+        reasons = [s["reason"] for s in record["skipped"]]
+        assert all(r.startswith(f"{path}: ") for r, (_, path) in zip(reasons[:3], bad))
+        assert reasons[3].startswith("5 input frames give 0 encoder frames")
+
+    out = tmp_path / "dec"
+    assert main(["decode", "--out", str(out), "--checkpoint",
+                 str(trained / "epoch0002.ckpt"), "--manifest", str(manifest),
+                 "--greedy"] + TINY) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["utterances"] == 10
+    assert [s["utt_id"] for s in report["skipped"]] == names
+    assert [s["reason"] for s in report["skipped"]][:3] == reasons[:3]
+    assert "frames" in report["skipped"][3]["reason"]
+    hyps = [line.split("\t") for line in (out / "hyps.tsv").read_text().splitlines()]
+    assert [utt for utt, _ in hyps] == [line.split("\t")[0] for line in lines]
+    assert all(hyp == "" for utt, hyp in hyps if utt in names)
 
 
 def test_train_epoch_records_have_no_skipped_field_when_all_fit(trained):

@@ -1,8 +1,11 @@
 """Flat config parsing, defaults, overrides, and round-trip serialization."""
 
+import re
+from pathlib import Path
+
 import pytest
 
-from trasr.config import dump_config, load_config, parse_flat, resolve
+from trasr.config import KEYS, dump_config, load_config, parse_flat, resolve
 from trasr.errors import ConfigError
 
 
@@ -149,7 +152,6 @@ DEFAULTS_DUMP = (
     "decode.lm_weight = 0.7\n"
     "decode.max_len_ratio = 1.0\n"
     "kd.cadence = 1\n"
-    "kd.freeze_teacher = false\n"
     "kd.mode = linear\n"
     "kd.phi_final = 0.5\n"
     "kd.temperature = 1.0\n"
@@ -197,3 +199,12 @@ DEFAULTS_DUMP = (
 
 def test_default_dump_is_pinned():
     assert dump_config(resolve({})) == "".join(DEFAULTS_DUMP)
+
+
+def test_readme_names_only_real_keys():
+    # every backticked `section.key` (lower case, so not `model.KVCache`)
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    sections = "|".join(sorted({key.split(".")[0] for key in KEYS}))
+    named = set(re.findall(rf"`((?:{sections})\.[a-z0-9_]+)`", readme))
+    assert named, "no config key found in README.md"
+    assert not named - set(KEYS), f"README.md names unknown keys {sorted(named - set(KEYS))}"

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trasr.data import (ManifestEntry, SyntheticTaskSpec, Vocabulary, cer, edit_stats,
-                        feature_frames, load_features, load_manifest, make_batches,
+                        load_features, load_manifest, make_batches,
                         save_features, save_manifest, synth_generate, synth_utterance,
                         token_templates, wer)
 from trasr.errors import FormatError, VocabularyError
@@ -80,15 +80,15 @@ def test_features_truncated_rejected(tmp_path):
         load_features(p)
 
 
-def test_feature_frames_checks_the_size_against_the_header(tmp_path):
+def test_load_features_checks_the_size_against_the_header(tmp_path):
     p = tmp_path / "u.trft"
     save_features(p, FeatureSequence(np.ones((3, 2), dtype=np.float32), 3))
-    assert feature_frames(p) == 3
+    assert load_features(p).length == 3
     blob = p.read_bytes()
     for cut in (blob[:-3], blob + b"\0"):
         p.write_bytes(cut)
         with pytest.raises(FormatError, match=f"has {len(cut)} bytes, expected 40"):
-            feature_frames(p)
+            load_features(p)
 
 
 def test_features_bad_magic_and_version(tmp_path):
@@ -221,9 +221,14 @@ def test_synth_dataset_linearly_separable(tmp_path):
 # -- batching ---------------------------------------------------------------
 
 
+def loaded(manifest):
+    """The (entry, features) pairs that make_batches takes."""
+    return [(e, load_features(e.feature_path)) for e in load_manifest(manifest)]
+
+
 def test_batch_size_one_no_padding(tmp_path):
     man = write_dataset(tmp_path)
-    batches = make_batches(load_manifest(man), Vocabulary("ab"), 1)
+    batches = make_batches(loaded(man), Vocabulary("ab"), 1)
     assert len(batches) == 3
     for b in batches:
         assert b.features.shape[1] == int(b.feature_lengths[0])
@@ -237,7 +242,7 @@ def test_batch_padding_and_masks(tmp_path):
         entries.append(ManifestEntry(f"u{i}", p, "ab"))
     man = tmp_path / "manifest.tsv"
     save_manifest(man, entries)
-    (batch,) = make_batches(load_manifest(man), Vocabulary("ab"), 2)
+    (batch,) = make_batches(loaded(man), Vocabulary("ab"), 2)
     assert batch.features.shape == (2, 9, 3)
     assert sorted(batch.feature_lengths.tolist()) == [5, 9]
     # padded rows are zero
@@ -248,16 +253,16 @@ def test_batch_padding_and_masks(tmp_path):
 
 def test_batching_conserves_frames(tmp_path):
     man = write_dataset(tmp_path, n=5)
-    entries = load_manifest(man)
-    total = sum(load_features(e.feature_path).length for e in entries)
-    batches = make_batches(entries, Vocabulary("ab"), 2)
+    pairs = loaded(man)
+    total = sum(seq.length for _, seq in pairs)
+    batches = make_batches(pairs, Vocabulary("ab"), 2)
     assert sum(int(l) for b in batches for l in b.feature_lengths) == total
 
 
 def test_batch_sequences_round_trip(tmp_path):
     man = write_dataset(tmp_path)
     v = Vocabulary("ab")
-    batches = make_batches(load_manifest(man), v, 2)
+    batches = make_batches(loaded(man), v, 2)
     seen = {}
     for b in batches:
         for i, utt_id in enumerate(b.utt_ids):

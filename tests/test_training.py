@@ -15,7 +15,8 @@ import pytest
 import trasr.training as training
 from trasr.checkpoint import load_checkpoint
 from trasr.config import resolve
-from trasr.data import SyntheticTaskSpec, Vocabulary, load_manifest, make_batches, synth_generate
+from trasr.data import (SyntheticTaskSpec, Vocabulary, load_features, load_manifest,
+                        make_batches, synth_generate)
 from trasr.errors import TrasrError
 from trasr.losses import snapshot_teacher
 from trasr.model import ForwardCtx, init_lm_params, init_model_params
@@ -51,6 +52,11 @@ def tiny_cfg(manifest, **extra):
     }
     overrides.update(extra)
     return resolve({}, overrides)
+
+
+def loaded(entries):
+    """The (entry, features) pairs that make_batches takes."""
+    return [(e, load_features(e.feature_path)) for e in entries]
 
 
 def strip_wall_time(records):
@@ -207,6 +213,24 @@ def test_the_old_teacher_is_gone_before_the_next_snapshot(dataset, tmp_path, mon
     assert len(snapshots) == 3
 
 
+@pytest.mark.parametrize("cadence, refreshed", [(1, [1, 2, 3]), (2, [1, 3]), (3, [1])])
+def test_the_teacher_is_refreshed_every_cadence_epochs(dataset, tmp_path, monkeypatch,
+                                                       cadence, refreshed):
+    # a cadence of at least the epoch count keeps the epoch-1 teacher throughout
+    logged, calls = [], []  # one log line per ended epoch; the epoch of each snapshot
+
+    def snapshot(params):
+        calls.append(len(logged) + 1)
+        return snapshot_teacher(params)
+
+    monkeypatch.setattr(training, "snapshot_teacher", snapshot)
+    cfg = tiny_cfg(dataset, **{"kd.phi_final": "0.5", "train.epochs": "3",
+                               "kd.cadence": str(cadence)})
+    run_training(cfg, tmp_path / "run", mode="skd", log=logged.append)
+    assert [line.split(":")[0] for line in logged] == ["epoch 1", "epoch 2", "epoch 3"]
+    assert calls == refreshed
+
+
 def test_finetune_phi_zero_lr_zero_is_noop(dataset, tmp_path):
     cfg = tiny_cfg(dataset)
     run_training(cfg, tmp_path / "pre", log=lambda s: None)
@@ -249,7 +273,7 @@ def test_alpha_one_gives_decoder_zero_gradient(dataset):
     cfg = tiny_cfg(dataset)
     vocab = Vocabulary(cfg.alphabet)
     params = init_model_params(cfg.model, 0)
-    (batch,) = make_batches(load_manifest(dataset)[:3], vocab, 3)
+    (batch,) = make_batches(loaded(load_manifest(dataset)[:3]), vocab, 3)
     total, _, _ = batch_loss(batch, cfg.model, params, ForwardCtx(),
                              alpha=1.0, label_smoothing=0.0)
     total.backward()
@@ -262,7 +286,7 @@ def test_alpha_one_gives_decoder_zero_gradient(dataset):
 def test_fused_adam_step_equals_backward_then_step(dataset):
     # two steps, so that the second one starts from nonzero moments
     cfg = tiny_cfg(dataset, **{"model.dropout": "0.1", "train.label_smoothing": "0.1"})
-    (batch,) = make_batches(load_manifest(dataset)[:3], Vocabulary(cfg.alphabet), 3)
+    (batch,) = make_batches(loaded(load_manifest(dataset)[:3]), Vocabulary(cfg.alphabet), 3)
 
     def train(fused):
         params = init_model_params(cfg.model, 0)
@@ -295,7 +319,7 @@ def test_batched_dropout_step_equals_per_utterance_steps(dataset):
     cfg = tiny_cfg(dataset, **{"model.dropout": "0.3", "train.label_smoothing": "0.1"})
     vocab = Vocabulary(cfg.alphabet)
     params = init_model_params(cfg.model, 0)
-    entries = load_manifest(dataset)[:3]
+    entries = loaded(load_manifest(dataset)[:3])
 
     def summed(batches):
         ctx = ForwardCtx(train=True, dropout=0.3, streams=StreamCache(5))
