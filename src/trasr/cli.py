@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import statistics
 import sys
 import time
@@ -21,7 +22,8 @@ import numpy as np
 from . import tensor as T
 from .checkpoint import average_checkpoints, load_checkpoint, save_checkpoint
 from .config import ExperimentConfig, dump_config, load_config, resolve, unquote
-from .data import (SyntheticTaskSpec, Vocabulary, load_manifest, synth_generate)
+from .data import (SyntheticTaskSpec, Vocabulary, load_manifest, synth_generate,
+                   token_templates)
 from .errors import ConfigError, TrasrError
 from .frontend import KINDS, minimum_input_length
 from .model import (MacCounter, ForwardCtx, ModelConfig, count_attention_macs,
@@ -120,10 +122,36 @@ def cmd_train_lm(args) -> int:
     return 0
 
 
+def _check_flags(*checks) -> None:
+    """A config error naming the flag of the first (ok, flag, rule, value)
+    whose `ok` is false."""
+    for ok, flag, rule, value in checks:
+        if not ok:
+            raise ConfigError(f"{flag} {rule}, got {value}")
+
+
 def cmd_synth_data(args) -> int:
+    ranges = (("--frames-per-token", args.frames_per_token), ("--words", args.words),
+              ("--word-len", args.word_len))
+    _check_flags(
+        (args.n_utterances >= 1, "--n-utterances", "must be >= 1", args.n_utterances),
+        (args.feature_dim >= 1, "--feature-dim", "must be >= 1", args.feature_dim),
+        *((1 <= lo <= hi, flag, "takes MIN MAX with 1 <= MIN <= MAX", f"{lo} {hi}")
+          for flag, (lo, hi) in ranges),
+        (math.isfinite(args.noise_std) and args.noise_std >= 0, "--noise-std",
+         "must be finite and >= 0", args.noise_std),
+        (args.alphabet.strip(" "), "--alphabet", "needs a character other than a space",
+         repr(args.alphabet)),
+        (args.words[1] == 1 or " " in args.alphabet, "--alphabet",
+         "needs a space to join the words of an utterance", repr(args.alphabet)))
     spec = SyntheticTaskSpec(alphabet=args.alphabet, feature_dim=args.feature_dim,
                              frames_per_token=tuple(args.frames_per_token),
                              noise_std=args.noise_std)
+    try:
+        token_templates(spec)
+    except ValueError as e:
+        raise ConfigError(f"--feature-dim {args.feature_dim} is too small for "
+                          f"--alphabet {args.alphabet!r}: {e}") from e
     manifest = synth_generate(spec, args.out, args.n_utterances,
                               words_range=tuple(args.words),
                               word_len_range=tuple(args.word_len), seed=args.seed or 0)
@@ -137,10 +165,10 @@ ARCHES = ("no-tr", "tr0", "tr2", "pyramidal")
 def _arch_config(base: ModelConfig, arch: str, frontend_kind: str) -> ModelConfig:
     total = base.num_encoder_layers
     layout = {
-        "no-tr": dict(e1=0, e2=total, tr_enabled=False, pyramidal=False),
-        "tr0": dict(e1=0, e2=total, tr_enabled=True, pyramidal=False),
-        "tr2": dict(e1=2, e2=total - 2, tr_enabled=True, pyramidal=False),
-        "pyramidal": dict(e1=0, e2=total, tr_enabled=False, pyramidal=True),
+        "no-tr": dict(e1=0, e2=total, reduction="none"),
+        "tr0": dict(e1=0, e2=total, reduction="tr"),
+        "tr2": dict(e1=2, e2=total - 2, reduction="tr"),
+        "pyramidal": dict(e1=0, e2=total, reduction="pyramidal"),
     }
     if arch not in layout:
         raise ValueError(f"unknown architecture {arch!r}")
@@ -176,7 +204,7 @@ def benchmark_cells(cfg: ExperimentConfig, lengths: list[int], repetitions: int 
                     size=(1, length, mcfg.feature_dim)).astype(np.float32)
                 times = []
                 measured = None
-                for _ in range(max(1, repetitions)):
+                for _ in range(repetitions):
                     counter = MacCounter()
                     t0 = time.perf_counter()
                     with T.no_grad():
@@ -192,6 +220,8 @@ def benchmark_cells(cfg: ExperimentConfig, lengths: list[int], repetitions: int 
 
 
 def cmd_benchmark(args) -> int:
+    _check_flags((min(args.lengths) >= 1, "--lengths", "must each be >= 1", args.lengths),
+                 (args.repetitions >= 1, "--repetitions", "must be >= 1", args.repetitions))
     cfg = _load_cfg(args)
     args.out.mkdir(parents=True, exist_ok=True)
     cells = benchmark_cells(cfg, args.lengths, repetitions=args.repetitions)

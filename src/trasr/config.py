@@ -71,13 +71,13 @@ class LMTrainConfig:
                 raise ValueError(f"lm.{name} must be >= 1, got {getattr(self, name)}")
 
 
-# (section, dataclass, fields that `resolve` fills itself): every other field
-# is the key f"{section}.{field}", parsed by its annotation, defaulting to its
-# default.
+# (section, dataclass, fields that are not keys: `resolve` fills them, or
+# the training verb does, as `kd.mode`): every other field is the key
+# f"{section}.{field}", parsed by its annotation, defaulting to its default.
 SECTIONS = (
     ("model", ModelConfig, ("vocab_size",)),
     ("train", TrainConfig, ()),
-    ("kd", KDConfig, ("total_epochs",)),
+    ("kd", KDConfig, ("total_epochs", "mode")),
     ("decode", BeamConfig, ()),
     ("lm", LMConfig, ("vocab_size",)),
     ("lm", LMTrainConfig, ()),

@@ -160,18 +160,25 @@ class SyntheticTaskSpec:
     min_template_distance: float = 0.5
 
 
+TEMPLATE_DRAWS = 1000  # random unit vectors tried per character
+
+
 def token_templates(spec: SyntheticTaskSpec) -> dict[str, np.ndarray]:
-    """One deterministic feature template per character, pairwise well separated."""
+    """One deterministic feature template per character, pairwise well
+    separated; ValueError if TEMPLATE_DRAWS draws find no room for one."""
     rng = np.random.default_rng(spec.template_seed)
     templates: dict[str, np.ndarray] = {}
     for ch in dict.fromkeys(spec.alphabet):
-        while True:
+        for _ in range(TEMPLATE_DRAWS):
             v = rng.normal(size=spec.feature_dim)
             v /= np.linalg.norm(v)
             if all(np.linalg.norm(v - u) >= spec.min_template_distance
                    for u in templates.values()):
                 templates[ch] = v.astype(np.float32)
                 break
+        else:
+            raise ValueError(f"{TEMPLATE_DRAWS} draws found no template for {ch!r} at least "
+                             f"{spec.min_template_distance} from the {len(templates)} before it")
     return templates
 
 

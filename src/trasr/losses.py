@@ -17,7 +17,7 @@ from .tensor import Tensor, _accum, _result
 class KDConfig:
     phi_final: float = 0.5
     total_epochs: int = 150
-    mode: str = "linear"  # "linear" ramps to phi_final; "fixed" holds it
+    mode: str = "linear"  # ramp to phi_final (train-skd); "fixed" holds it (finetune-skd)
     cadence: int = 1  # epochs between teacher refreshes
     temperature: float = 1.0
 

@@ -28,6 +28,24 @@ from .rng import StreamCache, stream
 from .tensor import Tensor
 
 
+REDUCTIONS = ("none", "tr", "pyramidal")
+
+
+def _check_shape(what: str, d_att: int, d_ff: int, heads: int, dropout: float) -> None:
+    """The layer-shape checks `ModelConfig` and `LMConfig` share; `what`
+    prefixes each message."""
+    if d_att < 2 or d_att % 2:
+        raise ValueError(f"{what} d_att must be even and >= 2, got {d_att}")
+    if d_ff < 1:
+        raise ValueError(f"{what} d_ff must be >= 1, got {d_ff}")
+    if heads < 1:
+        raise ValueError(f"{what} heads must be >= 1, got {heads}")
+    if d_att % heads != 0:
+        raise ValueError(f"{what} d_att={d_att} not divisible by heads={heads}")
+    if not 0.0 <= dropout < 1.0:
+        raise ValueError(f"{what} dropout must be in [0, 1), got {dropout}")
+
+
 @dataclass
 class ModelConfig:
     e1: int = 2
@@ -36,9 +54,7 @@ class ModelConfig:
     d_att: int = 256
     d_ff: int = 2048
     heads: int = 4
-    tr_enabled: bool = True
-    pyramidal: bool = False
-    post_norm: bool = False
+    reduction: str = "tr"  # "tr": halve before layer e1; "pyramidal": before 1, 2, 3
     vocab_size: int = 32
     dropout: float = 0.1
     frontend: str = "conv2d4"
@@ -47,24 +63,16 @@ class ModelConfig:
     def __post_init__(self):
         if self.frontend not in KINDS:
             raise ValueError(f"unknown front-end kind {self.frontend!r}; choose from {KINDS}")
+        if self.reduction not in REDUCTIONS:
+            raise ValueError(f"unknown reduction {self.reduction!r}; choose from {REDUCTIONS}")
         if min(self.e1, self.e2, self.dec_layers) < 0:
             raise ValueError(f"model e1, e2 and dec_layers must be >= 0, got "
                              f"{self.e1}, {self.e2}, {self.dec_layers}")
-        if self.d_att < 2 or self.d_att % 2:
-            raise ValueError(f"model d_att must be even and >= 2, got {self.d_att}")
-        if min(self.d_ff, self.feature_dim) < 1:
-            raise ValueError(f"model d_ff and feature_dim must be >= 1, got "
-                             f"{self.d_ff}, {self.feature_dim}")
-        if self.heads < 1:
-            raise ValueError(f"model heads must be >= 1, got {self.heads}")
-        if self.d_att % self.heads != 0:
-            raise ValueError(f"d_att={self.d_att} not divisible by heads={self.heads}")
-        if self.tr_enabled and self.pyramidal:
-            raise ValueError("tr_enabled and pyramidal are mutually exclusive")
-        if self.pyramidal and self.num_encoder_layers < 3:
+        if self.feature_dim < 1:
+            raise ValueError(f"model feature_dim must be >= 1, got {self.feature_dim}")
+        _check_shape("model", self.d_att, self.d_ff, self.heads, self.dropout)
+        if self.reduction == "pyramidal" and self.num_encoder_layers < 3:
             raise ValueError("pyramidal encoder needs at least 3 layers")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError(f"model dropout must be in [0, 1), got {self.dropout}")
 
     @property
     def num_encoder_layers(self) -> int:
@@ -75,9 +83,9 @@ class ModelConfig:
         """Encoder layer index -> time-reduction parameter prefix. Frames are
         halved just before that layer; index num_encoder_layers means before
         the final norm."""
-        if self.pyramidal:
+        if self.reduction == "pyramidal":
             return {i + 1: f"enc.tr{i}" for i in range(3)}
-        return {self.e1: "enc.tr"} if self.tr_enabled else {}
+        return {self.e1: "enc.tr"} if self.reduction == "tr" else {}
 
 
 class MacCounter:
@@ -292,25 +300,21 @@ def _ln_apply(x, params, prefix):
 
 
 def _residual(x: Tensor, sublayer, params: ParameterStore, ln: str, name: str,
-              ctx: ForwardCtx, post_norm: bool, lengths=None) -> Tensor:
-    """LN(x + drop(f(x))) after the sublayer (post-norm), or x + drop(f(LN(x)))
-    around it (pre-norm); `name` is the sublayer's dropout stream and
-    `lengths` the true row lengths of x."""
-    if post_norm:
-        return _ln_apply(x + ctx.drop(sublayer(x), name, lengths), params, ln)
+              ctx: ForwardCtx, lengths=None) -> Tensor:
+    """The pre-norm residual x + drop(f(LN(x))); `name` is the sublayer's
+    dropout stream and `lengths` the true row lengths of x."""
     return x + ctx.drop(sublayer(_ln_apply(x, params, ln)), name, lengths)
 
 
 def encoder_layer(x: Tensor, params: ParameterStore, prefix: str, heads: int,
                   ctx: ForwardCtx = EVAL_CTX, mask: np.ndarray | None = None,
-                  post_norm: bool = False, lengths=None,
-                  cache: KVCache | None = None) -> Tensor:
+                  lengths=None, cache: KVCache | None = None) -> Tensor:
     mha, ffn = f"{prefix}.mha", f"{prefix}.ffn"
     x = _residual(x, lambda h: multi_head_attention(h, h, params, mha, heads, mask,
                                                     ctx.counter, cache),
-                  params, f"{prefix}.ln1", mha, ctx, post_norm, lengths)
+                  params, f"{prefix}.ln1", mha, ctx, lengths)
     return _residual(x, lambda h: position_wise_ffn(h, params, ffn),
-                     params, f"{prefix}.ln2", ffn, ctx, post_norm, lengths)
+                     params, f"{prefix}.ln2", ffn, ctx, lengths)
 
 
 def time_reduce(x: Tensor, lengths, params: ParameterStore,
@@ -354,8 +358,7 @@ def encode(feats: np.ndarray, lengths, cfg: ModelConfig, params: ParameterStore,
             h, n = time_reduce(h, n, params, reductions[i])
             mask = _key_mask(n, h.shape[-2])
         if i < cfg.num_encoder_layers:
-            h = encoder_layer(h, params, f"enc.layer{i}", cfg.heads, ctx, mask,
-                              cfg.post_norm, n)
+            h = encoder_layer(h, params, f"enc.layer{i}", cfg.heads, ctx, mask, n)
     return _ln_apply(h, params, "enc.ln_out"), n
 
 
@@ -406,12 +409,12 @@ def decode_forward(prefix, x_e: Tensor, cfg: ModelConfig, params: ParameterStore
         sa, ca, ffn = f"{p}.self", f"{p}.src", f"{p}.ffn"
         y = _residual(y, lambda h: multi_head_attention(h, h, params, sa, cfg.heads, mask,
                                                         ctx.counter, cache),
-                      params, f"{p}.ln1", sa, ctx, cfg.post_norm, lengths)
+                      params, f"{p}.ln1", sa, ctx, lengths)
         y = _residual(y, lambda h: multi_head_attention(h, x_e, params, ca, cfg.heads,
                                                         x_mask, ctx.counter, cache),
-                      params, f"{p}.ln2", ca, ctx, cfg.post_norm, lengths)
+                      params, f"{p}.ln2", ca, ctx, lengths)
         y = _residual(y, lambda h: position_wise_ffn(h, params, ffn),
-                      params, f"{p}.ln3", ffn, ctx, cfg.post_norm, lengths)
+                      params, f"{p}.ln3", ffn, ctx, lengths)
     if cache is not None:
         cache.length = n
     y = _ln_apply(y, params, "dec.ln_out")
@@ -463,16 +466,7 @@ class LMConfig:
     def __post_init__(self):
         if self.layers < 0:
             raise ValueError(f"LM layers must be >= 0, got {self.layers}")
-        if self.d_att < 2 or self.d_att % 2:
-            raise ValueError(f"LM d_att must be even and >= 2, got {self.d_att}")
-        if self.d_ff < 1:
-            raise ValueError(f"LM d_ff must be >= 1, got {self.d_ff}")
-        if self.heads < 1:
-            raise ValueError(f"LM heads must be >= 1, got {self.heads}")
-        if self.d_att % self.heads != 0:
-            raise ValueError(f"d_att={self.d_att} not divisible by heads={self.heads}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError(f"LM dropout must be in [0, 1), got {self.dropout}")
+        _check_shape("LM", self.d_att, self.d_ff, self.heads, self.dropout)
 
 
 def init_lm_params(cfg: LMConfig, seed: int, dtype=np.float32) -> ParameterStore:

@@ -121,7 +121,7 @@ def batch_loss(batch: Batch, model_cfg: ModelConfig, params: ParameterStore,
         total = joint_loss(l_ctc, l_s2s, alpha)
         skd_val, ent = 0.0, 0.0
     stats = EpochStats(l_ctc.item(), l_s2s.item(), skd_val, total.item(), n_correct, n_pos, ent)
-    return total, stats, n_pos
+    return total, stats
 
 
 def _pooled(batch_stats: list[EpochStats]) -> EpochStats:
@@ -155,7 +155,7 @@ def vet(entry: ManifestEntry, model_cfg: ModelConfig,
         # looked up in `data` at each call, so that a wrapper put on
         # `data.load_features` (perfbench's tracer) sees every read
         seq = data.load_features(entry.feature_path)
-    except FormatError as err:
+    except (FormatError, OSError) as err:
         return None, f"{entry.feature_path}: {err}"
     if seq.feature_dim != model_cfg.feature_dim:
         return None, (f"{entry.feature_path}: {seq.feature_dim} features per frame, "
@@ -259,7 +259,7 @@ def run_training(cfg: ExperimentConfig, out_dir, mode: str = "plain",
                 batch_in = batch
                 if cfg.train.specaugment:
                     batch_in = _augment_batch(batch, cfg, streams)
-                total, stats, _ = batch_loss(
+                total, stats = batch_loss(
                     batch_in, model_cfg, params, ctx, cfg.train.alpha,
                     cfg.train.label_smoothing, phi=phi,
                     teacher=teacher if phi > 0.0 else None,

@@ -51,8 +51,7 @@ def tiny_model_config(**overrides):
     """Small identity-frontend model; cheap enough for gradient checks."""
     d_att = overrides.pop("d_att", 16)
     defaults = dict(e1=1, e2=1, dec_layers=1, d_att=d_att, d_ff=32, heads=2,
-                    tr_enabled=True, pyramidal=False, post_norm=False,
-                    vocab_size=7, dropout=0.0, frontend="identity", feature_dim=d_att)
+                    reduction="tr", vocab_size=7, dropout=0.0, frontend="identity", feature_dim=d_att)
     defaults.update(overrides)
     return ModelConfig(**defaults)
 

@@ -185,8 +185,8 @@ def test_criterion_5_mac_counts_and_k_squared():
     ok = len(measured) > 0
     ok &= all(c["measured_macs"] == c["analytic_total_macs"] for c in measured)
 
-    no_tr = tiny_model_config(e1=0, e2=2, tr_enabled=False)
-    tr0 = tiny_model_config(e1=0, e2=2, tr_enabled=True)
+    no_tr = tiny_model_config(e1=0, e2=2, reduction="none")
+    tr0 = tiny_model_config(e1=0, e2=2, reduction="tr")
     for n in (16, 32, 64, 128):  # even identity-frontend lengths: exactly k^2 = 4
         a = count_attention_macs(no_tr, n)["score_macs"]
         b = count_attention_macs(tr0, n)["score_macs"]

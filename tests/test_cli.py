@@ -1,16 +1,21 @@
 """End-to-end command-line workflows and exit codes."""
 
 import csv
+import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import trasr
 from trasr.checkpoint import load_checkpoint
 from trasr.cli import _load_cfg, build_parser, main
-from trasr.data import load_features, load_manifest, save_features
+from trasr.data import (SyntheticTaskSpec, load_features, load_manifest, save_features,
+                        token_templates)
 from trasr.frontend import FeatureSequence
 from trasr.training import RunLock
 
@@ -66,6 +71,48 @@ def test_synth_data_deterministic(tmp_path):
         assert e1.feature_path.read_bytes() == e2.feature_path.read_bytes()
 
 
+def _cli(argv, timeout=30):
+    """`trasr argv` in a subprocess, so that a hang fails at the timeout."""
+    src = Path(trasr.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "trasr.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
+@pytest.mark.parametrize("flags", [
+    ["--feature-dim", "0"], ["--feature-dim", "1"], ["--feature-dim", "2"],
+    ["--words", "0", "0"], ["--frames-per-token", "0", "0"], ["--word-len", "3", "2"],
+    ["--alphabet", ""], ["--n-utterances", "0"], ["--noise-std", "-1"],
+    ["--noise-std", "nan"],
+], ids=" ".join)
+def test_synth_data_out_of_range_exit_2(tmp_path, flags):
+    done = _cli(["synth-data", "--out", str(tmp_path / "data"), *flags])
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("config error: ") and flags[0] in done.stderr
+    assert not (tmp_path / "data" / "manifest.tsv").exists()
+
+
+@pytest.mark.parametrize("flags", [["--lengths", "0"], ["--lengths", "16", "-4"],
+                                   ["--lengths", "16", "--repetitions", "0"]], ids=" ".join)
+def test_benchmark_out_of_range_exit_2(tmp_path, flags):
+    done = _cli(["benchmark", "--out", str(tmp_path / "bench"), *flags])
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("config error: ") and flags[-2] in done.stderr
+    assert not (tmp_path / "bench" / "benchmark.csv").exists()
+
+
+@pytest.mark.parametrize("dim, digest", [
+    (3, "28411f36107f8f646c530ec13c5cf9021a45bddcd956c03cb3bd35c891db094e"),
+    (40, "596054ba7d6e8bc5580f7c3b479181908042d9007bd73056a27db01cd49fc9d5")])
+def test_synth_data_templates_keep_their_draws(dim, digest):
+    """Bounding the template draws leaves the templates of a dimension that
+    has room for them as they were (digests taken before the bound)."""
+    t = token_templates(SyntheticTaskSpec(feature_dim=dim))
+    assert list(t) == list("abcdefgh ")
+    assert hashlib.sha256(b"".join(v.tobytes() for v in t.values())).hexdigest() == digest
+
+
 # -- train ------------------------------------------------------------------
 
 
@@ -87,6 +134,24 @@ def test_seed_flag_overrides_config(dataset, tmp_path):
 def test_unknown_config_key_exit_2(tmp_path):
     assert main(["train", "--out", str(tmp_path / "run"),
                  "--set", "model.depth=3"]) == 2
+
+
+@pytest.mark.parametrize("kv", ["model.tr_enabled=false", "model.pyramidal=true",
+                                "model.post_norm=true", "kd.mode=fixed"])
+def test_removed_key_exit_2(dataset, tmp_path, capsys, kv):
+    assert main(["train", "--out", str(tmp_path / "run"),
+                 "--set", f"paths.train_manifest={dataset}"] + TINY + ["--set", kv]) == 2
+    assert "unknown key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [["model.reduction=bogus"],
+                                 ["model.reduction=pyramidal", "model.e1=0", "model.e2=2"]])
+def test_bad_reduction_exit_2(dataset, tmp_path, capsys, bad):
+    sets = [arg for kv in bad for arg in ("--set", kv)]
+    assert main(["train", "--out", str(tmp_path / "run"),
+                 "--set", f"paths.train_manifest={dataset}"] + TINY + sets) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_out_of_range_value_exit_2(dataset, tmp_path, capsys):
@@ -167,6 +232,21 @@ def test_finetune_skd_runs_from_checkpoint(dataset, trained, tmp_path):
                (tmp_path / "ft" / "epochs.jsonl").read_text().splitlines()]
     assert len(records) == 1
     assert records[0]["phi"] == 0.5
+
+
+def test_the_verb_fixes_the_phi_schedule(dataset, trained, tmp_path):
+    """train-skd ramps phi to kd.phi_final over the run; finetune-skd holds it."""
+    def phis(verb, *extra):
+        out = tmp_path / verb
+        assert main([verb, "--out", str(out), "--set", f"paths.train_manifest={dataset}",
+                     "--set", "kd.phi_final=0.6"] + TINY + list(extra)) == 0
+        return [json.loads(line)["phi"] for line in
+                (out / "epochs.jsonl").read_text().splitlines()]
+
+    assert phis("train-skd", "--set", "train.epochs=3") == [0.6 * t / 3 for t in (1, 2, 3)]
+    assert phis("finetune-skd", "--init", str(trained / "epoch0002.ckpt"),
+                "--set", "train.finetune_epochs=2") == [0.6, 0.6]
+    assert phis("train") == [0.0, 0.0]
 
 
 # -- decode -----------------------------------------------------------------
@@ -336,6 +416,60 @@ def test_decode_skips_an_unreadable_feature_file(dataset, trained, tmp_path):
     assert decode(only_bad, tmp_path / "dec-bad") == 3
     report = json.loads((tmp_path / "dec-bad" / "report.json").read_text())
     assert report["skipped"][0]["reason"].startswith(f"{bad}: ")
+
+
+def _directory_manifests(dataset, tmp_path):
+    """A manifest whose utt0002 names a directory `dir.trft` in place of its
+    feature file, and a manifest of that utterance alone."""
+    bad = tmp_path / "dir.trft"
+    bad.mkdir()
+    entries = load_manifest(dataset)
+    lines = [f"{e.utt_id}\t{bad if i == 2 else e.feature_path}\t{e.transcript}\n"
+             for i, e in enumerate(entries)]
+    mixed, only_bad = tmp_path / "mixed.tsv", tmp_path / "bad.tsv"
+    mixed.write_text("".join(lines))
+    only_bad.write_text(lines[2])
+    return mixed, only_bad, bad
+
+
+def test_train_skips_a_feature_path_that_is_a_directory(dataset, tmp_path, capsys):
+    mixed, only_bad, bad = _directory_manifests(dataset, tmp_path)
+
+    def train(manifest, out):
+        return main(["train", "--out", str(out),
+                     "--set", f"paths.train_manifest={manifest}"] + TINY)
+
+    capsys.readouterr()
+    assert train(mixed, tmp_path / "run") == 0
+    assert f"skipping training utterance utt0002: {bad}: " in capsys.readouterr().out
+    records = [json.loads(line) for line in
+               (tmp_path / "run" / "epochs.jsonl").read_text().splitlines()]
+    assert len(records) == 2
+    for record in records:
+        assert [s["utt_id"] for s in record["skipped"]] == ["utt0002"]
+        assert record["skipped"][0]["reason"].startswith(f"{bad}: ")
+
+    assert train(only_bad, tmp_path / "run-bad") == 3
+    assert "every training utterance was skipped" in capsys.readouterr().err
+
+
+def test_decode_skips_a_feature_path_that_is_a_directory(dataset, trained, tmp_path):
+    mixed, only_bad, bad = _directory_manifests(dataset, tmp_path)
+
+    def decode(manifest, out):
+        return main(["decode", "--out", str(out), "--checkpoint",
+                     str(trained / "epoch0002.ckpt"), "--manifest", str(manifest),
+                     "--greedy"] + TINY)
+
+    assert decode(mixed, tmp_path / "dec") == 0
+    report = json.loads((tmp_path / "dec" / "report.json").read_text())
+    assert report["utterances"] == 6
+    assert [s["utt_id"] for s in report["skipped"]] == ["utt0002"]
+    assert report["skipped"][0]["reason"].startswith(f"{bad}: ")
+    hyps = (tmp_path / "dec" / "hyps.tsv").read_text().splitlines()
+    assert len(hyps) == 6 and hyps[2] == "utt0002\t"
+
+    assert decode(only_bad, tmp_path / "dec-bad") == 3
 
 
 IDENTITY = TINY + ["--set", "model.frontend=identity"]

@@ -76,8 +76,29 @@ def test_bad_value_reports_key():
 
 
 def test_invalid_combination_becomes_config_error():
-    with pytest.raises(ConfigError):
-        resolve({"model.tr_enabled": "true", "model.pyramidal": "true"})
+    with pytest.raises(ConfigError, match="at least 3 layers"):
+        resolve({"model.reduction": "pyramidal", "model.e1": "0", "model.e2": "2"})
+
+
+@pytest.mark.parametrize("value", ["bogus", "TR", "", "pyramid"])
+def test_unknown_reduction_is_config_error(value):
+    with pytest.raises(ConfigError, match="unknown reduction"):
+        resolve({"model.reduction": value})
+
+
+@pytest.mark.parametrize("value, halved_before", [
+    ("none", {}), ("tr", {2: "enc.tr"}),
+    ("pyramidal", {1: "enc.tr0", 2: "enc.tr1", 3: "enc.tr2"})])
+def test_reduction_key_places_the_time_reductions(value, halved_before):
+    assert resolve({"model.reduction": value}).model.reductions == halved_before
+
+
+@pytest.mark.parametrize("key", ["model.tr_enabled", "model.pyramidal", "model.post_norm",
+                                 "kd.mode"])
+def test_removed_key_is_unknown(key):
+    assert key not in KEYS
+    with pytest.raises(ConfigError, match="unknown key"):
+        resolve({key: "true"})
 
 
 @pytest.mark.parametrize("key, value", [
@@ -106,9 +127,9 @@ def test_out_of_range_value_is_config_error(key, value):
 def test_bool_parsing_variants():
     for s, want in (("true", True), ("ON", True), ("1", True),
                     ("false", False), ("off", False), ("0", False)):
-        assert resolve({"model.tr_enabled": s}).model.tr_enabled is want
+        assert resolve({"train.specaugment": s}).train.specaugment is want
     with pytest.raises(ConfigError):
-        resolve({"model.tr_enabled": "maybe"})
+        resolve({"train.specaugment": "maybe"})
 
 
 def test_dump_round_trip(tmp_path):
@@ -152,7 +173,6 @@ DEFAULTS_DUMP = (
     "decode.lm_weight = 0.7\n"
     "decode.max_len_ratio = 1.0\n"
     "kd.cadence = 1\n"
-    "kd.mode = linear\n"
     "kd.phi_final = 0.5\n"
     "kd.temperature = 1.0\n"
     "lm.batch_size = 8\n"
@@ -173,9 +193,7 @@ DEFAULTS_DUMP = (
     "model.feature_dim = 40\n"
     "model.frontend = conv2d4\n"
     "model.heads = 4\n"
-    "model.post_norm = false\n"
-    "model.pyramidal = false\n"
-    "model.tr_enabled = true\n"
+    "model.reduction = tr\n"
     "paths.dev_manifest = \"\"\n"
     "paths.lm_checkpoint = \"\"\n"
     "paths.train_manifest = \"\"\n"

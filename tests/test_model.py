@@ -35,10 +35,11 @@ def test_model_config_defaults_and_validation():
     assert cfg.num_encoder_layers == 12
     with pytest.raises(ValueError):
         ModelConfig(d_att=10, heads=4)
-    with pytest.raises(ValueError):
-        ModelConfig(tr_enabled=True, pyramidal=True)
-    with pytest.raises(ValueError):
-        ModelConfig(e1=1, e2=1, tr_enabled=False, pyramidal=True)
+    assert cfg.reduction == "tr" and cfg.reductions == {2: "enc.tr"}
+    with pytest.raises(ValueError, match="unknown reduction"):
+        ModelConfig(reduction="both")
+    with pytest.raises(ValueError, match="at least 3 layers"):
+        ModelConfig(e1=1, e2=1, reduction="pyramidal")
 
 
 # -- attention --------------------------------------------------------------
@@ -131,18 +132,22 @@ def test_ffn_zero_weights_gives_constant_b2():
     assert np.allclose(out.data, np.tile(np.arange(4.0), (3, 1)))
 
 
-@pytest.mark.parametrize("post_norm", [False, True])
-def test_encoder_layer_output_shape_and_identity_residual(post_norm):
+@pytest.mark.parametrize("batched", [False, True])
+def test_encoder_layer_output_shape_and_identity_residual(batched):
+    """One sequence [5, 8], or a padded batch [2, 5, 8] with its key mask."""
     store = ParameterStore()
     init_encoder_layer_params(store, 0, "layer", 8, 16, np.float64)
-    x = Tensor(np.random.default_rng(0).normal(size=(5, 8)))
-    out = encoder_layer(x, store, "layer", heads=2, post_norm=post_norm)
-    assert out.shape == (5, 8)
+    shape, mask = (5, 8), None
+    if batched:  # the second row's last 2 frames are padding
+        shape, mask = (2, 5, 8), (np.arange(5) < np.array([[5], [3]]))[:, None, None, :]
+    x = Tensor(np.random.default_rng(0).normal(size=shape))
+    out = encoder_layer(x, store, "layer", heads=2, mask=mask)
+    assert out.shape == shape
     # zero the sublayer output projections: pre-norm layers become the identity
     store["layer.mha.wo"].data[:] = 0.0
     store["layer.ffn.w2"].data[:] = 0.0
     store["layer.ffn.b2"].data[:] = 0.0
-    out = encoder_layer(x, store, "layer", heads=2, post_norm=False)
+    out = encoder_layer(x, store, "layer", heads=2, mask=mask)
     assert np.array_equal(out.data, x.data)
 
 
@@ -226,7 +231,7 @@ def test_encode_collapse_to_zero_raises():
 
 
 def test_pyramidal_three_halvings():
-    cfg = tiny_model_config(e1=0, e2=3, tr_enabled=False, pyramidal=True)
+    cfg = tiny_model_config(e1=0, e2=3, reduction="pyramidal")
     params = init_model_params(cfg, seed=0)
     seq = random_features(np.random.default_rng(0), 40, 16)
     _, n = encode_one(seq, cfg, params)
@@ -301,20 +306,20 @@ def _row_terms(cfg, params, feats, lengths, targets, row):
 
 
 ARCHS = {"tr": dict(e1=1, e2=1),
-         "pyramidal": dict(e1=0, e2=3, tr_enabled=False, pyramidal=True)}
+         "pyramidal": dict(e1=0, e2=3, reduction="pyramidal")}
 
 
-@pytest.mark.parametrize("post_norm", [False, True])
+@pytest.mark.parametrize("short_target", [False, True])
 @pytest.mark.parametrize("arch", sorted(ARCHS))
 @pytest.mark.parametrize("kind", ["conv2d4", "vggconv2d4", "identity"])
-def test_row_loss_and_gradient_independent_of_batchmates_and_padding(kind, arch, post_norm):
-    cfg = tiny_model_config(frontend=kind, feature_dim=16, post_norm=post_norm,
-                            **ARCHS[arch])
+def test_row_loss_and_gradient_independent_of_batchmates_and_padding(kind, arch, short_target):
+    """With `short_target`, the row's decoder prefix is padded in the batch too."""
+    cfg = tiny_model_config(frontend=kind, feature_dim=16, **ARCHS[arch])
     params = init_model_params(cfg, seed=0, dtype=np.float64)
     rng = np.random.default_rng(3)
     lengths = [85, 77, 81]  # the middle row is the shortest, with odd lengths
     feats = rng.normal(size=(3, 92, 16))  # frames past each length are garbage
-    targets = [[6], [5, 6], [6, 5]]
+    targets = [[6], [5], [6, 5, 6]] if short_target else [[6], [5, 6], [6, 5]]
     alone = _row_terms(cfg, params, feats[1:2, :77], [77], targets[1:2], 0)
     in_batch = _row_terms(cfg, params, feats, lengths, targets, 1)
     assert abs(alone[0] - in_batch[0]) < 1e-5 and abs(alone[1] - in_batch[1]) < 1e-5
@@ -391,12 +396,12 @@ def test_decoder_and_lm_on_prefix_stack_equal_row_calls(tiny_model):
 STEPS = [(None, 2), ([0, 1, 2], 1), ([2, 0, 0], 2), ([1, 2, 0], 1)]
 
 
-def _check_cached_steps(forward):
-    """Run `forward(prefixes, cache)` over STEPS on random tokens: the cached
+def _check_cached_steps(forward, steps=STEPS):
+    """Run `forward(prefixes, cache)` over beam `steps` on random tokens: the cached
     logits of the new positions equal the full-prefix ones. Returns the cache."""
     rng = np.random.default_rng(0)
     cache, prefixes = KVCache(), np.full((3, 1), 2)
-    for parents, width in STEPS:
+    for parents, width in steps:
         if parents is not None:
             prefixes = prefixes[parents]
             cache.select(parents)
@@ -412,19 +417,24 @@ def _check_cached_steps(forward):
 
 @pytest.mark.parametrize("dec_layers", [0, 2])
 @pytest.mark.parametrize("heads", [1, 2, 4])
-@pytest.mark.parametrize("post_norm", [False, True])
-def test_cached_decoder_steps_equal_full_prefix(post_norm, heads, dec_layers):
-    cfg = tiny_model_config(heads=heads, dec_layers=dec_layers, post_norm=post_norm)
+@pytest.mark.parametrize("padded_encoder", [False, True])
+def test_cached_decoder_steps_equal_full_prefix(padded_encoder, heads, dec_layers):
+    """The rows share one encoder output, or each has its own in a padded
+    batch with true frame counts (then the cross-attention keys are masked)."""
+    cfg = tiny_model_config(heads=heads, dec_layers=dec_layers)
     params = init_model_params(cfg, seed=0, dtype=np.float64)
-    seq = random_features(np.random.default_rng(1), 9, 16, dtype=np.float64)
-    x_e, _ = encode(seq.features[None], [seq.length], cfg, params)
+    lengths, steps = [9], STEPS
+    if padded_encoder:  # a row keeps its utterance: beams do not cross rows
+        lengths, steps = [9, 6, 7], [(None if p is None else [0, 1, 2], w) for p, w in STEPS]
+    feats = np.random.default_rng(1).normal(size=(len(lengths), 9, 16))
+    x_e, x_len = encode(feats, lengths, cfg, params)
     cache = _check_cached_steps(
-        lambda p, c: decode_forward(p, x_e, cfg, params, cache=c))
-    # cross-attention K/V: one projection of the shared encoder output per layer
+        lambda p, c: decode_forward(p, x_e, cfg, params, x_lengths=x_len, cache=c), steps)
+    # cross-attention K/V: one projection of the encoder output per layer
     assert sorted(cache.src_kv) == [f"dec.layer{j}.src" for j in range(dec_layers)]
     d_k = cfg.d_att // heads
     for k, v in cache.src_kv.values():
-        assert k.shape == v.shape == (1, heads, x_e.shape[1], d_k)
+        assert k.shape == v.shape == (x_e.shape[0], heads, x_e.shape[1], d_k)
     for k, v in cache.self_kv.values():
         assert k.shape == v.shape == (3, heads, cache.length, d_k)
 
@@ -473,9 +483,9 @@ def test_count_attention_macs_piecewise():
 def test_measured_macs_equal_analytic_all_archs():
     rng = np.random.default_rng(0)
     for kind in ("identity", "conv2d4"):
-        for e1, e2, tr, pyr in ((0, 3, False, False), (0, 3, True, False),
-                                (2, 1, True, False), (0, 3, False, True)):
-            cfg = tiny_model_config(e1=e1, e2=e2, tr_enabled=tr, pyramidal=pyr,
+        for e1, e2, reduction in ((0, 3, "none"), (0, 3, "tr"), (2, 1, "tr"),
+                                  (0, 3, "pyramidal")):
+            cfg = tiny_model_config(e1=e1, e2=e2, reduction=reduction,
                                     frontend=kind, feature_dim=16)
             params = init_model_params(cfg, seed=0)
             T_in = 60
@@ -486,8 +496,8 @@ def test_measured_macs_equal_analytic_all_archs():
 
 
 def test_halved_length_score_macs_ratio_exactly_4():
-    no_tr = tiny_model_config(e1=0, e2=2, tr_enabled=False)
-    tr0 = tiny_model_config(e1=0, e2=2, tr_enabled=True)
+    no_tr = tiny_model_config(e1=0, e2=2, reduction="none")
+    tr0 = tiny_model_config(e1=0, e2=2, reduction="tr")
     n = 32  # even post-frontend length
     a = count_attention_macs(no_tr, n)["score_macs"]
     b = count_attention_macs(tr0, n)["score_macs"]
@@ -495,7 +505,7 @@ def test_halved_length_score_macs_ratio_exactly_4():
 
 
 def test_doubling_length_quadruples_score_macs():
-    cfg = tiny_model_config(e1=0, e2=2, tr_enabled=False)
+    cfg = tiny_model_config(e1=0, e2=2, reduction="none")
     a = count_attention_macs(cfg, 16)["score_macs"]
     b = count_attention_macs(cfg, 32)["score_macs"]
     assert b == 4 * a
@@ -592,8 +602,8 @@ def _run_entry(entry, dtype):
     batch = _desk_batch(dtype)
     if entry.startswith("batch_loss"):
         teacher = snapshot_teacher(params) if entry == "batch_loss+skd" else None
-        total, _, _ = batch_loss(batch, cfg, params, ctx, 0.3, 0.1, phi=0.5,
-                                 teacher=teacher, temperature=2.0)
+        total, _ = batch_loss(batch, cfg, params, ctx, 0.3, 0.1, phi=0.5,
+                              teacher=teacher, temperature=2.0)
         total.backward()
         return [total], params
     x_e, x_len = encode(batch.features, batch.feature_lengths, cfg, params, ctx)

@@ -71,9 +71,20 @@ def test_every_workload_config_key_exists(monkeypatch):
     for name, table in tables.items():
         assert set(table) <= set(KEYS), f"{name}: {sorted(set(table) - set(KEYS))}"
     assert set(SETUP_TRAIN_KEYS) <= set(KEYS)
-    for spec in (workloads.TRAIN_DESK, workloads.TRAIN_PAPER, workloads.DECODE_BEAM):
-        cfg = resolve({**spec.config, "data.alphabet": workloads.ALPHABET})
+    # every spec, found by type, with the keys the harness's set-up adds:
+    # each value the workload sets reaches the resolved config as given
+    specs = [v for v in vars(workloads).values()
+             if isinstance(v, (workloads.TrainSpec, workloads.DecodeSpec))]
+    assert len(specs) >= 3
+    for spec in specs:
+        values = {**spec.config, "data.alphabet": workloads.ALPHABET}
+        if isinstance(spec, workloads.TrainSpec):
+            values.update({"train.epochs": str(spec.epochs),
+                           "paths.train_manifest": "train.tsv", "paths.dev_manifest": "dev.tsv"})
+        cfg = resolve(values)
         assert cfg.vocab_size == workloads.VOCAB_SIZE
+        for key, value in values.items():
+            assert cfg.raw[key] == KEYS[key][0](value), key
 
 
 def test_graph_node_count_sees_the_backward_closure(tracing):

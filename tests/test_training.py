@@ -274,7 +274,7 @@ def test_alpha_one_gives_decoder_zero_gradient(dataset):
     vocab = Vocabulary(cfg.alphabet)
     params = init_model_params(cfg.model, 0)
     (batch,) = make_batches(loaded(load_manifest(dataset)[:3]), vocab, 3)
-    total, _, _ = batch_loss(batch, cfg.model, params, ForwardCtx(),
+    total, _ = batch_loss(batch, cfg.model, params, ForwardCtx(),
                              alpha=1.0, label_smoothing=0.0)
     total.backward()
     assert np.allclose(params["dec.out.w"].grad, 0.0)
@@ -293,7 +293,7 @@ def test_fused_adam_step_equals_backward_then_step(dataset):
         state = AdamState(scale=1.0, d_att=cfg.model.d_att, warmup_steps=10)
         ctx = ForwardCtx(train=True, dropout=0.1, streams=StreamCache(3))
         for _ in range(2):
-            total, _, _ = batch_loss(batch, cfg.model, params, ctx, 0.3, 0.1)
+            total, _ = batch_loss(batch, cfg.model, params, ctx, 0.3, 0.1)
             if fused:
                 adam_step(params, state, total)
             else:
@@ -325,17 +325,17 @@ def test_batched_dropout_step_equals_per_utterance_steps(dataset):
         ctx = ForwardCtx(train=True, dropout=0.3, streams=StreamCache(5))
         ctc = s2s = 0.0
         for batch in batches:
-            _, stats, n_pos = batch_loss(batch, cfg.model, params, ctx,
-                                         alpha=0.3, label_smoothing=0.1)
+            _, stats = batch_loss(batch, cfg.model, params, ctx,
+                                  alpha=0.3, label_smoothing=0.1)
             ctc += stats.l_ctc * batch.target_lengths.sum()
-            s2s += stats.l_s2s * n_pos
+            s2s += stats.l_s2s * stats.n_positions
         return ctc, s2s
 
     together = summed(make_batches(entries, vocab, 3))
     one_by_one = summed(make_batches(entries, vocab, 1))
     np.testing.assert_allclose(together, one_by_one, rtol=1e-5)
     (batch,) = make_batches(entries, vocab, 3)
-    _, plain, _ = batch_loss(batch, cfg.model, params, ForwardCtx(), 0.3, 0.1)
+    _, plain = batch_loss(batch, cfg.model, params, ForwardCtx(), 0.3, 0.1)
     assert abs(plain.l_s2s * sum(batch.target_lengths + 1) - together[1]) > 1e-3
 
 
