@@ -71,13 +71,13 @@ class LMTrainConfig:
                 raise ValueError(f"lm.{name} must be >= 1, got {getattr(self, name)}")
 
 
-# (section, dataclass, fields that are not keys: `resolve` fills them, or
-# the training verb does, as `kd.mode`): every other field is the key
-# f"{section}.{field}", parsed by its annotation, defaulting to its default.
+# (section, dataclass, fields that are not keys, which `resolve` fills):
+# every other field is the key f"{section}.{field}", parsed by its
+# annotation, defaulting to its default.
 SECTIONS = (
     ("model", ModelConfig, ("vocab_size",)),
     ("train", TrainConfig, ()),
-    ("kd", KDConfig, ("total_epochs", "mode")),
+    ("kd", KDConfig, ()),
     ("decode", BeamConfig, ()),
     ("lm", LMConfig, ("vocab_size",)),
     ("lm", LMTrainConfig, ()),
@@ -180,7 +180,7 @@ def resolve(values: dict[str, str] | None = None,
     vocab_size = 5 + len(dict.fromkeys(alphabet))
     try:
         model = _section(ModelConfig, raw, "model", vocab_size=vocab_size)
-        kd = _section(KDConfig, raw, "kd", total_epochs=raw["train.epochs"])
+        kd = _section(KDConfig, raw, "kd")
         decode = _section(BeamConfig, raw, "decode")
         lm = _section(LMConfig, raw, "lm", vocab_size=vocab_size)
         train = _section(TrainConfig, raw, "train")

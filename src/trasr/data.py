@@ -182,9 +182,12 @@ def token_templates(spec: SyntheticTaskSpec) -> dict[str, np.ndarray]:
     return templates
 
 
-def synth_utterance(spec: SyntheticTaskSpec, transcript: str,
-                    rng: np.random.Generator) -> FeatureSequence:
-    templates = token_templates(spec)
+def synth_utterance(spec: SyntheticTaskSpec, transcript: str, rng: np.random.Generator,
+                    templates: dict[str, np.ndarray] | None = None) -> FeatureSequence:
+    """Features of `transcript`; `templates` are `token_templates(spec)`,
+    computed here when not given."""
+    if templates is None:
+        templates = token_templates(spec)
     lo, hi = spec.frames_per_token
     rows = []
     for ch in transcript:
@@ -206,13 +209,14 @@ def synth_generate(spec: SyntheticTaskSpec, out_dir, n_utterances: int,
     (out_dir / "features").mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(np.random.SeedSequence([seed & 0xFFFFFFFF, 0x5D47A]))
     letters = [c for c in dict.fromkeys(spec.alphabet) if c != " "]
+    templates = token_templates(spec)
     entries = []
     for i in range(n_utterances):
         n_words = int(rng.integers(words_range[0], words_range[1] + 1))
         words = ["".join(rng.choice(letters, size=int(rng.integers(
             word_len_range[0], word_len_range[1] + 1)))) for _ in range(n_words)]
         transcript = " ".join(words)
-        seq = synth_utterance(spec, transcript, rng)
+        seq = synth_utterance(spec, transcript, rng, templates)
         utt_id = f"utt{i:04d}"
         feat_path = out_dir / "features" / f"{utt_id}.trft"
         save_features(feat_path, seq)

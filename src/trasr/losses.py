@@ -16,8 +16,6 @@ from .tensor import Tensor, _accum, _result
 @dataclass
 class KDConfig:
     phi_final: float = 0.5
-    total_epochs: int = 150
-    mode: str = "linear"  # ramp to phi_final (train-skd); "fixed" holds it (finetune-skd)
     cadence: int = 1  # epochs between teacher refreshes
     temperature: float = 1.0
 
@@ -26,8 +24,6 @@ class KDConfig:
             raise ValueError(f"phi_final must be in [0, 1], got {self.phi_final}")
         if self.cadence < 1:
             raise ValueError("teacher snapshot cadence must be >= 1")
-        if self.mode not in ("fixed", "linear"):
-            raise ValueError(f"unknown KD mode {self.mode!r}")
         if not self.temperature > 0.0:
             raise ValueError(f"KD temperature must be > 0, got {self.temperature}")
 
@@ -195,13 +191,13 @@ def finetune_loss(l_ctc, l_s2s, l_skd, alpha: float, phi: float):
     return alpha * l_ctc + (1.0 - alpha) * (phi * l_skd + (1.0 - phi) * l_s2s)
 
 
-def phi_schedule(t: int, cfg: KDConfig) -> float:
-    """Distillation weight for epoch t (1-based)."""
-    if not 1 <= t <= cfg.total_epochs:
-        raise ValueError(f"epoch {t} outside [1, {cfg.total_epochs}]")
-    if cfg.mode == "fixed":
-        return cfg.phi_final
-    return cfg.phi_final * t / cfg.total_epochs
+def phi_schedule(mode: str, t: int, n_epochs: int, phi_final: float) -> float:
+    """Distillation weight for epoch t (1-based) of a run of n_epochs in a
+    training mode: none for "plain", ramped to phi_final for "skd" (S-KD from
+    scratch), held at phi_final for "finetune" (FS-KD)."""
+    if not 1 <= t <= n_epochs:
+        raise ValueError(f"epoch {t} outside [1, {n_epochs}]")
+    return {"plain": 0.0, "skd": phi_final * t / n_epochs, "finetune": phi_final}[mode]
 
 
 def snapshot_teacher(params: ParameterStore) -> ParameterStore:

@@ -131,10 +131,6 @@ class Tensor:
             raise RuntimeError("a tensor that does not track gradients holds no gradient")
 
     @property
-    def _parents(self) -> tuple:
-        return self._node._parents
-
-    @property
     def _backward(self):
         return self._node._backward
 

@@ -8,7 +8,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -144,13 +144,30 @@ def evaluate(batches: list[Batch], model_cfg: ModelConfig, params: ParameterStor
                                    label_smoothing)[1] for batch in batches])
 
 
+def _outside_alphabet(transcript: str, vocab: Vocabulary) -> str:
+    """"" if every character of `transcript` is in the alphabet, else why it
+    cannot train, naming the others (`tokenize` would map them to UNK)."""
+    outside = dict.fromkeys(c for c, i in zip(transcript, vocab.tokenize(transcript))
+                            if i == Vocabulary.UNK)
+    if not outside:
+        return ""
+    return "transcript has characters outside data.alphabet: " + ", ".join(map(repr, outside))
+
+
 def vet(entry: ManifestEntry, model_cfg: ModelConfig,
-        target: list[int] | None = None) -> tuple[FeatureSequence | None, str]:
+        vocab: Vocabulary | None = None) -> tuple[FeatureSequence | None, str]:
     """(the entry's features, "") if a run can use the utterance, else (None,
-    why not), its feature file read once. A file that cannot be read or whose
-    frames are not `model_cfg.feature_dim` wide is named by its path. The
-    encoder output needs one frame, and in training (given the `target`) as
-    many as the CTC target needs."""
+    why not), its feature file read once. In training (given the `vocab`),
+    the transcript must keep to the alphabet. A file that cannot be read or
+    whose frames are not `model_cfg.feature_dim` wide is named by its path.
+    The encoder output needs one frame, and in training as many as the CTC
+    target needs."""
+    target = None
+    if vocab is not None:
+        reason = _outside_alphabet(entry.transcript, vocab)
+        if reason:
+            return None, reason
+        target = vocab.tokenize(entry.transcript)
     try:
         # looked up in `data` at each call, so that a wrapper put on
         # `data.load_features` (perfbench's tracer) sees every read
@@ -174,15 +191,15 @@ def _batches(entries: list[ManifestEntry], model_cfg: ModelConfig, vocab: Vocabu
     record, logged, for each of the others, in manifest order."""
     kept, skipped = [], []
     for e in entries:
-        seq, reason = vet(e, model_cfg, vocab.tokenize(e.transcript))
+        seq, reason = vet(e, model_cfg, vocab)
         if seq is None:
             skipped.append({"utt_id": e.utt_id, "reason": reason})
             log(f"skipping {what} utterance {e.utt_id}: {reason}")
         else:
             kept.append((e, seq))
     if not kept:
-        raise TrasrError(f"every {what} utterance was skipped (unreadable, of the wrong "
-                         f"width or too short for the model)")
+        raise TrasrError(f"every {what} utterance was skipped, e.g. "
+                         f"{skipped[0]['utt_id']}: {skipped[0]['reason']}")
     return make_batches(kept, vocab, batch_size), skipped
 
 
@@ -194,6 +211,8 @@ def run_training(cfg: ExperimentConfig, out_dir, mode: str = "plain",
                  init_checkpoint=None, log=print) -> list[dict]:
     """Train per `mode`: "plain" (joint loss), "skd" (self-distillation from
     scratch with the linear phi ramp), or "finetune" (FS-KD at fixed phi/lr).
+    `phi_schedule` gives each epoch's phi; only while it is above 0 is the
+    student copied as the teacher, at epoch 1 and every `kd.cadence` epochs.
 
     Writes the resolved config, per-epoch checkpoints (pruned to the best k
     by dev token accuracy), and an append-only JSONL epoch log.
@@ -228,12 +247,10 @@ def run_training(cfg: ExperimentConfig, out_dir, mode: str = "plain",
         if mode == "finetune":
             adam = AdamState(fixed_lr=cfg.train.finetune_lr)
             n_epochs = cfg.train.finetune_epochs
-            kd = replace(cfg.kd, total_epochs=n_epochs, mode="fixed")
         else:
             adam = AdamState(scale=cfg.train.lr_scale, d_att=model_cfg.d_att,
                              warmup_steps=cfg.train.warmup_steps)
             n_epochs = cfg.train.epochs
-            kd = cfg.kd
 
         streams = StreamCache(seed)
 
@@ -244,12 +261,10 @@ def run_training(cfg: ExperimentConfig, out_dir, mode: str = "plain",
 
         for epoch in range(1, n_epochs + 1):
             t0 = time.perf_counter()
-            phi = 0.0
-            if mode != "plain":
-                phi = phi_schedule(epoch, kd)
-                if (epoch - 1) % kd.cadence == 0:
-                    teacher = None  # the old copy goes before the new one is made
-                    teacher = snapshot_teacher(params)
+            phi = phi_schedule(mode, epoch, n_epochs, cfg.kd.phi_final)
+            if phi > 0.0 and (epoch - 1) % cfg.kd.cadence == 0:
+                teacher = None  # the old copy goes before the new one is made
+                teacher = snapshot_teacher(params)
 
             order = stream(seed, f"shuffle/epoch{epoch}").permutation(len(train_batches))
             batch_stats = []
@@ -261,9 +276,7 @@ def run_training(cfg: ExperimentConfig, out_dir, mode: str = "plain",
                     batch_in = _augment_batch(batch, cfg, streams)
                 total, stats = batch_loss(
                     batch_in, model_cfg, params, ctx, cfg.train.alpha,
-                    cfg.train.label_smoothing, phi=phi,
-                    teacher=teacher if phi > 0.0 else None,
-                    temperature=kd.temperature)
+                    cfg.train.label_smoothing, phi, teacher, cfg.kd.temperature)
                 if not np.isfinite(total.data):
                     raise TrasrError(
                         f"non-finite loss at epoch {epoch}, batch of {batch.utt_ids}")
@@ -328,19 +341,29 @@ def _augment_batch(batch: Batch, cfg: ExperimentConfig, streams: StreamCache) ->
 
 def run_lm_training(cfg: ExperimentConfig, transcripts: list[str], out_dir,
                     log=print) -> list[dict]:
-    """Train the decoder-only LM on next-token prediction over transcripts."""
+    """Train the decoder-only LM on next-token prediction over transcripts,
+    skipping (and logging) each one with a character outside the alphabet."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if not transcripts:
         raise ConfigError("no transcripts to train the LM on")
     vocab = Vocabulary(cfg.alphabet)
+    tokenized = []
+    for text in transcripts:
+        reason = _outside_alphabet(text, vocab)
+        if reason:
+            log(f"skipping LM transcript {text!r}: {reason}")
+        else:
+            tokenized.append(vocab.tokenize(text))
+    if not tokenized:
+        raise TrasrError("every LM transcript was skipped: each has characters "
+                         "outside data.alphabet")
     lm_cfg = cfg.lm
     seed = cfg.train.seed
     params = init_lm_params(lm_cfg, seed)
     adam = AdamState(scale=cfg.lm_train.lr_scale, d_att=lm_cfg.d_att,
                      warmup_steps=cfg.lm_train.warmup_steps)
     streams = StreamCache(seed)
-    tokenized = [vocab.tokenize(t) for t in transcripts]
     records = []
     for epoch in range(1, cfg.lm_train.epochs + 1):
         order = stream(seed, f"lm-shuffle/epoch{epoch}").permutation(len(tokenized))

@@ -13,7 +13,7 @@ from trasr.data import (SyntheticTaskSpec, Vocabulary, load_features,
 from trasr.errors import FormatError
 from trasr.gradcheck import grad_check
 from trasr.losses import (ctc_loss, finetune_loss, joint_loss, phi_schedule,
-                          skd_loss, teacher_entropy, KDConfig)
+                          skd_loss, teacher_entropy)
 from trasr.model import (count_attention_macs, ctc_log_probs, decode_forward,
                          init_model_params)
 from trasr.losses import ce_label_smoothed
@@ -211,11 +211,9 @@ def test_criterion_6_loss_algebra():
         ok &= finetune_loss(ctc, s2s, skd, alpha, 0.0).item() == \
             joint_loss(ctc, s2s, alpha).item()
 
-    kd = KDConfig(phi_final=0.7, total_epochs=200, mode="linear")
-    ok &= phi_schedule(200, kd) == 0.7
-    ok &= abs(phi_schedule(100, kd) - 0.35) < 1e-12
-    fixed = KDConfig(phi_final=0.5, total_epochs=50, mode="fixed")
-    ok &= all(phi_schedule(t, fixed) == 0.5 for t in (1, 25, 50))
+    ok &= phi_schedule("skd", 200, 200, 0.7) == 0.7
+    ok &= abs(phi_schedule("skd", 100, 200, 0.7) - 0.35) < 1e-12
+    ok &= all(phi_schedule("finetune", t, 50, 0.5) == 0.5 for t in (1, 25, 50))
 
     for _ in range(1000):
         t = rng.normal(size=(2, 5)).astype(np.float64) * rng.uniform(0.5, 3)

@@ -1,9 +1,12 @@
 """End-to-end command-line workflows and exit codes."""
 
+import argparse
 import csv
 import hashlib
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +17,7 @@ import pytest
 import trasr
 from trasr.checkpoint import load_checkpoint
 from trasr.cli import _load_cfg, build_parser, main
+from trasr.config import KEYS
 from trasr.data import (SyntheticTaskSpec, load_features, load_manifest, save_features,
                         token_templates)
 from trasr.frontend import FeatureSequence
@@ -249,6 +253,27 @@ def test_the_verb_fixes_the_phi_schedule(dataset, trained, tmp_path):
     assert phis("train") == [0.0, 0.0]
 
 
+def test_readme_walkthrough_uses_only_real_flags_and_keys():
+    """Every `--flag` of a `trasr <verb>` command in README's `sh` blocks is an
+    option of that verb, and every `--set` key is a config key."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = [line for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
+             for line in block.replace("\\\n", " ").splitlines()]
+    commands = [words for words in (shlex.split(line, comments=True) for line in lines)
+                if words[:1] == ["trasr"]]
+    verbs = next(a for a in build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)).choices
+    assert len(commands) >= 8
+    set_keys = []
+    for words in commands:
+        options = verbs[words[1]]._option_string_actions
+        flags = [w for w in words[2:] if w.startswith("--")]
+        assert not [f for f in flags if f not in options], words
+        set_keys += [v.partition("=")[0] for f, v in zip(words, words[1:]) if f == "--set"]
+    assert set_keys
+    assert not set(set_keys) - set(KEYS), sorted(set(set_keys) - set(KEYS))
+
+
 # -- decode -----------------------------------------------------------------
 
 
@@ -326,6 +351,44 @@ def test_train_skips_infeasible_utterances(tmp_path, capsys):
                                   if e.utt_id in ("utt0001", "utt0009")))
     assert train(only_short, tmp_path / "run-short") == 3
     assert "every training utterance" in capsys.readouterr().err
+
+
+def test_train_skips_transcripts_outside_the_alphabet(tmp_path, capsys):
+    # an alphabet that lost its space: every word gap of these two-word
+    # utterances would otherwise train as UNK
+    data = tmp_path / "data"
+    assert main(["synth-data", "--out", str(data), "--n-utterances", "3",
+                 "--alphabet", ALPHABET, "--feature-dim", "16",
+                 "--frames-per-token", "16", "20", "--words", "2", "2",
+                 "--word-len", "2", "3"]) == 0
+    assert TINY[1].startswith("data.alphabet=")
+    capsys.readouterr()
+    assert main(["train", "--out", str(tmp_path / "run"),
+                 "--set", f"paths.train_manifest={data / 'manifest.tsv'}",
+                 "--set", "data.alphabet=abcd"] + TINY[2:]) == 3
+    reason = "transcript has characters outside data.alphabet: ' '"
+    captured = capsys.readouterr()
+    assert f"skipping training utterance utt0000: {reason}" in captured.out
+    assert f"every training utterance was skipped, e.g. utt0000: {reason}" in captured.err
+
+
+def test_train_names_only_the_transcript_outside_the_alphabet(dataset, tmp_path, capsys):
+    entries = load_manifest(dataset)
+    mixed = tmp_path / "mixed.tsv"
+    mixed.write_text("".join(f"{e.utt_id}\t{e.feature_path}\t{e.transcript}"
+                             f"{'!?' if i == 2 else ''}\n" for i, e in enumerate(entries)))
+    capsys.readouterr()
+    assert main(["train", "--out", str(tmp_path / "run"),
+                 "--set", f"paths.train_manifest={mixed}"] + TINY) == 0
+    reason = "transcript has characters outside data.alphabet: '!', '?'"
+    out = capsys.readouterr().out
+    assert [line for line in out.splitlines() if line.startswith("skipping")] == \
+        [f"skipping training utterance utt0002: {reason}"]
+    records = [json.loads(line) for line in
+               (tmp_path / "run" / "epochs.jsonl").read_text().splitlines()]
+    assert len(records) == 2
+    for record in records:
+        assert record["skipped"] == [{"utt_id": "utt0002", "reason": reason}]
 
 
 def _truncated_manifests(dataset, tmp_path):

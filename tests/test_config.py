@@ -1,12 +1,14 @@
 """Flat config parsing, defaults, overrides, and round-trip serialization."""
 
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from trasr.config import KEYS, dump_config, load_config, parse_flat, resolve
+from trasr.config import KEYS, SECTIONS, dump_config, load_config, parse_flat, resolve
 from trasr.errors import ConfigError
+from trasr.losses import KDConfig
 
 
 def test_defaults_mirror_reference_regimen():
@@ -99,6 +101,13 @@ def test_removed_key_is_unknown(key):
     assert key not in KEYS
     with pytest.raises(ConfigError, match="unknown key"):
         resolve({key: "true"})
+
+
+def test_kd_config_fields_are_its_keys():
+    assert {f.name for f in fields(KDConfig)} == {"phi_final", "cadence", "temperature"}
+    assert [not_keys for section, _, not_keys in SECTIONS if section == "kd"] == [()]
+    assert {k for k in KEYS if k.startswith("kd.")} == \
+        {"kd.phi_final", "kd.cadence", "kd.temperature"}
 
 
 @pytest.mark.parametrize("key, value", [

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import trasr.data as data
 from trasr.data import (ManifestEntry, SyntheticTaskSpec, Vocabulary, cer, edit_stats,
                         load_features, load_manifest, make_batches,
                         save_features, save_manifest, synth_generate, synth_utterance,
@@ -194,6 +195,18 @@ def test_synth_generate_deterministic(tmp_path):
     for a, b in zip(e1, e2):
         assert a.transcript == b.transcript
         assert a.feature_path.read_bytes() == b.feature_path.read_bytes()
+
+
+def test_synth_generate_builds_the_templates_once(tmp_path, monkeypatch):
+    calls = []
+
+    def templates(spec):
+        calls.append(spec)
+        return token_templates(spec)
+
+    monkeypatch.setattr(data, "token_templates", templates)
+    synth_generate(SyntheticTaskSpec(), tmp_path, 5, seed=3)
+    assert len(calls) == 1
 
 
 def test_synth_dataset_linearly_separable(tmp_path):

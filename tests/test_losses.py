@@ -249,29 +249,24 @@ def test_finetune_phi_one_drops_ground_truth_ce():
 
 
 def test_phi_schedule_paper_values():
-    assert abs(phi_schedule(100, KDConfig(phi_final=0.7, total_epochs=200)) - 0.35) < 1e-12
-    fixed = KDConfig(phi_final=0.5, total_epochs=99, mode="fixed")
-    assert all(phi_schedule(t, fixed) == 0.5 for t in (1, 50, 99))
-    lin = KDConfig(phi_final=0.5, total_epochs=150)
-    assert abs(phi_schedule(1, lin) - 0.5 / 150) < 1e-12
-    assert phi_schedule(150, lin) == 0.5
+    assert abs(phi_schedule("skd", 100, 200, 0.7) - 0.35) < 1e-12
+    assert all(phi_schedule("finetune", t, 99, 0.5) == 0.5 for t in (1, 50, 99))
+    assert abs(phi_schedule("skd", 1, 150, 0.5) - 0.5 / 150) < 1e-12
+    assert phi_schedule("skd", 150, 150, 0.5) == 0.5
 
 
 def test_phi_schedule_nondecreasing_and_bounds():
-    cfg = KDConfig(phi_final=0.8, total_epochs=40)
-    vals = [phi_schedule(t, cfg) for t in range(1, 41)]
+    vals = [phi_schedule("skd", t, 40, 0.8) for t in range(1, 41)]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
     with pytest.raises(ValueError):
-        phi_schedule(0, cfg)
+        phi_schedule("skd", 0, 40, 0.8)
     with pytest.raises(ValueError):
-        phi_schedule(41, cfg)
+        phi_schedule("skd", 41, 40, 0.8)
 
 
 def test_kd_config_validation():
     with pytest.raises(ValueError):
         KDConfig(phi_final=1.5)
-    with pytest.raises(ValueError):
-        KDConfig(mode="cosine")
     with pytest.raises(ValueError):
         KDConfig(cadence=0)
 

@@ -451,7 +451,7 @@ def test_second_backward_through_a_used_up_graph_raises():
     y = T.exp(x) * 3.0
     loss = T.tsum(y)
     loss.backward()
-    assert loss._parents == ()  # the returned loss holds no graph
+    assert loss._node._parents == ()  # the returned loss holds no graph
     with pytest.raises(RuntimeError, match="used up"):
         loss.backward()
     with pytest.raises(RuntimeError, match="used up"):

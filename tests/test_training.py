@@ -231,6 +231,23 @@ def test_the_teacher_is_refreshed_every_cadence_epochs(dataset, tmp_path, monkey
     assert calls == refreshed
 
 
+@pytest.mark.parametrize("mode", ["skd", "finetune"])
+def test_no_teacher_is_copied_at_phi_zero(dataset, tmp_path, monkeypatch, mode):
+    # phi is 0 in every epoch, so a teacher would never be read
+    calls = []
+
+    def snapshot(params):
+        calls.append(params)
+        return snapshot_teacher(params)
+
+    monkeypatch.setattr(training, "snapshot_teacher", snapshot)
+    cfg = tiny_cfg(dataset, **{"kd.phi_final": "0.0", "kd.cadence": "1",
+                               "train.finetune_epochs": "2"})
+    records = run_training(cfg, tmp_path / "run", mode=mode, log=lambda s: None)
+    assert [r["phi"] for r in records] == [0.0, 0.0]
+    assert calls == []
+
+
 def test_finetune_phi_zero_lr_zero_is_noop(dataset, tmp_path):
     cfg = tiny_cfg(dataset)
     run_training(cfg, tmp_path / "pre", log=lambda s: None)
@@ -371,6 +388,21 @@ def test_lm_training_deterministic(tmp_path):
     assert r1 == r2
     assert (tmp_path / "a" / "lm.ckpt").read_bytes() == \
         (tmp_path / "b" / "lm.ckpt").read_bytes()
+
+
+def test_lm_training_skips_transcripts_outside_the_alphabet(tmp_path):
+    cfg = resolve({}, {"data.alphabet": ALPHABET, "lm.layers": "1", "lm.d_att": "16",
+                       "lm.d_ff": "32", "lm.heads": "2", "lm.epochs": "2"})
+    logged = []
+    with_bad = run_lm_training(cfg, ["ab", "cx a", "cd a"], tmp_path / "a", log=logged.append)
+    assert logged[0] == ("skipping LM transcript 'cx a': transcript has characters "
+                         "outside data.alphabet: 'x'")
+    assert with_bad == run_lm_training(cfg, ["ab", "cd a"], tmp_path / "b",
+                                       log=lambda s: None)
+    assert (tmp_path / "a" / "lm.ckpt").read_bytes() == \
+        (tmp_path / "b" / "lm.ckpt").read_bytes()
+    with pytest.raises(TrasrError, match="every LM transcript was skipped"):
+        run_lm_training(cfg, ["xy"], tmp_path / "c", log=lambda s: None)
 
 
 # -- decoding ---------------------------------------------------------------
