@@ -12,6 +12,7 @@ import re
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+from .data import Vocabulary
 from .errors import ConfigError
 from .losses import KDConfig
 from .model import LMConfig, ModelConfig
@@ -177,7 +178,7 @@ def resolve(values: dict[str, str] | None = None,
             raw[key] = default
 
     alphabet = raw["data.alphabet"]
-    vocab_size = 5 + len(dict.fromkeys(alphabet))
+    vocab_size = len(Vocabulary(alphabet))
     try:
         model = _section(ModelConfig, raw, "model", vocab_size=vocab_size)
         kd = _section(KDConfig, raw, "kd")

@@ -37,10 +37,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.symbols)
 
-    @property
-    def characters(self) -> list[str]:
-        return self.symbols[len(self.SPECIALS):]
-
     def character_ids(self) -> list[int]:
         return list(range(len(self.SPECIALS), len(self.symbols)))
 
@@ -138,10 +134,7 @@ def load_manifest(path) -> list[ManifestEntry]:
         if utt_id in seen:
             raise FormatError(f"{path}:{lineno}: duplicate utterance id {utt_id!r}")
         seen.add(utt_id)
-        feat = path.parent / rel
-        if not feat.exists():
-            raise FormatError(f"{path}:{lineno}: feature file {feat} does not exist")
-        entries.append(ManifestEntry(utt_id, feat, transcript))
+        entries.append(ManifestEntry(utt_id, path.parent / rel, transcript))
     if not entries:
         raise FormatError(f"manifest {path} is empty")
     return entries
@@ -156,29 +149,29 @@ class SyntheticTaskSpec:
     feature_dim: int = 40
     frames_per_token: tuple[int, int] = (4, 8)
     noise_std: float = 0.05
-    template_seed: int = 7
-    min_template_distance: float = 0.5
 
 
+TEMPLATE_SEED = 7
+MIN_TEMPLATE_DISTANCE = 0.5  # between any two characters' unit-vector templates
 TEMPLATE_DRAWS = 1000  # random unit vectors tried per character
 
 
 def token_templates(spec: SyntheticTaskSpec) -> dict[str, np.ndarray]:
     """One deterministic feature template per character, pairwise well
     separated; ValueError if TEMPLATE_DRAWS draws find no room for one."""
-    rng = np.random.default_rng(spec.template_seed)
+    rng = np.random.default_rng(TEMPLATE_SEED)
     templates: dict[str, np.ndarray] = {}
     for ch in dict.fromkeys(spec.alphabet):
         for _ in range(TEMPLATE_DRAWS):
             v = rng.normal(size=spec.feature_dim)
             v /= np.linalg.norm(v)
-            if all(np.linalg.norm(v - u) >= spec.min_template_distance
+            if all(np.linalg.norm(v - u) >= MIN_TEMPLATE_DISTANCE
                    for u in templates.values()):
                 templates[ch] = v.astype(np.float32)
                 break
         else:
             raise ValueError(f"{TEMPLATE_DRAWS} draws found no template for {ch!r} at least "
-                             f"{spec.min_template_distance} from the {len(templates)} before it")
+                             f"{MIN_TEMPLATE_DISTANCE} from the {len(templates)} before it")
     return templates
 
 

@@ -3,7 +3,8 @@ paper's single in-encoder TR layer, or the pyramidal baseline), the decoder,
 the CTC head, and a decoder-only language model.
 
 All forward functions take a ParameterStore plus a ForwardCtx carrying
-train/eval mode, dropout streams, and the optional attention MAC counter.
+the dropout rate (dropout is on exactly when it is above 0) and streams, and
+the optional attention MAC counter.
 Activations are padded batches [B, T, D] with per-row lengths; attention
 runs on [..., H, T, d_k] with the heads as an array axis, and padded keys
 are masked out, so a row's result does not depend on its batchmates.
@@ -100,7 +101,6 @@ class MacCounter:
 
 @dataclass
 class ForwardCtx:
-    train: bool = False
     dropout: float = 0.0
     streams: StreamCache | None = None
     counter: MacCounter | None = None
@@ -108,10 +108,9 @@ class ForwardCtx:
     def drop(self, x: Tensor, name: str, lengths=None) -> Tensor:
         """Dropout from the stream `name`; with `lengths`, one draw per row of
         its true length, in batch order (see `tensor.dropout`)."""
-        if not self.train or self.dropout == 0.0:
+        if self.dropout == 0.0:
             return x
-        return T.dropout(x, self.dropout, self.streams.get(f"dropout/{name}"), True,
-                         lengths)
+        return T.dropout(x, self.dropout, self.streams.get(f"dropout/{name}"), lengths)
 
 
 EVAL_CTX = ForwardCtx()
@@ -318,7 +317,7 @@ def encoder_layer(x: Tensor, params: ParameterStore, prefix: str, heads: int,
 
 
 def time_reduce(x: Tensor, lengths, params: ParameterStore,
-                prefix: str = "enc.tr") -> tuple[Tensor, np.ndarray]:
+                prefix: str) -> tuple[Tensor, np.ndarray]:
     """Concatenate adjacent frame pairs of x [..., n, D] and project back to D.
     `lengths` holds each row's true frame count; each becomes n // 2 (an odd
     tail is dropped)."""
@@ -437,13 +436,12 @@ def encoder_layer_lengths(cfg: ModelConfig, T_in: int) -> tuple[int, list[int], 
 
 def count_attention_macs(cfg: ModelConfig, T_in: int) -> dict:
     """Analytic encoder self-attention MACs at each layer's actual length."""
-    n0, lengths, final = encoder_layer_lengths(cfg, T_in)
+    _, lengths, final = encoder_layer_lengths(cfg, T_in)
     layers = []
     for n in lengths:
         score = n * n * cfg.d_att
         layers.append({"length": n, "score_macs": score, "total_macs": 2 * score})
     return {
-        "frontend_length": n0,
         "final_length": final,
         "layers": layers,
         "score_macs": sum(l["score_macs"] for l in layers),

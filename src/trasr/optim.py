@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -15,7 +16,6 @@ class ParameterStore:
 
     def __init__(self):
         self._entries: dict[str, Tensor] = {}
-        self.step_count = 0
 
     def add(self, name: str, tensor: Tensor) -> Tensor:
         if name in self._entries:
@@ -26,12 +26,6 @@ class ParameterStore:
 
     def __getitem__(self, name: str) -> Tensor:
         return self._entries[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
     def names(self) -> list[str]:
         return sorted(self._entries)
@@ -68,24 +62,18 @@ def warmup_lr(step: int, scale: float, d_att: int, warmup_steps: int) -> float:
     return scale * d_att ** -0.5 * min(step ** -0.5, step * warmup_steps ** -1.5)
 
 
+BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
-    """Adam moments plus either a warmup schedule or a fixed rate."""
+    """All of Adam's state: the rate of each step (`lr(step)`, step >= 1), the
+    number of steps taken, and the first and second moments by parameter name."""
 
-    scale: float = 5.0
-    d_att: int = 256
-    warmup_steps: int = 25000
-    fixed_lr: float | None = None
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
+    lr: Callable[[int], float]
+    step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
-
-    def learning_rate(self, step: int) -> float:
-        if self.fixed_lr is not None:
-            return self.fixed_lr
-        return warmup_lr(step, self.scale, self.d_att, self.warmup_steps)
 
 
 def adam_step(params: ParameterStore, state: AdamState, loss: Tensor) -> None:
@@ -100,8 +88,8 @@ def adam_step(params: ParameterStore, state: AdamState, loss: Tensor) -> None:
     parameter that the graph does not reach raises `NotBackpropagatedError`
     before anything changes.
     """
-    step = params.step_count + 1
-    lr = state.learning_rate(step)
+    step = state.step + 1
+    lr = state.lr(step)
     names = {id(t._node): name for name, t in params.items()}
 
     def update(node):
@@ -111,13 +99,13 @@ def adam_step(params: ParameterStore, state: AdamState, loss: Tensor) -> None:
             node.grad = None
 
     loss.backward(on_leaf=update, required=params.items())
-    params.step_count = step
+    state.step = step
 
 
 def _adam_update(state: AdamState, name: str, x: np.ndarray, g: np.ndarray,
                  step: int, lr: float) -> None:
     """Adam on the parameter array x, in place, from its gradient g."""
-    b1, b2, eps = state.beta1, state.beta2, state.epsilon
+    b1, b2, eps = BETA1, BETA2, EPSILON
     m = state.m.get(name)
     v = state.v.get(name)
     if m is None:

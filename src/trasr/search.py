@@ -58,7 +58,7 @@ class CtcPrefixScorer:
         self.lp = np.asarray(log_probs, dtype=np.float64)
         if self.lp.ndim != 2:
             raise ValueError(f"CTC log-probs must be 2-d, got shape {self.lp.shape}")
-        self.n_frames, self.vocab = self.lp.shape
+        self.n_frames = len(self.lp)
         self.blank = blank_id
 
     def initial_state(self) -> np.ndarray:

@@ -482,16 +482,15 @@ def take(x: Tensor, index) -> Tensor:
     return _result(data, (xn,), backward)
 
 
-def dropout(x: Tensor, p: float, rng: np.random.Generator, train: bool,
-            lengths=None) -> Tensor:
-    """Inverted dropout: kept values scaled by 1/(1-p); identity in eval mode.
+def dropout(x: Tensor, p: float, rng: np.random.Generator, lengths=None) -> Tensor:
+    """Inverted dropout: kept values scaled by 1/(1-p); identity at p = 0.
 
     With `lengths`, row i draws only its first lengths[i] positions, rows in
     order (the draws of one call per unpadded row), and padding keeps scale 1.
     """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {p}")
-    if not train or p == 0.0:
+    if p == 0.0:
         return x
     x = _wrap(x)
     keep = np.ones_like(x.data)

@@ -26,7 +26,7 @@ from .losses import (ce_label_smoothed, ctc_loss, ctc_min_frames, finetune_loss,
 from .model import (EVAL_CTX, ForwardCtx, KVCache, ModelConfig, LMConfig, ctc_log_probs,
                     decode_forward, encode, encoder_layer_lengths, init_lm_params,
                     init_model_params, lm_forward)
-from .optim import AdamState, ParameterStore, adam_step
+from .optim import AdamState, ParameterStore, adam_step, warmup_lr
 from .rng import StreamCache, stream
 from .search import BeamConfig, CtcPrefixScorer, beam_search
 
@@ -215,7 +215,7 @@ def run_training(cfg: ExperimentConfig, out_dir, mode: str = "plain",
     student copied as the teacher, at epoch 1 and every `kd.cadence` epochs.
 
     Writes the resolved config, per-epoch checkpoints (pruned to the best k
-    by dev token accuracy), and an append-only JSONL epoch log.
+    by dev token accuracy), and a JSONL epoch log that the run starts empty.
     """
     from .config import dump_config
 
@@ -228,6 +228,8 @@ def run_training(cfg: ExperimentConfig, out_dir, mode: str = "plain",
 
     with RunLock(out_dir):
         (out_dir / "config.resolved").write_text(dump_config(cfg), encoding="utf-8")
+        record_path = out_dir / "epochs.jsonl"
+        record_path.write_text("", encoding="utf-8")  # this run's epochs only
         vocab = Vocabulary(cfg.alphabet)
         model_cfg = cfg.model
         batch_size = cfg.train.batch_size
@@ -245,11 +247,11 @@ def run_training(cfg: ExperimentConfig, out_dir, mode: str = "plain",
             params.load_state_dict(load_checkpoint(init_checkpoint))
 
         if mode == "finetune":
-            adam = AdamState(fixed_lr=cfg.train.finetune_lr)
+            adam = AdamState(lambda step: cfg.train.finetune_lr)
             n_epochs = cfg.train.finetune_epochs
         else:
-            adam = AdamState(scale=cfg.train.lr_scale, d_att=model_cfg.d_att,
-                             warmup_steps=cfg.train.warmup_steps)
+            adam = AdamState(lambda step: warmup_lr(step, cfg.train.lr_scale, model_cfg.d_att,
+                                                    cfg.train.warmup_steps))
             n_epochs = cfg.train.epochs
 
         streams = StreamCache(seed)
@@ -257,7 +259,6 @@ def run_training(cfg: ExperimentConfig, out_dir, mode: str = "plain",
         teacher = None
         records: list[dict] = []
         best: list[tuple[float, int, Path]] = []  # (accuracy, epoch, path)
-        record_path = out_dir / "epochs.jsonl"
 
         for epoch in range(1, n_epochs + 1):
             t0 = time.perf_counter()
@@ -268,7 +269,7 @@ def run_training(cfg: ExperimentConfig, out_dir, mode: str = "plain",
 
             order = stream(seed, f"shuffle/epoch{epoch}").permutation(len(train_batches))
             batch_stats = []
-            ctx = ForwardCtx(train=True, dropout=model_cfg.dropout, streams=streams)
+            ctx = ForwardCtx(dropout=model_cfg.dropout, streams=streams)
             for b in order:
                 batch = train_batches[b]
                 batch_in = batch
@@ -361,13 +362,13 @@ def run_lm_training(cfg: ExperimentConfig, transcripts: list[str], out_dir,
     lm_cfg = cfg.lm
     seed = cfg.train.seed
     params = init_lm_params(lm_cfg, seed)
-    adam = AdamState(scale=cfg.lm_train.lr_scale, d_att=lm_cfg.d_att,
-                     warmup_steps=cfg.lm_train.warmup_steps)
+    adam = AdamState(lambda step: warmup_lr(step, cfg.lm_train.lr_scale, lm_cfg.d_att,
+                                            cfg.lm_train.warmup_steps))
     streams = StreamCache(seed)
     records = []
     for epoch in range(1, cfg.lm_train.epochs + 1):
         order = stream(seed, f"lm-shuffle/epoch{epoch}").permutation(len(tokenized))
-        ctx = ForwardCtx(train=True, dropout=lm_cfg.dropout, streams=streams)
+        ctx = ForwardCtx(dropout=lm_cfg.dropout, streams=streams)
         nll_sum, n_tok = 0.0, 0
         for start in range(0, len(order), cfg.lm_train.batch_size):
             chunk = [tokenized[j] for j in order[start:start + cfg.lm_train.batch_size]]
@@ -430,19 +431,19 @@ def decode_utterance(seq: FeatureSequence, model_cfg: ModelConfig,
                      params: ParameterStore, beam_cfg: BeamConfig, vocab: Vocabulary,
                      lm_cfg: LMConfig | None = None,
                      lm_params: ParameterStore | None = None):
+    """The search result for one utterance. Every scorer the arguments allow
+    is built; `beam_search` uses those that its weights ask for."""
     with T.no_grad():
         x_e, n = encode(seq.features[None], [seq.length], model_cfg, params)
         ctc_lp = ctc_log_probs(x_e, params).data[0]
-    scorer = CtcPrefixScorer(ctc_lp, blank_id=Vocabulary.BLANK) \
-        if beam_cfg.ctc_weight > 0 else None
     s2s_fn = _cached_scorer(lambda p, cache: decode_forward(p, x_e, model_cfg, params,
                                                              cache=cache))
-    lm_fn = None
-    if beam_cfg.lm_weight != 0.0 and lm_params is not None:
-        lm_fn = _cached_scorer(lambda p, cache: lm_forward(p, lm_cfg, lm_params,
-                                                           cache=cache))
+    lm_fn = None if lm_params is None else \
+        _cached_scorer(lambda p, cache: lm_forward(p, lm_cfg, lm_params, cache=cache))
     return beam_search(s2s_fn, beam_cfg, Vocabulary.SOS, Vocabulary.EOS,
-                       vocab.character_ids(), int(n[0]), ctc_scorer=scorer, lm_fn=lm_fn)
+                       vocab.character_ids(), int(n[0]),
+                       ctc_scorer=CtcPrefixScorer(ctc_lp, blank_id=Vocabulary.BLANK),
+                       lm_fn=lm_fn)
 
 
 def decode_dataset(entries: list[ManifestEntry], model_cfg: ModelConfig,

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import trasr
+import trasr.training as training
 from trasr.checkpoint import load_checkpoint
 from trasr.cli import _load_cfg, build_parser, main
 from trasr.config import KEYS
@@ -533,6 +534,115 @@ def test_decode_skips_a_feature_path_that_is_a_directory(dataset, trained, tmp_p
     assert len(hyps) == 6 and hyps[2] == "utt0002\t"
 
     assert decode(only_bad, tmp_path / "dec-bad") == 3
+
+
+def _missing_file_manifests(dataset, tmp_path):
+    """A manifest whose utt0002 names a feature file `gone.trft` that does not
+    exist, and a manifest of that utterance alone."""
+    bad = tmp_path / "gone.trft"
+    lines = [f"{e.utt_id}\t{bad if i == 2 else e.feature_path}\t{e.transcript}\n"
+             for i, e in enumerate(load_manifest(dataset))]
+    mixed, only_bad = tmp_path / "mixed.tsv", tmp_path / "bad.tsv"
+    mixed.write_text("".join(lines))
+    only_bad.write_text(lines[2])
+    return mixed, only_bad, bad
+
+
+def test_train_skips_a_missing_feature_file(dataset, tmp_path, capsys):
+    mixed, only_bad, bad = _missing_file_manifests(dataset, tmp_path)
+
+    def train(manifest, out):
+        return main(["train", "--out", str(out),
+                     "--set", f"paths.train_manifest={manifest}"] + TINY)
+
+    capsys.readouterr()
+    assert train(mixed, tmp_path / "run") == 0
+    assert f"skipping training utterance utt0002: {bad}: " in capsys.readouterr().out
+    records = [json.loads(line) for line in
+               (tmp_path / "run" / "epochs.jsonl").read_text().splitlines()]
+    assert len(records) == 2
+    for record in records:
+        assert [s["utt_id"] for s in record["skipped"]] == ["utt0002"]
+        assert record["skipped"][0]["reason"].startswith(f"{bad}: ")
+
+    assert train(only_bad, tmp_path / "run-bad") == 3
+    assert "every training utterance was skipped" in capsys.readouterr().err
+
+
+def test_decode_skips_a_missing_feature_file(dataset, trained, tmp_path):
+    mixed, only_bad, bad = _missing_file_manifests(dataset, tmp_path)
+
+    def decode(manifest, out):
+        return main(["decode", "--out", str(out), "--checkpoint",
+                     str(trained / "epoch0002.ckpt"), "--manifest", str(manifest),
+                     "--greedy"] + TINY)
+
+    assert decode(mixed, tmp_path / "dec") == 0
+    report = json.loads((tmp_path / "dec" / "report.json").read_text())
+    assert report["utterances"] == 6
+    assert [s["utt_id"] for s in report["skipped"]] == ["utt0002"]
+    assert report["skipped"][0]["reason"].startswith(f"{bad}: ")
+    hyps = (tmp_path / "dec" / "hyps.tsv").read_text().splitlines()
+    assert len(hyps) == 6 and hyps[2] == "utt0002\t"
+
+    assert decode(only_bad, tmp_path / "dec-bad") == 3
+
+
+def test_train_lm_reads_no_feature_file(dataset, tmp_path):
+    mixed, _, _ = _missing_file_manifests(dataset, tmp_path)
+    rc = main(["train-lm", "--out", str(tmp_path / "lm"), "--manifest", str(mixed),
+               "--set", f"data.alphabet={ALPHABET}", "--set", "lm.layers=1",
+               "--set", "lm.d_att=16", "--set", "lm.d_ff=32", "--set", "lm.heads=2",
+               "--set", "lm.epochs=1"])
+    assert rc == 0
+    assert (tmp_path / "lm" / "lm.ckpt").exists()
+
+
+def test_a_run_starts_its_epoch_log_empty(dataset, tmp_path):
+    def train(epochs):
+        return main(["train", "--out", str(tmp_path / "run"),
+                     "--set", f"paths.train_manifest={dataset}"] + TINY
+                    + ["--set", f"train.epochs={epochs}"])
+
+    assert train(2) == 0 and train(1) == 0
+    records = [json.loads(line) for line in
+               (tmp_path / "run" / "epochs.jsonl").read_text().splitlines()]
+    assert [r["epoch"] for r in records] == [1]
+
+
+def test_a_non_finite_loss_ends_the_run(dataset, tmp_path, capsys, monkeypatch):
+    real, first = training.batch_loss, []
+
+    def nan_first(batch, *args, **kwargs):
+        total, stats = real(batch, *args, **kwargs)
+        if not first:
+            first.append(batch.utt_ids)
+            total = total * float("nan")
+        return total, stats
+
+    monkeypatch.setattr(training, "batch_loss", nan_first)
+    out = tmp_path / "run"
+    capsys.readouterr()
+    assert main(["train", "--out", str(out),
+                 "--set", f"paths.train_manifest={dataset}"] + TINY) == 3
+    assert f"non-finite loss at epoch 1, batch of {first[0]}" in capsys.readouterr().err
+    assert not (out / "epoch0001.ckpt").exists()
+    log = out / "epochs.jsonl"
+    assert not log.exists() or log.read_text() == ""  # no epoch record
+
+
+def test_a_non_finite_lm_loss_ends_the_run(dataset, tmp_path, capsys, monkeypatch):
+    real = training.ce_label_smoothed
+    monkeypatch.setattr(training, "ce_label_smoothed",
+                        lambda *args, **kwargs: real(*args, **kwargs) * float("nan"))
+    capsys.readouterr()
+    rc = main(["train-lm", "--out", str(tmp_path / "lm"), "--manifest", str(dataset),
+               "--set", f"data.alphabet={ALPHABET}", "--set", "lm.layers=1",
+               "--set", "lm.d_att=16", "--set", "lm.d_ff=32", "--set", "lm.heads=2",
+               "--set", "lm.epochs=1"])
+    assert rc == 3
+    assert "non-finite LM loss at epoch 1" in capsys.readouterr().err
+    assert not (tmp_path / "lm" / "lm.ckpt").exists()
 
 
 IDENTITY = TINY + ["--set", "model.frontend=identity"]

@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trasr.data as data
-from trasr.data import (ManifestEntry, SyntheticTaskSpec, Vocabulary, cer, edit_stats,
-                        load_features, load_manifest, make_batches,
+from trasr.data import (MIN_TEMPLATE_DISTANCE, ManifestEntry, SyntheticTaskSpec, Vocabulary,
+                        cer, edit_stats, load_features, load_manifest, make_batches,
                         save_features, save_manifest, synth_generate, synth_utterance,
                         token_templates, wer)
 from trasr.errors import FormatError, VocabularyError
 from trasr.frontend import FeatureSequence
+from trasr.model import ModelConfig
+from trasr.training import vet
 
 
 # -- vocabulary -------------------------------------------------------------
@@ -143,10 +145,14 @@ def test_manifest_duplicate_id(tmp_path):
 
 
 def test_manifest_missing_file(tmp_path):
+    # the manifest keeps the entry; `vet` skips it when a run reads it
     man = write_dataset(tmp_path)
     man.write_text("ghost\tnope.trft\tab\n")
-    with pytest.raises(FormatError, match="does not exist"):
-        load_manifest(man)
+    (entry,) = load_manifest(man)
+    assert entry.feature_path == tmp_path / "nope.trft"
+    seq, reason = vet(entry, ModelConfig(feature_dim=3))
+    assert seq is None
+    assert reason.startswith(f"{entry.feature_path}: ") and "No such file" in reason
 
 
 def test_manifest_empty_rejected(tmp_path):
@@ -175,7 +181,7 @@ def test_templates_deterministic_and_separated():
         assert np.array_equal(t1[c], t2[c])
     for i, a in enumerate(chars):
         for b in chars[i + 1:]:
-            assert np.linalg.norm(t1[a] - t1[b]) >= spec.min_template_distance
+            assert np.linalg.norm(t1[a] - t1[b]) >= MIN_TEMPLATE_DISTANCE
 
 
 def test_noise_free_utterance_is_concatenated_templates():

@@ -331,9 +331,9 @@ def test_row_loss_and_gradient_independent_of_batchmates_and_padding(kind, arch,
 def test_dropout_rows_draw_like_unpadded_calls():
     x = Tensor(np.random.default_rng(0).normal(size=(3, 6, 4)).astype(np.float32))
     lengths = [4, 6, 1]
-    batched = ForwardCtx(train=True, dropout=0.3, streams=StreamCache(7))
+    batched = ForwardCtx(dropout=0.3, streams=StreamCache(7))
     got = batched.drop(x, "enc.layer0.mha", lengths).data
-    per_row = ForwardCtx(train=True, dropout=0.3, streams=StreamCache(7))
+    per_row = ForwardCtx(dropout=0.3, streams=StreamCache(7))
     for row, n in enumerate(lengths):
         want = per_row.drop(Tensor(x.data[row, :n]), "enc.layer0.mha").data
         assert np.array_equal(got[row, :n], want)
@@ -590,7 +590,7 @@ def _desk_batch(dtype):
 def _run_entry(entry, dtype):
     """One training-mode forward and backward through `entry`; returns the
     outputs and the parameter stores whose gradients it filled."""
-    ctx = ForwardCtx(train=True, dropout=0.1, streams=StreamCache(0))
+    ctx = ForwardCtx(dropout=0.1, streams=StreamCache(0))
     prefix = np.array([[2, 5, 6], [2, 8, 5]])
     if entry == "lm_forward":
         lm_cfg = LMConfig(layers=2, d_att=32, d_ff=64, heads=2, vocab_size=9, dropout=0.1)

@@ -6,7 +6,7 @@ import pytest
 import trasr.tensor as T
 from trasr.errors import NotBackpropagatedError, ShapeError
 from trasr.losses import snapshot_teacher
-from trasr.optim import AdamState, ParameterStore, adam_step, warmup_lr
+from trasr.optim import BETA1, BETA2, EPSILON, AdamState, ParameterStore, adam_step, warmup_lr
 from trasr.tensor import Tensor
 
 
@@ -63,27 +63,27 @@ def reference_adam(x, grads, lr, b1=0.9, b2=0.999, eps=1e-8):
 
 def test_adam_two_steps_match_reference():
     store = make_store({"w": 1.0})
-    state = AdamState(fixed_lr=0.01)
+    state = AdamState(lambda step: 0.01)
     for _ in range(2):
         adam_step(store, state, T.tsum(store["w"] * np.asarray(1.0)))
     expected = reference_adam(1.0, [1.0, 1.0], 0.01)
     assert abs(store["w"].data - expected) < 1e-12
-    assert store.step_count == 2
+    assert state.step == 2
 
 
 def test_adam_zero_gradient_leaves_parameters_unchanged():
     store = make_store({"w": np.array([1.0, -2.0])})
-    state = AdamState(fixed_lr=0.01)
+    state = AdamState(lambda step: 0.01)
     adam_step(store, state, T.tsum(store["w"] * np.zeros(2)))
     assert np.array_equal(store["w"].data, [1.0, -2.0])
-    assert store.step_count == 1
+    assert state.step == 1
     assert store["w"].grad is None  # grads are consumed
 
 
 def test_adam_deterministic_across_runs():
     def run():
         store = make_store({"w": np.linspace(-1, 1, 5)})
-        state = AdamState(scale=1.0, d_att=64, warmup_steps=10)
+        state = AdamState(lambda step: warmup_lr(step, 1.0, 64, 10))
         rng = np.random.default_rng(3)
         for _ in range(5):
             adam_step(store, state, T.tsum(store["w"] * rng.normal(size=5)))
@@ -101,19 +101,19 @@ def test_adam_in_place_three_steps_bit_identical_to_out_of_place_formula():
     store = ParameterStore()
     for name, v in init.items():
         store.add(name, Tensor(v.copy()))
-    state = AdamState(scale=1.0, d_att=64, warmup_steps=10)
+    state = AdamState(lambda step: warmup_lr(step, 1.0, 64, 10))
     live = {name: t.data for name, t in store.items()}
     for g in grads:
         # the gradient of sum(x * g) with respect to x is g, bit for bit
         adam_step(store, state, sum(T.tsum(t * g[name]) for name, t in store.items()))
 
     # the out-of-place update, one new array per term
-    ref = AdamState(scale=1.0, d_att=64, warmup_steps=10)
-    b1, b2, eps = ref.beta1, ref.beta2, ref.epsilon
+    ref = AdamState(lambda step: warmup_lr(step, 1.0, 64, 10))
+    b1, b2, eps = BETA1, BETA2, EPSILON
     for name, x in init.items():
         m = v = np.zeros_like(x)
         for step, g in enumerate(grads, start=1):
-            lr = ref.learning_rate(step)
+            lr = ref.lr(step)
             m = b1 * m + (1.0 - b1) * g[name]
             v = b2 * v + (1.0 - b2) * g[name] * g[name]
             mhat = m / (1.0 - b1 ** step)
@@ -174,7 +174,7 @@ def test_clone_frozen_is_isolated():
 
 def test_fused_step_with_an_unreached_parameter_changes_nothing():
     store = make_store({"used": [1.0, -1.0], "lonely": [2.0]})
-    state = AdamState(fixed_lr=0.01)
+    state = AdamState(lambda step: 0.01)
     adam_step(store, state, T.tsum(store["used"] * store["used"]) + store["lonely"])
     before = ({name: t.data.copy() for name, t in store.items()},
               {k: a.copy() for k, a in state.m.items()}, {k: a.copy() for k, a in state.v.items()})
@@ -182,7 +182,7 @@ def test_fused_step_with_an_unreached_parameter_changes_nothing():
     loss = T.tsum(store["used"] * 3.0)
     with pytest.raises(NotBackpropagatedError, match="lonely"):
         adam_step(store, state, loss)
-    assert store.step_count == 1
+    assert state.step == 1
     assert store["used"].grad is None  # the raise came before backward ran
     after = ({name: t.data for name, t in store.items()}, state.m, state.v)
     for old, new in zip(before, after):

@@ -1,9 +1,11 @@
 """The benchmark reaches trasr by name: its tracer wraps trasr attributes,
-and its workloads set config keys. A renamed attribute would be skipped
-there and reported only as `trace.absent` > 0, and a removed key would fail
-the benchmark's set-up. These tests fail instead. The perfbench files are
-loaded from disk, unchanged."""
+its workloads set config keys, and its harness calls trasr functions. A
+renamed attribute would be skipped there and reported only as
+`trace.absent` > 0, and a removed key or parameter would fail the
+benchmark's set-up or every operation. These tests fail instead. The
+perfbench files are loaded from disk, unchanged, or only parsed."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -98,3 +100,55 @@ def test_graph_node_count_sees_the_backward_closure(tracing):
     assert tracing._records_node(None, None, x * 2.0) == 1
     with T.no_grad():
         assert tracing._records_node(None, None, x * 2.0) == 0
+
+
+def _trasr_calls(path: Path):
+    """(the resolved callee, its name in the file, the call node) for each
+    call in `path` to a name imported from trasr or to an attribute of a
+    trasr module imported under a name; AssertionError if one of those names
+    does not resolve."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names, modules = {}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("trasr"):
+            owner = importlib.import_module(node.module)
+            for alias in node.names:
+                assert hasattr(owner, alias.name), f"{path.name}: {node.module}.{alias.name}"
+                names[alias.asname or alias.name] = getattr(owner, alias.name)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("trasr.") and alias.asname:
+                    modules[alias.asname] = importlib.import_module(alias.name)
+    calls = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id in names:
+            calls.append((names[func.id], func.id, node))
+        elif (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+              and func.value.id in modules):
+            module = modules[func.value.id]
+            name = f"{func.value.id}.{func.attr}"
+            assert hasattr(module, func.attr), f"{path.name}: {name}"
+            calls.append((getattr(module, func.attr), name, node))
+    return calls
+
+
+def test_every_call_perfbench_makes_into_trasr_binds():
+    """Each direct call in the harness and the reference regenerator binds
+    its positional arguments and keywords to the callee's signature."""
+    called = set()
+    for file in ("harness.py", "regenerate.py"):
+        for callee, name, node in _trasr_calls(PERFBENCH / file):
+            called.add(name)
+            if any(isinstance(a, ast.Starred) for a in node.args) or \
+                    any(k.arg is None for k in node.keywords):
+                continue  # *args or **kwargs: nothing to bind statically
+            try:
+                inspect.signature(callee).bind(*node.args,
+                                               **{k.arg: k.value for k in node.keywords})
+            except TypeError as e:
+                pytest.fail(f"{file}:{node.lineno}: {name}(...) does not bind: {e}")
+    assert {"resolve", "run_training", "run_lm_training", "decode_utterance",
+            "init_model_params", "init_lm_params", "tckpt.load_checkpoint"} <= called

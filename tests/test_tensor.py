@@ -157,7 +157,7 @@ OPS = {
     "reshape": lambda a, b: T.reshape(a, -1),
     "transpose": lambda a, b: T.transpose(a, (2, 0, 1)),
     "take": lambda a, b: a[np.array([1, 0, 1])],
-    "dropout": lambda a, b: T.dropout(a, 0.5, np.random.default_rng(0), True),
+    "dropout": lambda a, b: T.dropout(a, 0.5, np.random.default_rng(0)),
     "masked_softmax": lambda a, b: T.masked_softmax(a),
     "masked_softmax mask": lambda a, b: T.masked_softmax(a, np.tril(np.ones((3, 4), bool))),
     "log_softmax": lambda a, b: T.log_softmax(a),
@@ -198,14 +198,13 @@ def test_tensor_operands_keep_numpy_promotion():
 def test_dropout_p0_identity_both_modes():
     x = Tensor(np.ones((3, 3)))
     rng = np.random.default_rng(0)
-    assert T.dropout(x, 0.0, rng, True) is x
-    assert T.dropout(x, 0.5, rng, False) is x
+    assert T.dropout(x, 0.0, rng) is x
 
 
 def test_dropout_inverted_scaling_preserves_expectation():
     rng = np.random.default_rng(0)
     x = Tensor(np.ones((200, 200)))
-    y = T.dropout(x, 0.3, rng, True)
+    y = T.dropout(x, 0.3, rng)
     kept = y.data[y.data != 0]
     assert np.allclose(kept, 1.0 / 0.7)
     assert abs(y.data.mean() - 1.0) < 0.02

@@ -20,7 +20,7 @@ from trasr.data import (SyntheticTaskSpec, Vocabulary, load_features, load_manif
 from trasr.errors import TrasrError
 from trasr.losses import snapshot_teacher
 from trasr.model import ForwardCtx, init_lm_params, init_model_params
-from trasr.optim import AdamState, _adam_update, adam_step
+from trasr.optim import AdamState, _adam_update, adam_step, warmup_lr
 from trasr.rng import StreamCache
 from trasr.search import BeamConfig
 from trasr.training import (RunLock, batch_loss, decode_dataset, lm_perplexity,
@@ -307,18 +307,18 @@ def test_fused_adam_step_equals_backward_then_step(dataset):
 
     def train(fused):
         params = init_model_params(cfg.model, 0)
-        state = AdamState(scale=1.0, d_att=cfg.model.d_att, warmup_steps=10)
-        ctx = ForwardCtx(train=True, dropout=0.1, streams=StreamCache(3))
+        state = AdamState(lambda step: warmup_lr(step, 1.0, cfg.model.d_att, 10))
+        ctx = ForwardCtx(dropout=0.1, streams=StreamCache(3))
         for _ in range(2):
             total, _ = batch_loss(batch, cfg.model, params, ctx, 0.3, 0.1)
             if fused:
                 adam_step(params, state, total)
             else:
                 total.backward()
-                params.step_count += 1
-                step = params.step_count
+                state.step += 1
+                step = state.step
                 for name, t in params.items():
-                    _adam_update(state, name, t.data, t.grad, step, state.learning_rate(step))
+                    _adam_update(state, name, t.data, t.grad, step, state.lr(step))
                     t.grad = None
         assert all(t.grad is None for _, t in params.items())
         return params, state
@@ -339,7 +339,7 @@ def test_batched_dropout_step_equals_per_utterance_steps(dataset):
     entries = loaded(load_manifest(dataset)[:3])
 
     def summed(batches):
-        ctx = ForwardCtx(train=True, dropout=0.3, streams=StreamCache(5))
+        ctx = ForwardCtx(dropout=0.3, streams=StreamCache(5))
         ctc = s2s = 0.0
         for batch in batches:
             _, stats = batch_loss(batch, cfg.model, params, ctx,
