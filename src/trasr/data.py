@@ -313,6 +313,3 @@ def edit_stats(ref: list, hyp: list) -> EditStats:
 def wer(ref: str, hyp: str) -> EditStats:
     return edit_stats(ref.split(), hyp.split())
 
-
-def cer(ref: str, hyp: str) -> EditStats:
-    return edit_stats(list(ref), list(hyp))

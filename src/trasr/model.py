@@ -423,20 +423,20 @@ def decode_forward(prefix, x_e: Tensor, cfg: ModelConfig, params: ParameterStore
 # -- analytic attention cost ----------------------------------------------
 
 
-def encoder_layer_lengths(cfg: ModelConfig, T_in: int) -> tuple[int, list[int], int]:
-    """(front-end output length, per-layer input lengths, final length)."""
-    n = n0 = output_length(cfg.frontend, T_in)
+def encoder_layer_lengths(cfg: ModelConfig, T_in: int) -> tuple[list[int], int]:
+    """(per-layer input lengths, final length)."""
+    n = output_length(cfg.frontend, T_in)
     reductions, lengths = cfg.reductions, []
     for i in range(cfg.num_encoder_layers + 1):
         if i in reductions:
             n //= 2
         lengths.append(n)
-    return n0, lengths[:-1], lengths[-1]
+    return lengths[:-1], lengths[-1]
 
 
 def count_attention_macs(cfg: ModelConfig, T_in: int) -> dict:
     """Analytic encoder self-attention MACs at each layer's actual length."""
-    _, lengths, final = encoder_layer_lengths(cfg, T_in)
+    lengths, final = encoder_layer_lengths(cfg, T_in)
     layers = []
     for n in lengths:
         score = n * n * cfg.d_att

@@ -34,10 +34,6 @@ class ParameterStore:
         for name in self.names():
             yield name, self._entries[name]
 
-    def zero_grad(self) -> None:
-        for t in self._entries.values():
-            t.grad = None
-
     def state_dict(self) -> dict[str, np.ndarray]:
         """Name -> the live parameter array (not a copy), in name order."""
         return {name: t.data for name, t in self.items()}
@@ -63,6 +59,7 @@ def warmup_lr(step: int, scale: float, d_att: int, warmup_steps: int) -> float:
 
 
 BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8
+ADAM_SLICE = 65536  # elements per slice of `_adam_update`
 
 
 @dataclass
@@ -104,13 +101,22 @@ def adam_step(params: ParameterStore, state: AdamState, loss: Tensor) -> None:
 
 def _adam_update(state: AdamState, name: str, x: np.ndarray, g: np.ndarray,
                  step: int, lr: float) -> None:
-    """Adam on the parameter array x, in place, from its gradient g."""
-    b1, b2, eps = BETA1, BETA2, EPSILON
+    """Adam on the parameter array x, in place, from its gradient g, over
+    `ADAM_SLICE`-element slices, so that its temporaries stay a slice in size."""
     m = state.m.get(name)
     v = state.v.get(name)
     if m is None:
         m = state.m[name] = np.zeros_like(x)
         v = state.v[name] = np.zeros_like(x)
+    if all(a.flags.c_contiguous for a in (x, m, v)):  # else a flat view would be a copy
+        x, m, v, g = (a.reshape(-1) for a in (x, m, v, g))
+    for i in range(0, len(x), ADAM_SLICE):
+        s = slice(i, i + ADAM_SLICE)
+        _adam_slice(x[s], m[s], v[s], g[s], step, lr)
+
+
+def _adam_slice(x, m, v, g, step: int, lr: float) -> None:
+    b1, b2, eps = BETA1, BETA2, EPSILON
     # in place, but in the operation order of m = b1*m + (1-b1)*g,
     # v = b2*v + (1-b2)*g*g, x -= lr*mhat / (sqrt(vhat) + eps): bit-identical
     m *= b1

@@ -21,8 +21,9 @@ from .data import (Batch, EditStats, ManifestEntry, Vocabulary, load_manifest,
                    make_batches, wer)
 from .errors import ConfigError, FormatError, TrasrError
 from .frontend import FeatureSequence, spec_augment
-from .losses import (ce_label_smoothed, ctc_loss, ctc_min_frames, finetune_loss, joint_loss,
-                     phi_schedule, skd_loss, snapshot_teacher, teacher_entropy)
+from .losses import (TeacherStore, ce_label_smoothed, ctc_loss, ctc_min_frames,
+                     finetune_loss, joint_loss, phi_schedule, skd_loss, snapshot_teacher,
+                     teacher_entropy)
 from .model import (EVAL_CTX, ForwardCtx, KVCache, ModelConfig, LMConfig, ctc_log_probs,
                     decode_forward, encode, encoder_layer_lengths, init_lm_params,
                     init_model_params, lm_forward)
@@ -86,13 +87,13 @@ def _shifted(token_lists) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def batch_loss(batch: Batch, model_cfg: ModelConfig, params: ParameterStore,
                ctx: ForwardCtx, alpha: float, label_smoothing: float,
-               phi: float = 0.0, teacher: ParameterStore | None = None,
+               phi: float = 0.0, teacher: TeacherStore | None = None,
                temperature: float = 1.0):
     """Combined loss over one padded batch, normalized by target-token counts:
     one forward (and, with a teacher, one no-grad teacher forward) for the
     whole batch, with every loss masked to each utterance's true lengths.
-    The teacher runs first, so its transients are gone before the student's
-    graph is built."""
+    The teacher runs first, so its transients, and each weight it reads from
+    its file, are gone before the student's graph is built."""
     targets = [list(row[:n]) for row, n in zip(batch.targets, batch.target_lengths)]
     prefix, dec_targets, mask = _shifted(targets)
     if teacher is not None:
@@ -177,7 +178,7 @@ def vet(entry: ManifestEntry, model_cfg: ModelConfig,
     if seq.feature_dim != model_cfg.feature_dim:
         return None, (f"{entry.feature_path}: {seq.feature_dim} features per frame, "
                       f"the model takes {model_cfg.feature_dim}")
-    n = encoder_layer_lengths(model_cfg, seq.length)[2]
+    n = encoder_layer_lengths(model_cfg, seq.length)[1]
     need, needer = (1, "decoding") if target is None else \
         (max(1, ctc_min_frames(target)), "the CTC target")
     if n < need:
@@ -212,7 +213,9 @@ def run_training(cfg: ExperimentConfig, out_dir, mode: str = "plain",
     """Train per `mode`: "plain" (joint loss), "skd" (self-distillation from
     scratch with the linear phi ramp), or "finetune" (FS-KD at fixed phi/lr).
     `phi_schedule` gives each epoch's phi; only while it is above 0 is the
-    student copied as the teacher, at epoch 1 and every `kd.cadence` epochs.
+    student copied as the teacher, at epoch 1 and every `kd.cadence` epochs,
+    into an unnamed file in `out_dir`: the old one is closed before the next
+    is written, and the last when the run ends, however it ends.
 
     Writes the resolved config, per-epoch checkpoints (pruned to the best k
     by dev token accuracy), and a JSONL epoch log that the run starts empty.
@@ -260,63 +263,68 @@ def run_training(cfg: ExperimentConfig, out_dir, mode: str = "plain",
         records: list[dict] = []
         best: list[tuple[float, int, Path]] = []  # (accuracy, epoch, path)
 
-        for epoch in range(1, n_epochs + 1):
-            t0 = time.perf_counter()
-            phi = phi_schedule(mode, epoch, n_epochs, cfg.kd.phi_final)
-            if phi > 0.0 and (epoch - 1) % cfg.kd.cadence == 0:
-                teacher = None  # the old copy goes before the new one is made
-                teacher = snapshot_teacher(params)
+        try:
+            for epoch in range(1, n_epochs + 1):
+                t0 = time.perf_counter()
+                phi = phi_schedule(mode, epoch, n_epochs, cfg.kd.phi_final)
+                if phi > 0.0 and (epoch - 1) % cfg.kd.cadence == 0:
+                    if teacher is not None:
+                        teacher.close()  # the old file goes before the new one is written
+                    teacher = snapshot_teacher(params, out_dir)
 
-            order = stream(seed, f"shuffle/epoch{epoch}").permutation(len(train_batches))
-            batch_stats = []
-            ctx = ForwardCtx(dropout=model_cfg.dropout, streams=streams)
-            for b in order:
-                batch = train_batches[b]
-                batch_in = batch
-                if cfg.train.specaugment:
-                    batch_in = _augment_batch(batch, cfg, streams)
-                total, stats = batch_loss(
-                    batch_in, model_cfg, params, ctx, cfg.train.alpha,
-                    cfg.train.label_smoothing, phi, teacher, cfg.kd.temperature)
-                if not np.isfinite(total.data):
-                    raise TrasrError(
-                        f"non-finite loss at epoch {epoch}, batch of {batch.utt_ids}")
-                adam_step(params, adam, total)
-                batch_stats.append(stats)
+                order = stream(seed, f"shuffle/epoch{epoch}").permutation(len(train_batches))
+                batch_stats = []
+                ctx = ForwardCtx(dropout=model_cfg.dropout, streams=streams)
+                for b in order:
+                    batch = train_batches[b]
+                    batch_in = batch
+                    if cfg.train.specaugment:
+                        batch_in = _augment_batch(batch, cfg, streams)
+                    total, stats = batch_loss(
+                        batch_in, model_cfg, params, ctx, cfg.train.alpha,
+                        cfg.train.label_smoothing, phi, teacher, cfg.kd.temperature)
+                    if not np.isfinite(total.data):
+                        raise TrasrError(
+                            f"non-finite loss at epoch {epoch}, batch of {batch.utt_ids}")
+                    adam_step(params, adam, total)
+                    batch_stats.append(stats)
 
-            train = _pooled(batch_stats)
-            dev = evaluate(dev_batches, model_cfg, params, cfg.train.alpha,
-                           cfg.train.label_smoothing)
-            ckpt_path = out_dir / f"epoch{epoch:04d}.ckpt"
-            save_checkpoint(ckpt_path, params.state_dict())
+                train = _pooled(batch_stats)
+                dev = evaluate(dev_batches, model_cfg, params, cfg.train.alpha,
+                               cfg.train.label_smoothing)
+                ckpt_path = out_dir / f"epoch{epoch:04d}.ckpt"
+                save_checkpoint(ckpt_path, params.state_dict())
 
-            record = {
-                "epoch": epoch,
-                "train_ctc": train.l_ctc,
-                "train_s2s": train.l_s2s,
-                "train_skd": train.l_skd,
-                "train_total": train.total,
-                "teacher_entropy": train.teacher_entropy,
-                "phi": phi,
-                "dev_loss": dev.total,
-                "dev_accuracy": dev.accuracy,
-                "checkpoint": ckpt_path.name,
-                "wall_time": time.perf_counter() - t0,
-            }
-            if skipped:
-                record["skipped"] = skipped
-            records.append(record)
-            with open(record_path, "a", encoding="utf-8") as fh:
-                fh.write(_record_line(record) + "\n")
-            log(f"epoch {epoch}: loss {record['train_total']:.4f} "
-                f"dev_acc {dev.accuracy:.4f}")
+                record = {
+                    "epoch": epoch,
+                    "train_ctc": train.l_ctc,
+                    "train_s2s": train.l_s2s,
+                    "train_skd": train.l_skd,
+                    "train_total": train.total,
+                    "teacher_entropy": train.teacher_entropy,
+                    "phi": phi,
+                    "dev_loss": dev.total,
+                    "dev_accuracy": dev.accuracy,
+                    "checkpoint": ckpt_path.name,
+                    "wall_time": time.perf_counter() - t0,
+                }
+                if skipped:
+                    record["skipped"] = skipped
+                records.append(record)
+                with open(record_path, "a", encoding="utf-8") as fh:
+                    fh.write(_record_line(record) + "\n")
+                log(f"epoch {epoch}: loss {record['train_total']:.4f} "
+                    f"dev_acc {dev.accuracy:.4f}")
 
-            best.append((dev.accuracy, epoch, ckpt_path))
-            best.sort(key=lambda x: (-x[0], x[1]))
-            keep = {p for _, _, p in best[: cfg.train.keep_best]} | {ckpt_path}
-            for _, _, p in best[cfg.train.keep_best:]:
-                if p not in keep and p.exists():
-                    p.unlink()
+                best.append((dev.accuracy, epoch, ckpt_path))
+                best.sort(key=lambda x: (-x[0], x[1]))
+                keep = {p for _, _, p in best[: cfg.train.keep_best]} | {ckpt_path}
+                for _, _, p in best[cfg.train.keep_best:]:
+                    if p not in keep and p.exists():
+                        p.unlink()
+        finally:
+            if teacher is not None:
+                teacher.close()
 
         best_paths = [p.name for _, _, p in best[: cfg.train.keep_best] if p.exists()]
         (out_dir / "best.json").write_text(json.dumps(best_paths), encoding="utf-8")

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import trasr.data as data
 from trasr.data import (MIN_TEMPLATE_DISTANCE, ManifestEntry, SyntheticTaskSpec, Vocabulary,
-                        cer, edit_stats, load_features, load_manifest, make_batches,
+                        edit_stats, load_features, load_manifest, make_batches,
                         save_features, save_manifest, synth_generate, synth_utterance,
                         token_templates, wer)
 from trasr.errors import FormatError, VocabularyError
@@ -317,7 +317,7 @@ def test_wer_swap_two_errors():
 
 
 def test_cer_counts_characters():
-    stats = cer("abc", "abd")
+    stats = edit_stats(list("abc"), list("abd"))
     assert stats.errors == 1 and stats.ref_length == 3
 
 

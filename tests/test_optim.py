@@ -6,7 +6,8 @@ import pytest
 import trasr.tensor as T
 from trasr.errors import NotBackpropagatedError, ShapeError
 from trasr.losses import snapshot_teacher
-from trasr.optim import BETA1, BETA2, EPSILON, AdamState, ParameterStore, adam_step, warmup_lr
+from trasr.optim import (ADAM_SLICE, BETA1, BETA2, EPSILON, AdamState, ParameterStore,
+                         _adam_update, adam_step, warmup_lr)
 from trasr.tensor import Tensor
 
 
@@ -123,6 +124,27 @@ def test_adam_in_place_three_steps_bit_identical_to_out_of_place_formula():
         assert store[name].data.dtype == np.float32
         assert np.array_equal(store[name].data, x)
         assert np.array_equal(state.m[name], m) and np.array_equal(state.v[name], v)
+
+
+@pytest.mark.parametrize("shape, order", [((3 * ADAM_SLICE + 5,), "C"),
+                                          ((ADAM_SLICE + 3, 2), "F")], ids=["flat", "fortran"])
+def test_adam_over_slices_bit_identical_to_the_whole_array_formula(shape, order):
+    # a Fortran-ordered parameter has no flat view; it is sliced by rows
+    rng = np.random.default_rng(0)
+    x0 = rng.normal(size=shape).astype(np.float32)
+    x = np.array(x0, order=order)
+    state = AdamState(lambda step: 0.01)
+    b1, b2, eps, lr = BETA1, BETA2, EPSILON, 0.01
+    ref_x, m, v = x0, np.zeros_like(x0), np.zeros_like(x0)
+    for step in (1, 2, 3):
+        g = rng.normal(size=shape).astype(np.float32)
+        _adam_update(state, "w", x, g, step, lr)
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * g * g
+        ref_x = ref_x - lr * (m / (1.0 - b1 ** step)) / (np.sqrt(v / (1.0 - b2 ** step)) + eps)
+    assert ref_x.dtype == np.float32
+    assert np.array_equal(x, ref_x)
+    assert np.array_equal(state.m["w"], m) and np.array_equal(state.v["w"], v)
 
 
 # -- parameter store --------------------------------------------------------

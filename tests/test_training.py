@@ -4,9 +4,10 @@ and dataset decoding."""
 import fcntl
 import json
 import os
+import importlib.util
 import subprocess
 import sys
-import weakref
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -199,18 +200,92 @@ def test_skd_records_linear_phi_ramp(dataset, tmp_path):
 
 
 def test_the_old_teacher_is_gone_before_the_next_snapshot(dataset, tmp_path, monkeypatch):
-    snapshots = []  # weak references to the arrays of each teacher made
+    teachers = []  # each teacher made, in order
 
-    def snapshot(params):
-        assert all(ref() is None for refs in snapshots for ref in refs)
-        teacher = snapshot_teacher(params)
-        snapshots.append([weakref.ref(t.data) for _, t in teacher.items()])
-        return teacher
+    def snapshot(params, directory):
+        assert all(t.closed for t in teachers)
+        teachers.append(snapshot_teacher(params, directory))
+        return teachers[-1]
 
     monkeypatch.setattr(training, "snapshot_teacher", snapshot)
     cfg = tiny_cfg(dataset, **{"kd.phi_final": "0.5", "train.epochs": "3"})
     run_training(cfg, tmp_path / "run", mode="skd", log=lambda s: None)
-    assert len(snapshots) == 3
+    assert len(teachers) == 3 and all(t.closed for t in teachers)
+
+
+def _open_fds() -> list[str]:
+    return sorted(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+@pytest.mark.parametrize("fail", [False, True], ids=["ends", "raises"])
+def test_a_run_leaves_no_teacher_file_or_descriptor(dataset, tmp_path, monkeypatch, fail):
+    # with `fail`, batch_loss raises on its second batch, while a teacher is open
+    calls, teachers = [], []
+
+    def snapshot(params, directory):
+        assert Path(directory) == out
+        teachers.append(snapshot_teacher(params, directory))
+        return teachers[-1]
+
+    def failing_batch_loss(*args, **kwargs):
+        calls.append(1)
+        if fail and len(calls) == 2:
+            raise RuntimeError("batch 2")
+        return batch_loss(*args, **kwargs)
+
+    monkeypatch.setattr(training, "snapshot_teacher", snapshot)
+    monkeypatch.setattr(training, "batch_loss", failing_batch_loss)
+    cfg = tiny_cfg(dataset, **{"kd.phi_final": "0.5"})
+    out = tmp_path / "run"
+    fds = _open_fds()
+    if fail:
+        with pytest.raises(RuntimeError, match="batch 2"):
+            run_training(cfg, out, mode="skd", log=lambda s: None)
+        expected = ["config.resolved", "epochs.jsonl"]
+    else:
+        run_training(cfg, out, mode="skd", log=lambda s: None)
+        expected = ["best.json", "config.resolved", "epoch0001.ckpt", "epoch0002.ckpt",
+                    "epochs.jsonl"]
+    assert teachers and all(t.closed for t in teachers)
+    assert sorted(os.listdir(out)) == expected
+    assert _open_fds() == fds
+
+
+def _perfbench_workloads(monkeypatch):
+    """perfbench/workloads.py, loaded from its path without writing bytecode."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_teacher_adds_no_copy_of_the_parameters_to_the_peak(tmp_path, monkeypatch):
+    # the benchmark's train-desk data and config: train-skd's traced peak
+    # differs from train's by far less than one copy of the parameters
+    W = _perfbench_workloads(monkeypatch)
+    spec = W.TRAIN_DESK
+    cfg = resolve({**spec.config, "data.alphabet": W.ALPHABET,
+                   "train.epochs": str(spec.epochs),
+                   "paths.train_manifest": str(W.write_set(
+                       tmp_path, "train", W.synthesize(spec.shape, spec.n_train, W.TAG_TRAIN, 0))),
+                   "paths.dev_manifest": str(W.write_set(
+                       tmp_path, "dev", W.synthesize(spec.shape, spec.n_dev, W.TAG_DEV, 0)))})
+    param_bytes = sum(t.data.nbytes for _, t in init_model_params(cfg.model, 0).items())
+
+    def traced_peak(mode):
+        tracemalloc.start()
+        try:
+            run_training(cfg, tmp_path / mode, mode=mode, log=lambda s: None)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    plain, skd = traced_peak("plain"), traced_peak("skd")
+    assert skd - plain < 0.5 * param_bytes, (plain, skd, param_bytes)
 
 
 @pytest.mark.parametrize("cadence, refreshed", [(1, [1, 2, 3]), (2, [1, 3]), (3, [1])])
@@ -219,9 +294,9 @@ def test_the_teacher_is_refreshed_every_cadence_epochs(dataset, tmp_path, monkey
     # a cadence of at least the epoch count keeps the epoch-1 teacher throughout
     logged, calls = [], []  # one log line per ended epoch; the epoch of each snapshot
 
-    def snapshot(params):
+    def snapshot(params, directory):
         calls.append(len(logged) + 1)
-        return snapshot_teacher(params)
+        return snapshot_teacher(params, directory)
 
     monkeypatch.setattr(training, "snapshot_teacher", snapshot)
     cfg = tiny_cfg(dataset, **{"kd.phi_final": "0.5", "train.epochs": "3",
@@ -236,9 +311,9 @@ def test_no_teacher_is_copied_at_phi_zero(dataset, tmp_path, monkeypatch, mode):
     # phi is 0 in every epoch, so a teacher would never be read
     calls = []
 
-    def snapshot(params):
+    def snapshot(params, directory):
         calls.append(params)
-        return snapshot_teacher(params)
+        return snapshot_teacher(params, directory)
 
     monkeypatch.setattr(training, "snapshot_teacher", snapshot)
     cfg = tiny_cfg(dataset, **{"kd.phi_final": "0.0", "kd.cadence": "1",
@@ -297,7 +372,8 @@ def test_alpha_one_gives_decoder_zero_gradient(dataset):
     assert np.allclose(params["dec.out.w"].grad, 0.0)
     assert np.allclose(params["dec.layer0.self.wq"].grad, 0.0)
     assert not np.allclose(params["ctc.w"].grad, 0.0)
-    params.zero_grad()
+    for _, t in params.items():
+        t.grad = None
 
 
 def test_fused_adam_step_equals_backward_then_step(dataset):
