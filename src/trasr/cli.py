@@ -2,7 +2,7 @@
 
 Verbs: train, train-skd, finetune-skd, decode, average, train-lm,
 benchmark, synth-data. Exit codes: 0 success, 2 configuration error,
-3 runtime error.
+3 runtime error or interruption (SIGINT or SIGTERM).
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ import argparse
 import csv
 import json
 import math
+import signal
 import statistics
 import sys
 import time
@@ -313,6 +314,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # while the verb runs, SIGTERM interrupts it as SIGINT does, so that each
+    # `finally` and cleanup on the way out runs (training writes `best.json`)
+    sigterm = signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
         return args.fn(args)
     except ConfigError as e:
@@ -324,6 +328,11 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 3
+    finally:
+        signal.signal(signal.SIGTERM, sigterm)
 
 
 if __name__ == "__main__":

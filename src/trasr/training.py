@@ -8,7 +8,8 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ import numpy as np
 from . import data
 from . import tensor as T
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import ExperimentConfig
+from .config import ExperimentConfig, dump_config
 from .data import (Batch, EditStats, ManifestEntry, Vocabulary, load_manifest,
                    make_batches, wer)
 from .errors import ConfigError, FormatError, TrasrError
@@ -204,8 +205,24 @@ def _batches(entries: list[ManifestEntry], model_cfg: ModelConfig, vocab: Vocabu
     return make_batches(kept, vocab, batch_size), skipped
 
 
-def _record_line(record: dict) -> str:
-    return json.dumps(record, sort_keys=True)
+@contextmanager
+def _run_dir(cfg: ExperimentConfig, out_dir: Path):
+    """`out_dir`, made and locked for one run, with the resolved config and an
+    epoch log that starts empty (this run's epochs only) and is written a line
+    at a time. Yields the function that appends one record to that log."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    with RunLock(out_dir):
+        (out_dir / "config.resolved").write_text(dump_config(cfg), encoding="utf-8")
+        with open(out_dir / "epochs.jsonl", "w", buffering=1, encoding="utf-8") as fh:
+            yield lambda record: fh.write(json.dumps(record, sort_keys=True) + "\n")
+
+
+def _step(params: ParameterStore, adam: AdamState, loss, where: str) -> None:
+    """Adam's step on `loss`, which must be finite (`where` names it if not),
+    through `adam_step` looked up at each call, as perfbench's tracer wraps it."""
+    if not np.isfinite(loss.data):
+        raise TrasrError("non-finite " + where)
+    adam_step(params, adam, loss)
 
 
 def run_training(cfg: ExperimentConfig, out_dir, mode: str = "plain",
@@ -217,22 +234,17 @@ def run_training(cfg: ExperimentConfig, out_dir, mode: str = "plain",
     into an unnamed file in `out_dir`: the old one is closed before the next
     is written, and the last when the run ends, however it ends.
 
-    Writes the resolved config, per-epoch checkpoints (pruned to the best k
-    by dev token accuracy), and a JSONL epoch log that the run starts empty.
+    Writes what `_run_dir` does, per-epoch checkpoints (pruned to the best k
+    by dev token accuracy) and, however the run ends, `best.json` naming the
+    best k of the epochs done.
     """
-    from .config import dump_config
-
     if mode not in ("plain", "skd", "finetune"):
         raise ValueError(f"unknown training mode {mode!r}")
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if not cfg.train_manifest:
         raise ConfigError("paths.train_manifest is required for training")
 
-    with RunLock(out_dir):
-        (out_dir / "config.resolved").write_text(dump_config(cfg), encoding="utf-8")
-        record_path = out_dir / "epochs.jsonl"
-        record_path.write_text("", encoding="utf-8")  # this run's epochs only
+    with _run_dir(cfg, out_dir) as append:
         vocab = Vocabulary(cfg.alphabet)
         model_cfg = cfg.model
         batch_size = cfg.train.batch_size
@@ -261,7 +273,7 @@ def run_training(cfg: ExperimentConfig, out_dir, mode: str = "plain",
 
         teacher = None
         records: list[dict] = []
-        best: list[tuple[float, int, Path]] = []  # (accuracy, epoch, path)
+        best: list[tuple[float, int, Path]] = []  # (accuracy, epoch, path), best first
 
         try:
             for epoch in range(1, n_epochs + 1):
@@ -277,16 +289,12 @@ def run_training(cfg: ExperimentConfig, out_dir, mode: str = "plain",
                 ctx = ForwardCtx(dropout=model_cfg.dropout, streams=streams)
                 for b in order:
                     batch = train_batches[b]
-                    batch_in = batch
                     if cfg.train.specaugment:
-                        batch_in = _augment_batch(batch, cfg, streams)
+                        batch = _augment_batch(batch, cfg, streams)
                     total, stats = batch_loss(
-                        batch_in, model_cfg, params, ctx, cfg.train.alpha,
+                        batch, model_cfg, params, ctx, cfg.train.alpha,
                         cfg.train.label_smoothing, phi, teacher, cfg.kd.temperature)
-                    if not np.isfinite(total.data):
-                        raise TrasrError(
-                            f"non-finite loss at epoch {epoch}, batch of {batch.utt_ids}")
-                    adam_step(params, adam, total)
+                    _step(params, adam, total, f"loss at epoch {epoch}, batch of {batch.utt_ids}")
                     batch_stats.append(stats)
 
                 train = _pooled(batch_stats)
@@ -311,23 +319,21 @@ def run_training(cfg: ExperimentConfig, out_dir, mode: str = "plain",
                 if skipped:
                     record["skipped"] = skipped
                 records.append(record)
-                with open(record_path, "a", encoding="utf-8") as fh:
-                    fh.write(_record_line(record) + "\n")
+                append(record)
                 log(f"epoch {epoch}: loss {record['train_total']:.4f} "
                     f"dev_acc {dev.accuracy:.4f}")
 
                 best.append((dev.accuracy, epoch, ckpt_path))
                 best.sort(key=lambda x: (-x[0], x[1]))
-                keep = {p for _, _, p in best[: cfg.train.keep_best]} | {ckpt_path}
-                for _, _, p in best[cfg.train.keep_best:]:
-                    if p not in keep and p.exists():
-                        p.unlink()
+                for entry in best[cfg.train.keep_best:]:  # out of the best k for good
+                    if entry[2] != ckpt_path:  # this epoch's stays until the next ends
+                        entry[2].unlink()
+                        best.remove(entry)
         finally:
             if teacher is not None:
                 teacher.close()
-
-        best_paths = [p.name for _, _, p in best[: cfg.train.keep_best] if p.exists()]
-        (out_dir / "best.json").write_text(json.dumps(best_paths), encoding="utf-8")
+            best_paths = [p.name for _, _, p in best[: cfg.train.keep_best]]
+            (out_dir / "best.json").write_text(json.dumps(best_paths), encoding="utf-8")
     return records
 
 
@@ -341,8 +347,7 @@ def _augment_batch(batch: Batch, cfg: ExperimentConfig, streams: StreamCache) ->
                            n_time_masks=cfg.train.time_masks,
                            time_mask_max=cfg.train.time_mask_max)
         feats[i] = aug.features
-    return Batch(batch.utt_ids, feats, batch.feature_lengths,
-                 batch.targets, batch.target_lengths)
+    return replace(batch, features=feats)
 
 
 # -- LM training -------------------------------------------------------------
@@ -351,9 +356,9 @@ def _augment_batch(batch: Batch, cfg: ExperimentConfig, streams: StreamCache) ->
 def run_lm_training(cfg: ExperimentConfig, transcripts: list[str], out_dir,
                     log=print) -> list[dict]:
     """Train the decoder-only LM on next-token prediction over transcripts,
-    skipping (and logging) each one with a character outside the alphabet."""
+    skipping (and logging) each one with a character outside the alphabet.
+    Writes what `_run_dir` does and `lm.ckpt`."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if not transcripts:
         raise ConfigError("no transcripts to train the LM on")
     vocab = Vocabulary(cfg.alphabet)
@@ -367,34 +372,33 @@ def run_lm_training(cfg: ExperimentConfig, transcripts: list[str], out_dir,
     if not tokenized:
         raise TrasrError("every LM transcript was skipped: each has characters "
                          "outside data.alphabet")
-    lm_cfg = cfg.lm
-    seed = cfg.train.seed
-    params = init_lm_params(lm_cfg, seed)
-    adam = AdamState(lambda step: warmup_lr(step, cfg.lm_train.lr_scale, lm_cfg.d_att,
-                                            cfg.lm_train.warmup_steps))
-    streams = StreamCache(seed)
-    records = []
-    for epoch in range(1, cfg.lm_train.epochs + 1):
-        order = stream(seed, f"lm-shuffle/epoch{epoch}").permutation(len(tokenized))
-        ctx = ForwardCtx(dropout=lm_cfg.dropout, streams=streams)
-        nll_sum, n_tok = 0.0, 0
-        for start in range(0, len(order), cfg.lm_train.batch_size):
-            chunk = [tokenized[j] for j in order[start:start + cfg.lm_train.batch_size]]
-            prefix, targets, mask = _shifted(chunk)
-            logits = lm_forward(prefix, lm_cfg, params, ctx, mask.sum(axis=1))
-            total = ce_label_smoothed(T.reshape(logits, -1, logits.shape[-1]),
-                                      targets.ravel(), 0.0, mask.ravel())
-            n_pos = int(mask.sum())
-            loss = total * (1.0 / n_pos)
-            if not np.isfinite(loss.data):
-                raise TrasrError(f"non-finite LM loss at epoch {epoch}")
-            adam_step(params, adam, loss)
-            nll_sum += total.item()
-            n_tok += n_pos
-        ppl = float(np.exp(nll_sum / n_tok))
-        records.append({"epoch": epoch, "nll": nll_sum / n_tok, "perplexity": ppl})
-        log(f"lm epoch {epoch}: ppl {ppl:.3f}")
-    save_checkpoint(out_dir / "lm.ckpt", params.state_dict())
+    with _run_dir(cfg, out_dir) as append:
+        lm_cfg = cfg.lm
+        seed = cfg.train.seed
+        params = init_lm_params(lm_cfg, seed)
+        adam = AdamState(lambda step: warmup_lr(step, cfg.lm_train.lr_scale, lm_cfg.d_att,
+                                                cfg.lm_train.warmup_steps))
+        streams = StreamCache(seed)
+        records = []
+        for epoch in range(1, cfg.lm_train.epochs + 1):
+            order = stream(seed, f"lm-shuffle/epoch{epoch}").permutation(len(tokenized))
+            ctx = ForwardCtx(dropout=lm_cfg.dropout, streams=streams)
+            nll_sum, n_tok = 0.0, 0
+            for start in range(0, len(order), cfg.lm_train.batch_size):
+                chunk = [tokenized[j] for j in order[start:start + cfg.lm_train.batch_size]]
+                prefix, targets, mask = _shifted(chunk)
+                logits = lm_forward(prefix, lm_cfg, params, ctx, mask.sum(axis=1))
+                total = ce_label_smoothed(T.reshape(logits, -1, logits.shape[-1]),
+                                          targets.ravel(), 0.0, mask.ravel())
+                n_pos = int(mask.sum())
+                _step(params, adam, total * (1.0 / n_pos), f"LM loss at epoch {epoch}")
+                nll_sum += total.item()
+                n_tok += n_pos
+            ppl = float(np.exp(nll_sum / n_tok))
+            records.append({"epoch": epoch, "nll": nll_sum / n_tok, "perplexity": ppl})
+            append(records[-1])
+            log(f"lm epoch {epoch}: ppl {ppl:.3f}")
+        save_checkpoint(out_dir / "lm.ckpt", params.state_dict())
     return records
 
 

@@ -7,8 +7,10 @@ import json
 import os
 import re
 import shlex
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -76,12 +78,16 @@ def test_synth_data_deterministic(tmp_path):
         assert e1.feature_path.read_bytes() == e2.feature_path.read_bytes()
 
 
+def _cli_env() -> dict:
+    """The environment of a `trasr` subprocess that imports this trasr."""
+    src = Path(trasr.__file__).resolve().parents[1]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+
+
 def _cli(argv, timeout=30):
     """`trasr argv` in a subprocess, so that a hang fails at the timeout."""
-    src = Path(trasr.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-m", "trasr.cli", *argv], env=env,
+    return subprocess.run([sys.executable, "-m", "trasr.cli", *argv], env=_cli_env(),
                           capture_output=True, text=True, timeout=timeout)
 
 
@@ -201,6 +207,33 @@ def test_locked_out_dir_exit_3(dataset, tmp_path):
         rc = main(["train", "--out", str(out),
                    "--set", f"paths.train_manifest={dataset}"] + TINY)
     assert rc == 3
+
+
+LM_TINY = ["--set", f"data.alphabet={ALPHABET}", "--set", "lm.layers=1",
+           "--set", "lm.d_att=16", "--set", "lm.d_ff=32", "--set", "lm.heads=2"]
+
+
+def _trainer_argv(verb, out, dataset, trained):
+    """The flags of a tiny run of the training verb `verb` into `out`."""
+    if verb == "train-lm":
+        return ["train-lm", "--out", str(out), "--manifest", str(dataset)] + LM_TINY
+    init = ["--init", str(trained / "epoch0002.ckpt")] if verb == "finetune-skd" else []
+    return [verb, "--out", str(out), "--set", f"paths.train_manifest={dataset}",
+            *init] + TINY
+
+
+@pytest.mark.parametrize("verb", ["train", "train-skd", "finetune-skd", "train-lm"])
+def test_every_trainer_exits_3_into_a_held_directory_and_changes_nothing(
+        dataset, trained, tmp_path, verb):
+    out = tmp_path / "run"
+    out.mkdir()
+    before = {name: f"{name} of an earlier run\n" for name in
+              ("config.resolved", "epochs.jsonl", "best.json", "lm.ckpt", "epoch0001.ckpt")}
+    for name, text in before.items():
+        (out / name).write_text(text)
+    with RunLock(out):
+        assert main(_trainer_argv(verb, out, dataset, trained)) == 3
+    assert {p.name: p.read_text() for p in out.iterdir()} == before
 
 
 def test_dead_pid_lock_is_taken_over(dataset, tmp_path):
@@ -643,6 +676,51 @@ def test_a_non_finite_lm_loss_ends_the_run(dataset, tmp_path, capsys, monkeypatc
     assert rc == 3
     assert "non-finite LM loss at epoch 1" in capsys.readouterr().err
     assert not (tmp_path / "lm" / "lm.ckpt").exists()
+
+
+def _interrupted(argv, out, sig):
+    """`trasr argv` in a subprocess, sent `sig` once its epoch log holds a
+    record; returns its exit status and stderr."""
+    proc = subprocess.Popen([sys.executable, "-m", "trasr.cli", *argv], env=_cli_env(),
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    try:
+        log, deadline = out / "epochs.jsonl", time.monotonic() + 120
+        while not (log.exists() and log.read_text()):
+            assert time.monotonic() < deadline, "no epoch record within 120 s"
+            try:
+                proc.wait(timeout=0.05)
+            except subprocess.TimeoutExpired:
+                continue
+            pytest.fail(f"exited {proc.returncode} before its first epoch record: "
+                        f"{proc.stderr.read()}")
+        proc.send_signal(sig)
+        _, err = proc.communicate(timeout=120)
+        return proc.returncode, err
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+
+
+@pytest.mark.parametrize("verb, sig", [("train", signal.SIGINT), ("train", signal.SIGTERM),
+                                       ("train-lm", signal.SIGTERM)],
+                         ids=["train-SIGINT", "train-SIGTERM", "train-lm-SIGTERM"])
+def test_an_interrupted_run_exits_3_and_keeps_its_work(dataset, trained, tmp_path, verb, sig):
+    # epochs enough that the run is still going when the signal arrives
+    out = tmp_path / "run"
+    rc, err = _interrupted(_trainer_argv(verb, out, dataset, trained)
+                           + ["--set", "train.epochs=100000", "--set", "lm.epochs=100000"],
+                           out, sig)
+    assert rc == 3, err
+    assert "Traceback" not in err and err.endswith("error: interrupted\n")
+    assert not list(out.glob("*.tmp")) and not (out / ".lock").exists()
+    records = [json.loads(line) for line in (out / "epochs.jsonl").read_text().splitlines()]
+    assert records and [r["epoch"] for r in records] == list(range(1, len(records) + 1))
+    if verb == "train":
+        best = json.loads((out / "best.json").read_text())
+        assert all((out / name).exists() for name in best)
+        assert set(best) <= {r["checkpoint"] for r in records}
+        assert len(best) <= 5  # train.keep_best
 
 
 IDENTITY = TINY + ["--set", "model.frontend=identity"]
