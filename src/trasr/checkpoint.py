@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import os
 import struct
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -23,11 +22,13 @@ VERSION = 1
 
 def save_checkpoint(path, state: dict[str, np.ndarray]) -> None:
     """Write `state` entry by entry to a temp file, then rename it into place;
-    no copy of the whole file is held in memory."""
+    no copy of the whole file is held in memory. The temp file's name is fixed
+    before the file is made, so the `except` removes it however the write
+    ends, an interrupt included."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
-        with os.fdopen(fd, "wb") as fh:
+        with open(tmp, "wb") as fh:
             fh.write(MAGIC + struct.pack("<II", VERSION, len(state)))
             for name in sorted(state):
                 arr = np.asarray(state[name], dtype="<f4")
@@ -43,8 +44,7 @@ def save_checkpoint(path, state: dict[str, np.ndarray]) -> None:
                 fh.write(arr.tobytes())
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        tmp.unlink(missing_ok=True)
         raise
 
 

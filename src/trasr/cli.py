@@ -22,20 +22,23 @@ import numpy as np
 
 from . import tensor as T
 from .checkpoint import average_checkpoints, load_checkpoint, save_checkpoint
-from .config import ExperimentConfig, dump_config, load_config, resolve, unquote
+from .config import ExperimentConfig, load_config, resolve, unquote
 from .data import (SyntheticTaskSpec, Vocabulary, load_manifest, synth_generate,
                    token_templates)
 from .errors import ConfigError, TrasrError
 from .frontend import KINDS, minimum_input_length
 from .model import (MacCounter, ForwardCtx, ModelConfig, count_attention_macs,
                     encode, init_model_params, init_lm_params)
-from .search import BeamConfig
-from .training import (decode_dataset, run_lm_training, run_training)
+from .training import decode_dataset, run_dir, run_lm_training, run_training
+
+# what `decode --greedy` sets, after `--set`, so that `config.resolved` records it
+GREEDY = ("decode.beam_size=1", "decode.ctc_weight=0", "decode.lm_weight=0",
+          "decode.insertion_penalty=0")
 
 
-def _load_cfg(args) -> ExperimentConfig:
+def _load_cfg(args, *after_set: str) -> ExperimentConfig:
     overrides = {}
-    for item in getattr(args, "set", None) or []:
+    for item in [*(getattr(args, "set", None) or []), *after_set]:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         k, _, v = item.partition("=")
@@ -62,14 +65,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    cfg = _load_cfg(args)
-    beam_cfg = cfg.decode
-    if args.greedy:
-        beam_cfg = BeamConfig(beam_size=1, ctc_weight=0.0, lm_weight=0.0,
-                              insertion_penalty=0.0, max_len_ratio=beam_cfg.max_len_ratio)
+    cfg = _load_cfg(args, *(GREEDY if args.greedy else ()))
     lm_params = None
     lm_path = args.lm_checkpoint or (cfg.lm_checkpoint or None)
-    if beam_cfg.lm_weight != 0.0:
+    if cfg.decode.lm_weight != 0.0:
         if lm_path is None:
             raise ConfigError("decode.lm_weight != 0 but no LM checkpoint given; "
                               "pass --lm-checkpoint or set decode.lm_weight = 0")
@@ -81,25 +80,22 @@ def cmd_decode(args) -> int:
     params.load_state_dict(load_checkpoint(args.checkpoint))
     entries = load_manifest(args.manifest)
 
-    args.out.mkdir(parents=True, exist_ok=True)
-    results, totals = decode_dataset(entries, cfg.model, params, beam_cfg, vocab,
-                                     lm_cfg=cfg.lm, lm_params=lm_params)
-    with open(args.out / "hyps.tsv", "w", encoding="utf-8") as fh:
-        for r in results:
-            fh.write(f"{r.utt_id}\t{r.hypothesis}\n")
-    report = {
-        "utterances": len(results),
-        "wer": totals.rate,
-        "errors": totals.errors,
-        "substitutions": totals.substitutions,
-        "insertions": totals.insertions,
-        "deletions": totals.deletions,
-        "ref_words": totals.ref_length,
-        "unfinished": sum(not r.finished for r in results),
-        "skipped": [{"utt_id": r.utt_id, "reason": r.skipped} for r in results if r.skipped],
-    }
-    (args.out / "report.json").write_text(json.dumps(report, indent=2), encoding="utf-8")
-    (args.out / "config.resolved").write_text(dump_config(cfg), encoding="utf-8")
+    with run_dir(cfg, args.out, "hyps.tsv") as hyps:
+        results, totals = decode_dataset(entries, cfg.model, params, cfg.decode, vocab,
+                                         lm_cfg=cfg.lm, lm_params=lm_params,
+                                         log=lambda line: hyps.write(line + "\n"))
+        report = {
+            "utterances": len(results),
+            "wer": totals.rate,
+            "errors": totals.errors,
+            "substitutions": totals.substitutions,
+            "insertions": totals.insertions,
+            "deletions": totals.deletions,
+            "ref_words": totals.ref_length,
+            "unfinished": sum(not r.finished for r in results),
+            "skipped": [{"utt_id": r.utt_id, "reason": r.skipped} for r in results if r.skipped],
+        }
+        (args.out / "report.json").write_text(json.dumps(report, indent=2), encoding="utf-8")
     print(f"WER {100 * totals.rate:.2f}% "
           f"(S={totals.substitutions} I={totals.insertions} D={totals.deletions} "
           f"over {totals.ref_length} words)")
@@ -171,52 +167,49 @@ def _arch_config(base: ModelConfig, arch: str, frontend_kind: str) -> ModelConfi
         "tr2": dict(e1=2, e2=total - 2, reduction="tr"),
         "pyramidal": dict(e1=0, e2=total, reduction="pyramidal"),
     }
-    if arch not in layout:
-        raise ValueError(f"unknown architecture {arch!r}")
     return replace(base, frontend=frontend_kind, dropout=0.0, **layout[arch])
 
 
+def _cell(cfg: ExperimentConfig, length: int, arch: str, kind: str,
+          repetitions: int) -> dict:
+    try:
+        mcfg = _arch_config(cfg.model, arch, kind)
+    except ValueError:  # too few encoder layers for this layout
+        return {"length": length, "arch": arch, "frontend": kind,
+                "measured_macs": None, "median_ms": None, "note": "not applicable"}
+    analytic = count_attention_macs(mcfg, length)
+    cell = {"length": length, "arch": arch, "frontend": kind,
+            "analytic_total_macs": analytic["total_macs"],
+            "analytic_score_macs": analytic["score_macs"],
+            "final_length": analytic["final_length"]}
+    if length < minimum_input_length(kind) or analytic["final_length"] < 1:
+        return {**cell, "measured_macs": None, "median_ms": None, "note": "too short"}
+    params = init_model_params(mcfg, cfg.train.seed)
+    feats = np.random.default_rng(0).normal(
+        size=(1, length, mcfg.feature_dim)).astype(np.float32)
+    times = []
+    measured = None
+    for _ in range(repetitions):
+        counter = MacCounter()
+        t0 = time.perf_counter()
+        with T.no_grad():
+            encode(feats, [length], mcfg, params, ForwardCtx(counter=counter))
+        times.append((time.perf_counter() - t0) * 1e3)
+        measured = counter.total
+    return {**cell, "measured_macs": measured, "median_ms": statistics.median(times),
+            "note": ""}
+
+
 def benchmark_cells(cfg: ExperimentConfig, lengths: list[int], repetitions: int = 10,
-                    log=lambda s: None) -> list[dict]:
-    """Analytic vs measured attention MACs and wall-clock medians per cell."""
+                    log=lambda cell: None) -> list[dict]:
+    """Analytic vs measured attention MACs and wall-clock medians per cell,
+    each passed to `log` as it ends."""
     cells = []
     for length in lengths:
         for arch in ARCHES:
             for kind in KINDS:
-                try:
-                    mcfg = _arch_config(cfg.model, arch, kind)
-                except ValueError as e:  # too few encoder layers for this layout
-                    log(f"{length} {arch} {kind}: not applicable ({e})")
-                    cells.append({"length": length, "arch": arch, "frontend": kind,
-                                  "measured_macs": None, "median_ms": None,
-                                  "note": "not applicable"})
-                    continue
-                analytic = count_attention_macs(mcfg, length)
-                cell = {"length": length, "arch": arch, "frontend": kind,
-                        "analytic_total_macs": analytic["total_macs"],
-                        "analytic_score_macs": analytic["score_macs"],
-                        "final_length": analytic["final_length"]}
-                if length < minimum_input_length(kind) or analytic["final_length"] < 1:
-                    cell.update(measured_macs=None, median_ms=None, note="too short")
-                    cells.append(cell)
-                    continue
-                params = init_model_params(mcfg, cfg.train.seed)
-                feats = np.random.default_rng(0).normal(
-                    size=(1, length, mcfg.feature_dim)).astype(np.float32)
-                times = []
-                measured = None
-                for _ in range(repetitions):
-                    counter = MacCounter()
-                    t0 = time.perf_counter()
-                    with T.no_grad():
-                        encode(feats, [length], mcfg, params, ForwardCtx(counter=counter))
-                    times.append((time.perf_counter() - t0) * 1e3)
-                    measured = counter.total
-                cell.update(measured_macs=measured,
-                            median_ms=statistics.median(times), note="")
-                cells.append(cell)
-                log(f"{length} {arch} {kind}: {measured} MACs, "
-                    f"{cell['median_ms']:.2f} ms")
+                cells.append(_cell(cfg, length, arch, kind, repetitions))
+                log(cells[-1])
     return cells
 
 
@@ -224,14 +217,13 @@ def cmd_benchmark(args) -> int:
     _check_flags((min(args.lengths) >= 1, "--lengths", "must each be >= 1", args.lengths),
                  (args.repetitions >= 1, "--repetitions", "must be >= 1", args.repetitions))
     cfg = _load_cfg(args)
-    args.out.mkdir(parents=True, exist_ok=True)
-    cells = benchmark_cells(cfg, args.lengths, repetitions=args.repetitions)
     fields = ["length", "arch", "frontend", "final_length", "analytic_total_macs",
               "analytic_score_macs", "measured_macs", "median_ms", "note"]
-    with open(args.out / "benchmark.csv", "w", newline="", encoding="utf-8") as fh:
+    with run_dir(cfg, args.out, "benchmark.csv") as fh:
         writer = csv.DictWriter(fh, fieldnames=fields)
         writer.writeheader()
-        writer.writerows(cells)
+        cells = benchmark_cells(cfg, args.lengths, repetitions=args.repetitions,
+                                log=writer.writerow)
     header = f"{'len':>5} {'arch':<10} {'frontend':<12} {'macs':>14} {'ms':>9}"
     print(header)
     print("-" * len(header))
@@ -322,10 +314,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except TrasrError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except OSError as e:
+    except (TrasrError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
     except KeyboardInterrupt:

@@ -206,15 +206,16 @@ def _batches(entries: list[ManifestEntry], model_cfg: ModelConfig, vocab: Vocabu
 
 
 @contextmanager
-def _run_dir(cfg: ExperimentConfig, out_dir: Path):
-    """`out_dir`, made and locked for one run, with the resolved config and an
-    epoch log that starts empty (this run's epochs only) and is written a line
-    at a time. Yields the function that appends one record to that log."""
+def run_dir(cfg: ExperimentConfig, out_dir: Path, log: str):
+    """`out_dir`, made and locked for one run, with the resolved config and the
+    run's log `out_dir / log`, which starts empty (this run's lines only) and
+    is written a line at a time: each verb writes a line as a unit of its work
+    ends. Yields that log's open file."""
     out_dir.mkdir(parents=True, exist_ok=True)
     with RunLock(out_dir):
         (out_dir / "config.resolved").write_text(dump_config(cfg), encoding="utf-8")
-        with open(out_dir / "epochs.jsonl", "w", buffering=1, encoding="utf-8") as fh:
-            yield lambda record: fh.write(json.dumps(record, sort_keys=True) + "\n")
+        with open(out_dir / log, "w", buffering=1, newline="", encoding="utf-8") as fh:
+            yield fh
 
 
 def _step(params: ParameterStore, adam: AdamState, loss, where: str) -> None:
@@ -234,7 +235,7 @@ def run_training(cfg: ExperimentConfig, out_dir, mode: str = "plain",
     into an unnamed file in `out_dir`: the old one is closed before the next
     is written, and the last when the run ends, however it ends.
 
-    Writes what `_run_dir` does, per-epoch checkpoints (pruned to the best k
+    Writes what `run_dir` does, per-epoch checkpoints (pruned to the best k
     by dev token accuracy) and, however the run ends, `best.json` naming the
     best k of the epochs done.
     """
@@ -244,7 +245,7 @@ def run_training(cfg: ExperimentConfig, out_dir, mode: str = "plain",
     if not cfg.train_manifest:
         raise ConfigError("paths.train_manifest is required for training")
 
-    with _run_dir(cfg, out_dir) as append:
+    with run_dir(cfg, out_dir, "epochs.jsonl") as epochs:
         vocab = Vocabulary(cfg.alphabet)
         model_cfg = cfg.model
         batch_size = cfg.train.batch_size
@@ -319,7 +320,7 @@ def run_training(cfg: ExperimentConfig, out_dir, mode: str = "plain",
                 if skipped:
                     record["skipped"] = skipped
                 records.append(record)
-                append(record)
+                epochs.write(json.dumps(record, sort_keys=True) + "\n")
                 log(f"epoch {epoch}: loss {record['train_total']:.4f} "
                     f"dev_acc {dev.accuracy:.4f}")
 
@@ -357,7 +358,7 @@ def run_lm_training(cfg: ExperimentConfig, transcripts: list[str], out_dir,
                     log=print) -> list[dict]:
     """Train the decoder-only LM on next-token prediction over transcripts,
     skipping (and logging) each one with a character outside the alphabet.
-    Writes what `_run_dir` does and `lm.ckpt`."""
+    Writes what `run_dir` does and `lm.ckpt`."""
     out_dir = Path(out_dir)
     if not transcripts:
         raise ConfigError("no transcripts to train the LM on")
@@ -372,7 +373,7 @@ def run_lm_training(cfg: ExperimentConfig, transcripts: list[str], out_dir,
     if not tokenized:
         raise TrasrError("every LM transcript was skipped: each has characters "
                          "outside data.alphabet")
-    with _run_dir(cfg, out_dir) as append:
+    with run_dir(cfg, out_dir, "epochs.jsonl") as epochs:
         lm_cfg = cfg.lm
         seed = cfg.train.seed
         params = init_lm_params(lm_cfg, seed)
@@ -396,7 +397,7 @@ def run_lm_training(cfg: ExperimentConfig, transcripts: list[str], out_dir,
                 n_tok += n_pos
             ppl = float(np.exp(nll_sum / n_tok))
             records.append({"epoch": epoch, "nll": nll_sum / n_tok, "perplexity": ppl})
-            append(records[-1])
+            epochs.write(json.dumps(records[-1], sort_keys=True) + "\n")
             log(f"lm epoch {epoch}: ppl {ppl:.3f}")
         save_checkpoint(out_dir / "lm.ckpt", params.state_dict())
     return records

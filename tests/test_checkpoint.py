@@ -1,6 +1,8 @@
 """Checkpoint format round-trips, corruption handling, and averaging."""
 
+import itertools
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -53,6 +55,36 @@ def test_file_bytes_follow_the_format(tmp_path):
 def test_no_partial_file_on_disk(tmp_path):
     save_checkpoint(tmp_path / "m.ckpt", sample_state(np.random.default_rng(0)))
     assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]  # temp file renamed away
+
+
+def test_an_interrupt_at_any_line_of_a_save_leaves_no_temp_file(tmp_path):
+    """KeyboardInterrupt at each line, in turn, that a save runs (library
+    code included) leaves the earlier checkpoint or the new one, and no
+    temp file."""
+    state = sample_state(np.random.default_rng(0))
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, {"old": np.zeros(2, dtype=np.float32)})
+    outer = sys.gettrace()
+    for k in itertools.count():
+        lines = itertools.count()
+
+        def trace(frame, event, arg):
+            if event == "line" and next(lines) == k:
+                raise KeyboardInterrupt  # an error also ends the tracing
+            return trace
+
+        sys.settrace(trace)
+        try:
+            save_checkpoint(path, state)
+            break  # the save ran fewer than k + 1 lines
+        except KeyboardInterrupt:
+            pass
+        finally:
+            sys.settrace(outer)
+        assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"], k
+        assert set(load_checkpoint(path)) in ({"old"}, set(state)), k
+    assert k > 0 and set(load_checkpoint(path)) == set(state)
+    assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
 
 
 def test_bad_magic(tmp_path):

@@ -17,10 +17,11 @@ import numpy as np
 import pytest
 
 import trasr
+import trasr.cli as cli
 import trasr.training as training
 from trasr.checkpoint import load_checkpoint
 from trasr.cli import _load_cfg, build_parser, main
-from trasr.config import KEYS
+from trasr.config import KEYS, load_config
 from trasr.data import (SyntheticTaskSpec, load_features, load_manifest, save_features,
                         token_templates)
 from trasr.frontend import FeatureSequence
@@ -236,6 +237,30 @@ def test_every_trainer_exits_3_into_a_held_directory_and_changes_nothing(
     assert {p.name: p.read_text() for p in out.iterdir()} == before
 
 
+BENCH_TINY = ["--set", "model.d_att=16", "--set", "model.d_ff=32", "--set", "model.heads=2",
+              "--set", "model.e1=1", "--set", "model.e2=2", "--set", "model.dec_layers=1",
+              "--set", "model.feature_dim=16", "--set", f"data.alphabet={ALPHABET}"]
+
+
+@pytest.mark.parametrize("verb", ["decode", "benchmark"])
+def test_decode_and_benchmark_exit_3_into_a_held_directory_and_change_nothing(
+        dataset, trained, tmp_path, verb):
+    out = tmp_path / "run"
+    out.mkdir()
+    before = {name: f"{name} of an earlier run\n" for name in
+              ("config.resolved", "hyps.tsv", "report.json", "benchmark.csv")}
+    for name, text in before.items():
+        (out / name).write_text(text)
+    argv = {"decode": ["decode", "--out", str(out), "--checkpoint",
+                       str(trained / "epoch0002.ckpt"), "--manifest", str(dataset),
+                       "--greedy"] + TINY,
+            "benchmark": ["benchmark", "--out", str(out), "--lengths", "64",
+                          "--repetitions", "1"] + BENCH_TINY}[verb]
+    with RunLock(out):
+        assert main(argv) == 3
+    assert {p.name: p.read_text() for p in out.iterdir()} == before
+
+
 def test_dead_pid_lock_is_taken_over(dataset, tmp_path):
     out = tmp_path / "run"
     out.mkdir()
@@ -324,6 +349,20 @@ def test_decode_greedy_writes_report(dataset, trained, tmp_path, capsys):
     hyps = (out / "hyps.tsv").read_text().splitlines()
     assert len(hyps) == 6
     assert all("\t" in line for line in hyps)
+
+
+def test_decode_greedy_config_resolved_decodes_the_same(dataset, trained, tmp_path):
+    """`--greedy` is four config overrides, so the greedy decode's
+    `config.resolved` alone, with no LM, decodes the same hypotheses."""
+    def decode(out, *flags):
+        return main(["decode", "--out", str(out), "--checkpoint",
+                     str(trained / "epoch0002.ckpt"), "--manifest", str(dataset), *flags])
+
+    assert decode(tmp_path / "greedy", "--greedy", *TINY) == 0
+    assert decode(tmp_path / "again", "--config",
+                  str(tmp_path / "greedy" / "config.resolved")) == 0
+    assert ((tmp_path / "again" / "hyps.tsv").read_bytes()
+            == (tmp_path / "greedy" / "hyps.tsv").read_bytes())
 
 
 def test_decode_skips_too_short_utterance(dataset, trained, tmp_path):
@@ -678,20 +717,20 @@ def test_a_non_finite_lm_loss_ends_the_run(dataset, tmp_path, capsys, monkeypatc
     assert not (tmp_path / "lm" / "lm.ckpt").exists()
 
 
-def _interrupted(argv, out, sig):
-    """`trasr argv` in a subprocess, sent `sig` once its epoch log holds a
-    record; returns its exit status and stderr."""
+def _interrupted(argv, log, sig):
+    """`trasr argv` in a subprocess, sent `sig` once its run's log file `log`
+    holds a line; returns its exit status and stderr."""
     proc = subprocess.Popen([sys.executable, "-m", "trasr.cli", *argv], env=_cli_env(),
                             stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
     try:
-        log, deadline = out / "epochs.jsonl", time.monotonic() + 120
+        deadline = time.monotonic() + 120
         while not (log.exists() and log.read_text()):
-            assert time.monotonic() < deadline, "no epoch record within 120 s"
+            assert time.monotonic() < deadline, f"no line in {log.name} within 120 s"
             try:
                 proc.wait(timeout=0.05)
             except subprocess.TimeoutExpired:
                 continue
-            pytest.fail(f"exited {proc.returncode} before its first epoch record: "
+            pytest.fail(f"exited {proc.returncode} before its first line in {log.name}: "
                         f"{proc.stderr.read()}")
         proc.send_signal(sig)
         _, err = proc.communicate(timeout=120)
@@ -710,7 +749,7 @@ def test_an_interrupted_run_exits_3_and_keeps_its_work(dataset, trained, tmp_pat
     out = tmp_path / "run"
     rc, err = _interrupted(_trainer_argv(verb, out, dataset, trained)
                            + ["--set", "train.epochs=100000", "--set", "lm.epochs=100000"],
-                           out, sig)
+                           out / "epochs.jsonl", sig)
     assert rc == 3, err
     assert "Traceback" not in err and err.endswith("error: interrupted\n")
     assert not list(out.glob("*.tmp")) and not (out / ".lock").exists()
@@ -721,6 +760,34 @@ def test_an_interrupted_run_exits_3_and_keeps_its_work(dataset, trained, tmp_pat
         assert all((out / name).exists() for name in best)
         assert set(best) <= {r["checkpoint"] for r in records}
         assert len(best) <= 5  # train.keep_best
+
+
+@pytest.mark.parametrize("sig", [signal.SIGINT, signal.SIGTERM],
+                         ids=["decode-SIGINT", "decode-SIGTERM"])
+def test_an_interrupted_decode_exits_3_and_keeps_its_hyps(dataset, trained, tmp_path, sig):
+    # utterances enough that the decode is still going when the signal arrives
+    lines = [f"{e.utt_id}-{i}\t{e.feature_path}\t{e.transcript}\n"
+             for i in range(400) for e in load_manifest(dataset)]
+    (tmp_path / "long.tsv").write_text("".join(lines))
+
+    def argv(manifest, out):
+        return ["decode", "--out", str(out), "--checkpoint", str(trained / "epoch0002.ckpt"),
+                "--manifest", str(manifest), "--set", "decode.beam_size=10",
+                "--set", "decode.lm_weight=0"] + TINY
+
+    out = tmp_path / "dec"
+    rc, err = _interrupted(argv(tmp_path / "long.tsv", out), out / "hyps.tsv", sig)
+    assert rc == 3, err
+    assert "Traceback" not in err and err.endswith("error: interrupted\n")
+    assert sorted(p.name for p in out.iterdir()) == ["config.resolved", "hyps.tsv"]
+    hyps = (out / "hyps.tsv").read_text()
+    n = hyps.count("\n")
+    assert hyps.endswith("\n") and 1 <= n < len(lines)
+    # each utterance decodes alone, so the uninterrupted decode's first n lines
+    # are the decode of the manifest's first n lines
+    (tmp_path / "head.tsv").write_text("".join(lines[:n]))
+    assert main(argv(tmp_path / "head.tsv", tmp_path / "whole")) == 0
+    assert hyps == (tmp_path / "whole" / "hyps.tsv").read_text()
 
 
 IDENTITY = TINY + ["--set", "model.frontend=identity"]
@@ -935,6 +1002,27 @@ def test_benchmark_writes_csv_and_matches_analytic(tmp_path, capsys):
         parts = line.split(",")
         if parts[i_meas]:
             assert parts[i_meas] == parts[i_ana]
+
+
+def test_benchmark_streams_its_cells_and_records_its_config(tmp_path, monkeypatch):
+    real, seen = cli.benchmark_cells, {}
+
+    def spy(cfg, *args, **kwargs):
+        seen["cfg"], seen["cells"] = cfg, real(cfg, *args, **kwargs)
+        return seen["cells"]
+
+    monkeypatch.setattr(cli, "benchmark_cells", spy)
+    out = tmp_path / "bench"
+    assert main(["benchmark", "--out", str(out), "--lengths", "4", "64",
+                 "--repetitions", "1"] + BENCH_TINY) == 0
+    assert load_config(out / "config.resolved") == seen["cfg"]
+    with open(out / "benchmark.csv", newline="") as fh:
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    assert len(seen["cells"]) == 2 * 4 * 5
+    assert rows == [{k: "" if c.get(k) is None else str(c[k]) for k in reader.fieldnames}
+                    for c in seen["cells"]]
+    assert not (out / ".lock").exists()
 
 
 def test_benchmark_marks_layouts_needing_more_layers_not_applicable(tmp_path, capsys):
