@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .checkpoint import average_checkpoints, load_checkpoint, save_checkpoint
+from .checkpoint import average_checkpoints, open_checkpoint, save_checkpoint
 from .config import ExperimentConfig, load_config, resolve, unquote
 from .data import (SyntheticTaskSpec, Vocabulary, load_manifest, synth_generate,
                    token_templates)
@@ -73,11 +73,13 @@ def cmd_decode(args) -> int:
             raise ConfigError("decode.lm_weight != 0 but no LM checkpoint given; "
                               "pass --lm-checkpoint or set decode.lm_weight = 0")
         lm_params = init_lm_params(cfg.lm, cfg.train.seed)
-        lm_params.load_state_dict(load_checkpoint(lm_path))
+        with open_checkpoint(lm_path) as lm:
+            lm_params.load_state_dict(lm)
 
     vocab = Vocabulary(cfg.alphabet)
     params = init_model_params(cfg.model, cfg.train.seed)
-    params.load_state_dict(load_checkpoint(args.checkpoint))
+    with open_checkpoint(args.checkpoint) as ckpt:
+        params.load_state_dict(ckpt)
     entries = load_manifest(args.manifest)
 
     with run_dir(cfg, args.out, "hyps.tsv") as hyps:
@@ -106,8 +108,7 @@ def cmd_decode(args) -> int:
 
 
 def cmd_average(args) -> int:
-    state = average_checkpoints(args.checkpoints)
-    save_checkpoint(args.out, state)
+    save_checkpoint(args.out, average_checkpoints(args.checkpoints))
     print(f"averaged {len(args.checkpoints)} checkpoints -> {args.out}")
     return 0
 

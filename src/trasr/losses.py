@@ -3,15 +3,12 @@ the joint CTC/attention loss, self-distillation, and its epoch schedule."""
 
 from __future__ import annotations
 
-import os
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
 from .errors import InfeasibleAlignmentError, MaskError, ShapeError
-from .optim import ParameterStore
 from .tensor import Tensor, _accum, _result
 
 
@@ -200,51 +197,3 @@ def phi_schedule(mode: str, t: int, n_epochs: int, phi_final: float) -> float:
     if not 1 <= t <= n_epochs:
         raise ValueError(f"epoch {t} outside [1, {n_epochs}]")
     return {"plain": 0.0, "skd": phi_final * t / n_epochs, "finetune": phi_final}[mode]
-
-
-class TeacherStore:
-    """A frozen copy of a student's parameters, kept in an unnamed file:
-    `teacher[name]` reads that parameter into a new array each time, so in
-    a no-grad pass each weight lives only for its op and the whole copy is
-    never in memory. Read-only. `close()` frees the file; an unnamed file is
-    also gone once its process ends, however it ends."""
-
-    def __init__(self, file, entries: dict[str, tuple[int, tuple, np.dtype]]):
-        self._file = file
-        self._entries = entries  # name -> (byte offset, shape, dtype)
-
-    def __getitem__(self, name: str) -> Tensor:
-        offset, shape, dtype = self._entries[name]
-        arr = np.empty(shape, dtype)
-        _whole("read", os.preadv(self._file.fileno(), [arr], offset), arr.nbytes, name)
-        return Tensor(arr)
-
-    @property
-    def closed(self) -> bool:
-        return self._file.closed
-
-    def close(self) -> None:
-        self._file.close()
-
-
-def _whole(verb: str, done: int, nbytes: int, name: str) -> None:
-    if done != nbytes:
-        raise OSError(f"teacher file: {verb} {done} of {nbytes} bytes of {name!r}")
-
-
-def snapshot_teacher(params: ParameterStore, directory=None) -> TeacherStore:
-    """Copy the student's parameters as a frozen teacher: each one's raw
-    bytes, in its own dtype, written to an unnamed temporary file in
-    `directory` (default: the system's, as for `tempfile.TemporaryFile`)."""
-    file = tempfile.TemporaryFile(dir=directory)
-    entries, offset = {}, 0
-    try:
-        for name, t in params.items():
-            arr = np.ascontiguousarray(t.data)
-            _whole("wrote", os.pwritev(file.fileno(), [arr], offset), arr.nbytes, name)
-            entries[name] = (offset, t.data.shape, arr.dtype)
-            offset += arr.nbytes
-    except BaseException:
-        file.close()
-        raise
-    return TeacherStore(file, entries)

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -38,7 +38,7 @@ class ParameterStore:
         """Name -> the live parameter array (not a copy), in name order."""
         return {name: t.data for name, t in self.items()}
 
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
+    def load_state_dict(self, state: Mapping[str, np.ndarray]) -> None:
         mine, theirs = set(self._entries), set(state)
         if mine != theirs:
             missing = sorted(mine - theirs)
@@ -48,7 +48,7 @@ class ParameterStore:
             t = self._entries[name]
             if t.data.shape != arr.shape:
                 raise ShapeError(f"shape mismatch for {name!r}: {t.data.shape} vs {arr.shape}")
-            t.data = arr.astype(t.data.dtype)  # a copy, even of the same dtype
+            np.copyto(t.data, arr)  # in place, cast to the parameter's dtype
 
 
 def warmup_lr(step: int, scale: float, d_att: int, warmup_steps: int) -> float:

@@ -16,15 +16,14 @@ import numpy as np
 
 from . import data
 from . import tensor as T
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import ArrayFile, open_checkpoint, save_checkpoint, snapshot_teacher
 from .config import ExperimentConfig, dump_config
 from .data import (Batch, EditStats, ManifestEntry, Vocabulary, load_manifest,
                    make_batches, wer)
 from .errors import ConfigError, FormatError, TrasrError
 from .frontend import FeatureSequence, spec_augment
-from .losses import (TeacherStore, ce_label_smoothed, ctc_loss, ctc_min_frames,
-                     finetune_loss, joint_loss, phi_schedule, skd_loss, snapshot_teacher,
-                     teacher_entropy)
+from .losses import (ce_label_smoothed, ctc_loss, ctc_min_frames, finetune_loss, joint_loss,
+                     phi_schedule, skd_loss, teacher_entropy)
 from .model import (EVAL_CTX, ForwardCtx, KVCache, ModelConfig, LMConfig, ctc_log_probs,
                     decode_forward, encode, encoder_layer_lengths, init_lm_params,
                     init_model_params, lm_forward)
@@ -88,7 +87,7 @@ def _shifted(token_lists) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def batch_loss(batch: Batch, model_cfg: ModelConfig, params: ParameterStore,
                ctx: ForwardCtx, alpha: float, label_smoothing: float,
-               phi: float = 0.0, teacher: TeacherStore | None = None,
+               phi: float = 0.0, teacher: ArrayFile | None = None,
                temperature: float = 1.0):
     """Combined loss over one padded batch, normalized by target-token counts:
     one forward (and, with a teacher, one no-grad teacher forward) for the
@@ -260,7 +259,8 @@ def run_training(cfg: ExperimentConfig, out_dir, mode: str = "plain",
         seed = cfg.train.seed
         params = init_model_params(model_cfg, seed)
         if init_checkpoint is not None:
-            params.load_state_dict(load_checkpoint(init_checkpoint))
+            with open_checkpoint(init_checkpoint) as init:
+                params.load_state_dict(init)
 
         if mode == "finetune":
             adam = AdamState(lambda step: cfg.train.finetune_lr)

@@ -1,14 +1,23 @@
-"""Checkpoint format round-trips, corruption handling, and averaging."""
+"""Checkpoint format round-trips, corruption handling, averaging, reads of
+checkpoints and teacher files one entry at a time, and their memory."""
 
 import itertools
+import os
+import re
 import struct
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from trasr.checkpoint import average_checkpoints, load_checkpoint, save_checkpoint
+from trasr.checkpoint import (average_checkpoints, load_checkpoint, open_checkpoint,
+                              save_checkpoint, snapshot_teacher)
+from trasr.config import resolve
 from trasr.errors import FormatError, ShapeError
+from trasr.model import init_model_params
+from trasr.optim import ParameterStore
+from trasr.tensor import Tensor
 
 
 def sample_state(rng):
@@ -163,3 +172,73 @@ def test_average_shape_mismatch_raises(tmp_path):
     save_checkpoint(tmp_path / "b.ckpt", {"w": np.zeros(2, dtype=np.float32)})
     with pytest.raises(ShapeError):
         average_checkpoints([tmp_path / "a.ckpt", tmp_path / "b.ckpt"])
+
+
+# -- reads one entry at a time ------------------------------------------------
+
+
+def test_a_checkpoint_cut_short_after_it_was_indexed_names_the_entry(tmp_path):
+    p, state = tmp_path / "m.ckpt", sample_state(np.random.default_rng(0))
+    save_checkpoint(p, state)
+    with open_checkpoint(p) as ckpt:
+        os.truncate(p, p.stat().st_size - 2)  # half of the last entry, "scalar"
+        assert np.array_equal(ckpt["a.w"], state["a.w"])
+        with pytest.raises(FormatError, match=re.escape(
+                f"read 2 of 4 bytes of 'scalar' at byte {ckpt.index['scalar'].offset}")):
+            ckpt["scalar"]
+
+
+def test_a_teacher_file_cut_short_names_the_entry():
+    store = ParameterStore()
+    store.add("a", Tensor(np.ones(3)))
+    store.add("b", Tensor(np.zeros((2, 2))))
+    with snapshot_teacher(store) as teacher:
+        offset = teacher.index["b"].offset
+        os.ftruncate(teacher._file.fileno(), offset + 8)  # one of b's four float64s
+        with pytest.raises(FormatError, match=re.escape(
+                f"teacher file truncated: read 8 of 32 bytes of 'b' at byte {offset}")):
+            teacher["b"]
+        assert np.array_equal(teacher["a"], np.ones(3))
+
+
+@pytest.fixture(scope="module")
+def paper_checkpoint(tmp_path_factory):
+    """A checkpoint of the paper-size model (the default config) and the
+    bytes of its parameters."""
+    params = init_model_params(resolve({}).model, 0)
+    path = tmp_path_factory.mktemp("paper") / "paper.ckpt"
+    save_checkpoint(path, params.state_dict())
+    return path, sum(t.data.nbytes for _, t in params.items())
+
+
+def _traced_peak(fn) -> int:
+    """The peak of traced memory above what was live when `fn` started."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_load_into_a_live_model_holds_one_entry_at_a_time(paper_checkpoint):
+    # the path of `trasr decode` and of `--init`
+    path, param_bytes = paper_checkpoint
+    params = init_model_params(resolve({}).model, 1)
+
+    def load():
+        with open_checkpoint(path) as ckpt:
+            params.load_state_dict(ckpt)
+
+    peak = _traced_peak(load)
+    assert peak < 0.25 * param_bytes, (peak, param_bytes)
+    with open_checkpoint(path) as ckpt:
+        assert all(np.array_equal(params[name].data, ckpt[name]) for name in ckpt)
+
+
+def test_averaging_memory_stays_flat_in_the_number_of_files(paper_checkpoint):
+    # k paths to one file: the files are open side by side, as for k files
+    path, param_bytes = paper_checkpoint
+    peaks = {k: _traced_peak(lambda: average_checkpoints([path] * k)) for k in (2, 4)}
+    assert peaks[4] < 1.15 * param_bytes, (peaks, param_bytes)
+    assert peaks[4] - peaks[2] <= 0.02 * param_bytes, (peaks, param_bytes)

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 import trasr.tensor as T
+from trasr.checkpoint import snapshot_teacher
 from trasr.errors import InfeasibleAlignmentError, MaskError, ShapeError
 from trasr.gradcheck import grad_check
 from trasr.losses import (KDConfig, ce_label_smoothed, ctc_loss, ctc_min_frames,
                           finetune_loss, joint_loss, phi_schedule, skd_loss,
-                          snapshot_teacher, teacher_entropy)
+                          teacher_entropy)
 from trasr.optim import ParameterStore
 from trasr.tensor import Tensor
 
@@ -277,8 +278,7 @@ def test_kd_config_validation():
 def test_snapshot_teacher_isolated_and_reproducible():
     store = ParameterStore()
     store.add("w", Tensor(np.ones(3)))
-    t1 = snapshot_teacher(store)
-    t2 = snapshot_teacher(store)
-    assert np.array_equal(t1["w"].data, t2["w"].data)
-    store["w"].data[:] = 5.0
-    assert np.array_equal(t1["w"].data, np.ones(3))
+    with snapshot_teacher(store) as t1, snapshot_teacher(store) as t2:
+        assert np.array_equal(t1["w"], t2["w"])
+        store["w"].data[:] = 5.0
+        assert np.array_equal(t1["w"], np.ones(3))

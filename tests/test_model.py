@@ -5,6 +5,7 @@ import pytest
 
 import trasr.losses as losses
 import trasr.tensor as T
+from trasr.checkpoint import snapshot_teacher
 from trasr.data import Batch
 from trasr.errors import MaskError, SequenceTooShortError, ShapeError
 from trasr.frontend import FeatureSequence, output_length
@@ -14,7 +15,7 @@ from trasr.model import (EVAL_CTX, ForwardCtx, KVCache, LMConfig, MacCounter, Mo
                          encode, encoder_layer, encoder_layer_lengths,
                          init_encoder_layer_params, init_lm_params, init_model_params,
                          lm_forward, multi_head_attention, position_wise_ffn, time_reduce)
-from trasr.losses import ce_label_smoothed, ctc_loss, snapshot_teacher
+from trasr.losses import ce_label_smoothed, ctc_loss
 from trasr.optim import ParameterStore
 from trasr.rng import StreamCache
 from trasr.tensor import Tensor

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import trasr.tensor as T
+from trasr.checkpoint import snapshot_teacher
 from trasr.errors import NotBackpropagatedError, ShapeError
-from trasr.losses import snapshot_teacher
 from trasr.optim import (ADAM_SLICE, BETA1, BETA2, EPSILON, AdamState, ParameterStore,
                          _adam_update, adam_step, warmup_lr)
 from trasr.tensor import Tensor
@@ -189,9 +189,9 @@ def test_load_state_dict_shape_mismatch():
 
 def test_clone_frozen_is_isolated():
     store = make_store({"a": [1.0, 2.0]})
-    clone = snapshot_teacher(store)
-    store["a"].data[0] = 99.0
-    assert np.array_equal(clone["a"].data, [1.0, 2.0])
+    with snapshot_teacher(store) as clone:
+        store["a"].data[0] = 99.0
+        assert np.array_equal(clone["a"], [1.0, 2.0])
 
 
 def test_fused_step_with_an_unreached_parameter_changes_nothing():

@@ -14,12 +14,11 @@ import numpy as np
 import pytest
 
 import trasr.training as training
-from trasr.checkpoint import load_checkpoint
+from trasr.checkpoint import load_checkpoint, snapshot_teacher
 from trasr.config import load_config, resolve
 from trasr.data import (SyntheticTaskSpec, Vocabulary, load_features, load_manifest,
                         make_batches, synth_generate)
 from trasr.errors import ConfigError, TrasrError
-from trasr.losses import snapshot_teacher
 from trasr.model import ForwardCtx, init_lm_params, init_model_params
 from trasr.optim import AdamState, _adam_update, adam_step, warmup_lr
 from trasr.rng import StreamCache
