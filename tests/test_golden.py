@@ -28,14 +28,15 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import json
 import os
+import platform
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 GOLDEN = Path(__file__).with_name("golden.json")
@@ -97,7 +98,7 @@ def _normalized(path: Path, root: Path) -> bytes:
                  for line in path.read_text(encoding="utf-8").splitlines()]
         return "".join(json.dumps(r, sort_keys=True) + "\n" for r in lines).encode()
     if path.name == "benchmark.csv":
-        rows = list(csv.reader(io.StringIO(path.read_text(encoding="utf-8"))))
+        rows = list(csv.reader(path.read_text(encoding="utf-8").splitlines()))
         drop = rows[0].index("median_ms")
         return json.dumps([r[:drop] + r[drop + 1:] for r in rows]).encode()
     if path.name == "config.resolved":
@@ -114,10 +115,6 @@ def digests(root: Path) -> dict[str, str]:
 def stack() -> dict:
     """What the hashes depend on besides this code: numpy, its BLAS library,
     and the machine's instruction set, by which BLAS picks its kernels."""
-    import platform
-
-    import numpy as np
-
     config = np.show_config(mode="dicts")
     blas = config["Build Dependencies"]["blas"]
     return {"numpy": np.__version__, "blas": f"{blas['name']} {blas.get('version', '')}",
