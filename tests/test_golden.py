@@ -8,7 +8,10 @@ SpecAugment, label smoothing, a dev manifest and `train.keep_best` 2;
 in `best.json`; and `benchmark`. It runs in a subprocess with BLAS pinned to
 one thread. Before hashing, `wall_time` leaves each `epochs.jsonl` line,
 `median_ms` leaves `benchmark.csv`, and the run's own directory leaves every
-path in `config.resolved`.
+path in `config.resolved`. Each decode's directory also gets `scores.json`,
+the `repr` of the search score of every train and dev utterance under that
+decode's checkpoint, LM and config: a change to search or fusion arithmetic
+then fails here even where it leaves every hypothesis as it is.
 
 A change that moves one bit of any of these outputs fails here, naming each
 file that moved. A change meant to move them rewrites the file with
@@ -89,7 +92,35 @@ def run_sequence(root: Path) -> None:
         trasr("decode", "--out", root / out, "--checkpoint", ckpt,
               "--manifest", data["paths.dev_manifest"],
               "--lm-checkpoint", root / "lm" / "lm.ckpt", *flags)
+        scores = {name: decode_scores(root / out / "config.resolved", ckpt,
+                                      root / "lm" / "lm.ckpt", root / name / "manifest.tsv")
+                  for name in ("train", "dev")}
+        (root / out / "scores.json").write_text(json.dumps(scores, indent=1), encoding="utf-8")
     trasr("benchmark", "--out", root / "bench", "--lengths", 16, 40, "--repetitions", 1)
+
+
+def decode_scores(config: Path, checkpoint: Path, lm_checkpoint: Path,
+                  manifest: Path) -> dict[str, str]:
+    """Utterance id -> `repr` of its search score, from `decode_dataset` on
+    the checkpoint, LM and resolved config that a `decode` ran with."""
+    from trasr.checkpoint import open_checkpoint
+    from trasr.config import load_config
+    from trasr.data import Vocabulary, load_manifest
+    from trasr.model import init_lm_params, init_model_params
+    from trasr.training import decode_dataset
+
+    cfg = load_config(config)
+    params = init_model_params(cfg.model, cfg.train.seed)
+    with open_checkpoint(checkpoint) as ckpt:
+        params.load_state_dict(ckpt)
+    lm_params = None
+    if cfg.decode.lm_weight != 0.0:
+        lm_params = init_lm_params(cfg.lm, cfg.train.seed)
+        with open_checkpoint(lm_checkpoint) as lm:
+            lm_params.load_state_dict(lm)
+    results, _ = decode_dataset(load_manifest(manifest), cfg.model, params, cfg.decode,
+                                Vocabulary(cfg.alphabet), lm_cfg=cfg.lm, lm_params=lm_params)
+    return {r.utt_id: repr(float(r.score)) for r in results}
 
 
 def _normalized(path: Path, root: Path) -> bytes:
