@@ -65,15 +65,16 @@ def cmd_train(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    cfg = _load_cfg(args, *(GREEDY if args.greedy else ()))
+    # `--lm-checkpoint` is set after `--set`, as `--greedy` is
+    lm_flag = [f"paths.lm_checkpoint={args.lm_checkpoint}"] if args.lm_checkpoint else []
+    cfg = _load_cfg(args, *(GREEDY if args.greedy else ()), *lm_flag)
     lm_params = None
-    lm_path = args.lm_checkpoint or (cfg.lm_checkpoint or None)
     if cfg.decode.lm_weight != 0.0:
-        if lm_path is None:
+        if not cfg.lm_checkpoint:
             raise ConfigError("decode.lm_weight != 0 but no LM checkpoint given; "
                               "pass --lm-checkpoint or set decode.lm_weight = 0")
         lm_params = init_lm_params(cfg.lm, cfg.train.seed)
-        with open_checkpoint(lm_path) as lm:
+        with open_checkpoint(cfg.lm_checkpoint) as lm:
             lm_params.load_state_dict(lm)
 
     vocab = Vocabulary(cfg.alphabet)

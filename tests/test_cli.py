@@ -365,6 +365,27 @@ def test_decode_greedy_config_resolved_decodes_the_same(dataset, trained, tmp_pa
             == (tmp_path / "greedy" / "hyps.tsv").read_bytes())
 
 
+def test_decode_lm_checkpoint_config_resolved_decodes_the_same(dataset, trained, tmp_path):
+    """`--lm-checkpoint` is the override `paths.lm_checkpoint`, so an
+    LM-fused decode's `config.resolved` alone, with no flag, decodes the same
+    hypotheses."""
+    lm = tmp_path / "lm" / "lm.ckpt"
+    assert main(["train-lm", "--out", str(lm.parent), "--manifest", str(dataset),
+                 "--set", "lm.epochs=1"] + LM_TINY) == 0
+
+    def decode(out, *flags):
+        return main(["decode", "--out", str(out), "--checkpoint",
+                     str(trained / "epoch0002.ckpt"), "--manifest", str(dataset), *flags])
+
+    fused = tmp_path / "fused"
+    assert decode(fused, "--lm-checkpoint", str(lm), "--set", "decode.beam_size=3",
+                  "--set", "decode.ctc_weight=0.3", "--set", "decode.lm_weight=0.3",
+                  *TINY, *LM_TINY) == 0
+    assert load_config(fused / "config.resolved").lm_checkpoint == str(lm)
+    assert decode(tmp_path / "again", "--config", str(fused / "config.resolved")) == 0
+    assert (tmp_path / "again" / "hyps.tsv").read_bytes() == (fused / "hyps.tsv").read_bytes()
+
+
 def test_decode_skips_too_short_utterance(dataset, trained, tmp_path):
     # conv2d4 needs 7 input frames: the 5-frame utterance is skipped with an
     # empty hypothesis and the others are decoded
