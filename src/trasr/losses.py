@@ -9,7 +9,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import InfeasibleAlignmentError, MaskError, ShapeError
-from .tensor import Tensor, _accum, _result
+from .tensor import Tensor, _result
 
 
 @dataclass
@@ -114,12 +114,7 @@ def ctc_loss(log_probs: Tensor, target, blank_id: int = 0, lengths=None) -> Tens
     grad = grad.reshape(log_probs.shape).astype(log_probs.dtype, copy=False)
 
     loss = np.asarray(-log_p.sum(), dtype=log_probs.dtype)
-    node = log_probs._node
-
-    def backward(g):
-        _accum(node, float(g) * grad)
-
-    return _result(loss, (node,), backward)
+    return _result(loss, (log_probs._node, lambda g: float(g) * grad))
 
 
 def ce_label_smoothed(logits: Tensor, targets, epsilon: float = 0.1,

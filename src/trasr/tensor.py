@@ -9,33 +9,37 @@ such as 1/sqrt(d_k) never lifts a float32 graph to float64.
 Values and nodes. A `Tensor` is a value: its array `data`, and the node
 through which it joins a graph. An op output that tracks gradients gets a
 small `_Node` that holds only what backward needs of it: its gradient, its
-parents (nodes, never values), its backward closure, and the shape and
-dtype that `_accum` casts and sums a gradient down to. A leaf that tracks
-gradients (a parameter) has a node with no parents and no closure; a value
-that tracks none shares `_UNTRACKED`. So the graph holds no op output's
-array: a closure captures exactly the arrays its backward reads (`relu`,
-`exp` and the softmaxes their own output, `mul` and `matmul` an operand
-only when the other one tracks gradients, `add` and the shape ops none),
-and every other array is freed as soon as the forward code drops it.
+parents (nodes, never values), its backward, and the shape and dtype that
+`_accum` casts and sums a gradient down to. A leaf that tracks gradients (a
+parameter) has a node with no parents and no backward; a value that tracks
+none shares `_UNTRACKED`. Every op ends in one `_result` call that gives
+the output's array and one gradient map per operand, and the node keeps
+only the maps of the operands that track gradients. So the graph holds no
+op output's array: a map captures exactly the arrays its operand's
+gradient reads (`relu`, `exp` and the softmaxes their own output, each
+operand of `mul`, `matmul` and `conv2d` the other one's array, `add` and
+the shape ops none), and every other array, including one that only an
+untracked operand's map reads, is freed as soon as the forward code drops
+it.
 
 A graph is used up by its one backward pass: once a node's gradient has
-gone to its inputs, the node drops its closure and its parents, so what an
-op saved is freed as soon as its last consumer's gradient exists, and the
-root holds no graph afterwards. A second `backward()` through any node of
-that graph raises `RuntimeError`.
+gone to its inputs, the node drops its backward, with its maps, and its
+parents, so what an op saved is freed as soon as its last consumer's
+gradient exists, and the root holds no graph afterwards. A second
+`backward()` through any node of that graph raises `RuntimeError`.
 
 Leaves are visited as soon as their gradient is final. `backward` orders
 the graph depth-first and places each leaf right after its last consumer,
 so it reaches the leaf, and calls `on_leaf` with its node, before any other
-closure runs (`optim.adam_step` applies a parameter's update there). This
-moves only leaves: every node's gradient sums its consumers' parts in the
-order a plain depth-first walk gives.
+node's backward runs (`optim.adam_step` applies a parameter's update
+there). This moves only leaves: every node's gradient sums its consumers'
+parts in the order a plain depth-first walk gives.
 """
 
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -175,7 +179,7 @@ class Tensor:
         else:
             grad = np.asarray(grad, dtype=self.data.dtype)
 
-        # Depth-first post-order over the closures' nodes; a leaf goes in just
+        # Depth-first post-order over the op nodes; a leaf goes in just
         # before the first of its consumers to finish, which is the last one
         # reversed order reaches.
         topo: list[_Node] = []
@@ -205,7 +209,7 @@ class Tensor:
                     f"parameter {name!r} has no gradient: backward does not reach it")
 
         # Pop the nodes in reverse topological order and cut each one loose
-        # once it is done: its closure and parents go, so an array an op saved
+        # once it is done: its backward and parents go, so an array an op saved
         # is freed as soon as its last consumer's gradient exists.
         _accum(root, grad)
         while topo:
@@ -301,21 +305,39 @@ def _accum(node: _Node, g: np.ndarray) -> None:
         node.grad += g
 
 
-def _result(data: np.ndarray, parents: Sequence[_Node], backward) -> Tensor:
-    """An op's output, given its operands' nodes. `data` already has its
-    operands' float dtype, so the checks of `Tensor.__init__` are skipped;
-    only a numpy scalar (what numpy returns for a 0-d result, such as a full
-    `tsum`) is made an array. A node is made only while gradients are
-    recorded and some operand tracks one."""
+def _result(data: np.ndarray, *inputs: tuple[_Node, Callable]) -> Tensor:
+    """An op's output, given one (node, grad_map) pair per operand, where
+    `grad_map(g)` maps the output's gradient to that operand's part.
+
+    `data` already has its operands' float dtype, so the checks of
+    `Tensor.__init__` are skipped; only a numpy scalar (what numpy returns
+    for a 0-d result, such as a full `tsum`) is made an array. A node is made
+    only while gradients are recorded and some operand tracks one, and it
+    keeps only the maps of those operands, so an array that only another
+    operand's map reads is freed with that map. Its backward runs the kept
+    maps in operand order."""
     out = Tensor.__new__(Tensor)
     out.data = data if type(data) is np.ndarray else np.asarray(data)
     if _grad_enabled:
-        parents = tuple(p for p in parents if p.requires_grad)
-        if parents:
-            out._node = _Node(out.data.shape, out.data.dtype, parents, backward)
+        kept = tuple((node, grad_map) for node, grad_map in inputs if node.requires_grad)
+        if kept:
+            def backward(g):
+                for node, grad_map in kept:
+                    _accum(node, grad_map(g))
+
+            out._node = _Node(out.data.shape, out.data.dtype,
+                              tuple(node for node, _ in kept), backward)
             return out
     out._node = _UNTRACKED
     return out
+
+
+def _same(g: np.ndarray) -> np.ndarray:
+    return g
+
+
+def _rows(x: np.ndarray) -> np.ndarray:
+    return x.reshape(-1, x.shape[-1])
 
 
 # -- elementwise and linear ops -----------------------------------------
@@ -323,31 +345,13 @@ def _result(data: np.ndarray, parents: Sequence[_Node], backward) -> Tensor:
 
 def add(a, b) -> Tensor:
     a, b = _wrap_pair(a, b)
-    data = a.data + b.data
-    an, bn = a._node, b._node
-
-    def backward(g):
-        _accum(an, g)
-        _accum(bn, g)
-
-    return _result(data, (an, bn), backward)
+    return _result(a.data + b.data, (a._node, _same), (b._node, _same))
 
 
 def mul(a, b) -> Tensor:
     a, b = _wrap_pair(a, b)
-    data = a.data * b.data
-    an, bn = a._node, b._node
-    # an operand's array is kept only for the other operand's gradient
-    ad = a.data if bn.requires_grad else None
-    bd = b.data if an.requires_grad else None
-
-    def backward(g):
-        if an.requires_grad:
-            _accum(an, g * bd)
-        if bn.requires_grad:
-            _accum(bn, g * ad)
-
-    return _result(data, (an, bn), backward)
+    ad, bd = a.data, b.data
+    return _result(ad * bd, (a._node, lambda g: g * bd), (b._node, lambda g: g * ad))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -357,80 +361,44 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul needs >=2-d operands, got {a_shape} and {b_shape}")
     if a_shape[-1] != b_shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {a_shape} x {b_shape}")
-    an, bn = a._node, b._node
-    # an operand's array is kept only for the other operand's gradient
-    ad = a.data if bn.requires_grad else None
-    bd = b.data if an.requires_grad else None
+    ad, bd = a.data, b.data
     if len(b_shape) == 2:
         # a shared matrix: one GEMM over every row of a, not one per batch entry
-        def rows(x):
-            return x.reshape(-1, x.shape[-1])
-
-        data = (rows(a.data) @ b.data).reshape(*a_shape[:-1], b_shape[-1])
-
-        def backward(g):
-            g = rows(g)
-            if an.requires_grad:
-                _accum(an, (g @ bd.T).reshape(a_shape))
-            if bn.requires_grad:
-                _accum(bn, rows(ad).T @ g)
-
-        return _result(data, (an, bn), backward)
-    data = np.matmul(a.data, b.data)
-
-    def backward(g):
-        if an.requires_grad:
-            _accum(an, np.matmul(g, np.swapaxes(bd, -1, -2)))
-        if bn.requires_grad:
-            _accum(bn, np.matmul(np.swapaxes(ad, -1, -2), g))
-
-    return _result(data, (an, bn), backward)
+        return _result((_rows(ad) @ bd).reshape(*a_shape[:-1], b_shape[-1]),
+                       (a._node, lambda g: (_rows(g) @ bd.T).reshape(a_shape)),
+                       (b._node, lambda g: _rows(ad).T @ _rows(g)))
+    return _result(np.matmul(ad, bd),
+                   (a._node, lambda g: np.matmul(g, np.swapaxes(bd, -1, -2))),
+                   (b._node, lambda g: np.matmul(np.swapaxes(ad, -1, -2), g)))
 
 
 def relu(x: Tensor) -> Tensor:
     x = _wrap(x)
-    xn = x._node
     data = np.maximum(x.data, 0)
-
-    def backward(g):
-        _accum(xn, g * (data > 0))  # x > 0 exactly where relu(x) > 0; subgradient 0 at 0
-
-    return _result(data, (xn,), backward)
+    # x > 0 exactly where relu(x) > 0; subgradient 0 at 0
+    return _result(data, (x._node, lambda g: g * (data > 0)))
 
 
 def exp(x: Tensor) -> Tensor:
     x = _wrap(x)
-    xn = x._node
     data = np.exp(x.data)
-
-    def backward(g):
-        _accum(xn, g * data)
-
-    return _result(data, (xn,), backward)
+    return _result(data, (x._node, lambda g: g * data))
 
 
 def log(x: Tensor) -> Tensor:
     x = _wrap(x)
-    xn, xd = x._node, x.data
-    data = np.log(xd)
-
-    def backward(g):
-        _accum(xn, g / xd)
-
-    return _result(data, (xn,), backward)
+    xd = x.data
+    return _result(np.log(xd), (x._node, lambda g: g / xd))
 
 
 def tsum(x: Tensor, axis=None, keepdims=False) -> Tensor:
     x = _wrap(x)
-    data = x.data.sum(axis=axis, keepdims=keepdims)
-    xn, shape = x._node, x.data.shape
+    shape, expand = x.data.shape, axis is not None and not keepdims
 
-    def backward(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        _accum(xn, np.broadcast_to(g, shape))
+    def grad_x(g):
+        return np.broadcast_to(np.expand_dims(g, axis) if expand else g, shape)
 
-    return _result(data, (xn,), backward)
+    return _result(x.data.sum(axis=axis, keepdims=keepdims), (x._node, grad_x))
 
 
 def tmean(x: Tensor, axis=None, keepdims=False) -> Tensor:
@@ -443,13 +411,8 @@ def reshape(x: Tensor, *shape) -> Tensor:
     x = _wrap(x)
     if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
         shape = tuple(shape[0])
-    data = x.data.reshape(shape)
-    xn, x_shape = x._node, x.data.shape
-
-    def backward(g):
-        _accum(xn, g.reshape(x_shape))
-
-    return _result(data, (xn,), backward)
+    x_shape = x.data.shape
+    return _result(x.data.reshape(shape), (x._node, lambda g: g.reshape(x_shape)))
 
 
 def transpose(x: Tensor, *axes) -> Tensor:
@@ -459,27 +422,20 @@ def transpose(x: Tensor, *axes) -> Tensor:
         axes = tuple(axes[0])
     if not axes:
         axes = tuple(range(x.ndim - 2)) + (x.ndim - 1, x.ndim - 2)
-    data = x.data.transpose(axes)
-    xn = x._node
-
-    def backward(g):
-        _accum(xn, g.transpose(np.argsort(axes)))
-
-    return _result(data, (xn,), backward)
+    return _result(x.data.transpose(axes), (x._node, lambda g: g.transpose(np.argsort(axes))))
 
 
 def take(x: Tensor, index) -> Tensor:
     """Basic or integer-array indexing with gradient scatter-add."""
     x = _wrap(x)
-    data = x.data[index]
-    xn = x._node
+    shape, dtype = x.data.shape, x.data.dtype
 
-    def backward(g):
-        gx = np.zeros(xn.shape, xn.dtype)
+    def grad_x(g):
+        gx = np.zeros(shape, dtype)
         np.add.at(gx, index, g)
-        _accum(xn, gx)
+        return gx
 
-    return _result(data, (xn,), backward)
+    return _result(x.data[index], (x._node, grad_x))
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator, lengths=None) -> Tensor:
@@ -497,13 +453,7 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator, lengths=None) -> Tens
     blocks = [keep] if lengths is None else [row[:n] for row, n in zip(keep, lengths)]
     for block in blocks:
         block[...] = (rng.random(block.shape) >= p).astype(x.data.dtype) / (1.0 - p)
-    data = x.data * keep
-    xn = x._node
-
-    def backward(g):
-        _accum(xn, g * keep)
-
-    return _result(data, (xn,), backward)
+    return _result(x.data * keep, (x._node, lambda g: g * keep))
 
 
 # -- normalization and softmax ------------------------------------------
@@ -531,13 +481,7 @@ def masked_softmax(x: Tensor, mask: np.ndarray | None = None, axis: int = -1) ->
         shifted = np.where(valid, x.data, np.finfo(x.data.dtype).min)
         ex = np.exp(shifted - shifted.max(axis=axis, keepdims=True)) * valid
     y = ex / ex.sum(axis=axis, keepdims=True)
-    xn = x._node
-
-    def backward(g):
-        inner = (g * y).sum(axis=axis, keepdims=True)
-        _accum(xn, y * (g - inner))
-
-    return _result(y, (xn,), backward)
+    return _result(y, (x._node, lambda g: y * (g - (g * y).sum(axis=axis, keepdims=True))))
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -545,12 +489,7 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
     data = shifted - lse
-    xn = x._node
-
-    def backward(g):
-        _accum(xn, g - np.exp(data) * g.sum(axis=axis, keepdims=True))
-
-    return _result(data, (xn,), backward)
+    return _result(data, (x._node, lambda g: g - np.exp(data) * g.sum(axis=axis, keepdims=True)))
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
@@ -569,17 +508,17 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     xc = xd - mean(xd)
     inv = 1.0 / np.sqrt(mean(xc * xc) + 1e-12)
     xhat = xc * inv
-    data = xhat * gain.data + bias.data
+    gd = gain.data
     reduce_axes = tuple(range(xd.ndim - 1))
-    xn, gn, bn, gd = x._node, gain._node, bias._node, gain.data
 
-    def backward(g):
-        _accum(gn, (g * xhat).sum(axis=reduce_axes))
-        _accum(bn, g.sum(axis=reduce_axes))
+    def grad_x(g):
         gq = g * gd
-        _accum(xn, inv * (gq - mean(gq) - xhat * mean(gq * xhat)))
+        return inv * (gq - mean(gq) - xhat * mean(gq * xhat))
 
-    return _result(data, (xn, gn, bn), backward)
+    return _result(xhat * gd + bias.data,
+                   (gain._node, lambda g: (g * xhat).sum(axis=reduce_axes)),
+                   (bias._node, lambda g: g.sum(axis=reduce_axes)),
+                   (x._node, grad_x))
 
 
 # -- convolution and pooling --------------------------------------------
@@ -629,30 +568,26 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor | None = None,
     # one GEMM: kernels [O, C·kh·kw] @ patches [C·kh·kw, B·Ho·Wo]
     k2 = kernels.data.reshape(O, C * kh * kw)
     data = (k2 @ _patches(xp, kh, kw, stride)).reshape(O, B, Ho, Wo).transpose(1, 0, 2, 3)
-    xn, kn, bn = x._node, kernels._node, None
+    bias_input = ()
     if bias is not None:
         bias = _wrap(bias)
         if bias.shape != (O,):
             raise ShapeError(f"conv2d bias shape {bias.shape} != ({O},)")
         data = data + bias.data.reshape(1, O, 1, 1)
-        bn = bias._node
+        bias_input = ((bias._node, lambda g: g.sum(axis=(0, 2, 3))),)
     xp_shape, k_shape = xp.shape, kernels.shape
-    if not kn.requires_grad:
-        xp = None  # read only for the kernels' gradient
 
-    def backward(g):
-        g2 = g.transpose(1, 0, 2, 3).reshape(O, B * Ho * Wo)
-        if xn.requires_grad:
-            # first, so that its buffers are freed before the patches are built
-            _accum(xn, _col2im(k2.T @ g2, xp_shape, kh, kw, stride)
-                   [:, :, padding:padding + H, padding:padding + W])
-        if bn is not None:
-            _accum(bn, g.sum(axis=(0, 2, 3)))
-        if kn.requires_grad:
-            # the patches are built again, not kept alive from the forward pass
-            _accum(kn, (g2 @ _patches(xp, kh, kw, stride).T).reshape(k_shape))
+    def cols(g):
+        return g.transpose(1, 0, 2, 3).reshape(O, B * Ho * Wo)
 
-    return _result(data, (xn, kn) if bn is None else (xn, kn, bn), backward)
+    # the input's map runs first, so that its buffers are freed before the
+    # kernels' map builds the patches again (they are not kept from forward)
+    return _result(data,
+                   (x._node, lambda g: _col2im(k2.T @ cols(g), xp_shape, kh, kw, stride)
+                    [:, :, padding:padding + H, padding:padding + W]),
+                   *bias_input,
+                   (kernels._node,
+                    lambda g: (cols(g) @ _patches(xp, kh, kw, stride).T).reshape(k_shape)))
 
 
 def max_pool2d(x: Tensor, size: int = 2) -> Tensor:
@@ -670,14 +605,14 @@ def max_pool2d(x: Tensor, size: int = 2) -> Tensor:
     flat = win.reshape(B, C, Ho, Wo, size * size)
     idx = flat.argmax(axis=-1)
     data = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
-    xn, flat_shape = x._node, flat.shape
+    flat_shape, shape, dtype = flat.shape, x.data.shape, x.data.dtype
 
-    def backward(g):
-        gflat = np.zeros(flat_shape, xn.dtype)
+    def grad_x(g):
+        gflat = np.zeros(flat_shape, dtype)
         np.put_along_axis(gflat, idx[..., None], g[..., None], axis=-1)
         gwin = gflat.reshape(B, C, Ho, Wo, size, size).transpose(0, 1, 2, 4, 3, 5)
-        gx = np.zeros(xn.shape, xn.dtype)
+        gx = np.zeros(shape, dtype)
         gx[:, :, :Ho * size, :Wo * size] = gwin.reshape(B, C, Ho * size, Wo * size)
-        _accum(xn, gx)
+        return gx
 
-    return _result(data, (xn,), backward)
+    return _result(data, (x._node, grad_x))
