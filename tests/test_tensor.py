@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import trasr.tensor as T
+from trasr import losses
 from trasr.errors import MaskError, ShapeError
 from trasr.gradcheck import grad_check
 from trasr.tensor import Tensor
@@ -540,3 +541,69 @@ def test_each_leaf_is_visited_once_right_after_its_last_consumer():
         assert last < at and all(e in consumers for e in events[last + 1:at]), events
     # the gradients are the number of paths from each leaf to the root
     assert [t.grad.tolist() for t in (a, b, c)] == [[4.0] * 2, [4.0] * 2, [1.0] * 2]
+
+
+# -- what a graph keeps of its operands -------------------------------------
+
+
+ONE_SIDE = {  # an op of two operands, and the shapes it takes
+    "mul": (T.mul, (3, 4), (3, 4)),
+    "matmul shared matrix": (T.matmul, (2, 3, 4), (4, 5)),
+    "matmul batched": (T.matmul, (2, 3, 4), (2, 4, 5)),
+    "conv2d": (T.conv2d, (2, 2, 5, 6), (3, 2, 2, 3)),
+}
+
+
+@pytest.mark.parametrize("tracked", [0, 1])
+@pytest.mark.parametrize("op", sorted(ONE_SIDE))
+def test_the_graph_keeps_only_what_the_tracked_operands_gradient_reads(op, tracked):
+    f, *shapes = ONE_SIDE[op]
+    rng = np.random.default_rng(7)
+    leaf = Tensor(rng.normal(size=shapes[tracked]), requires_grad=True)
+    const = rng.normal(size=shapes[1 - tracked])
+
+    def forward():
+        # both operands' arrays are held by forward alone; the tracked one is
+        # an op output over `leaf`, the other a value that tracks nothing
+        operands = [None, None]
+        operands[tracked] = leaf * 1.0
+        operands[1 - tracked] = Tensor(const.copy())
+        return T.tsum(f(*operands)), [weakref.ref(t.data) for t in operands]
+
+    loss, refs = forward()
+    read, unread = refs[1 - tracked], refs[tracked]
+    assert read() is not None  # the tracked operand's gradient reads it
+    assert unread() is None  # only the untracked operand's gradient would
+    loss.backward()
+    assert read() is None
+
+    both = [Tensor(leaf.data.copy(), requires_grad=True), Tensor(const, requires_grad=True)]
+    T.tsum(f(*(both if tracked == 0 else both[::-1]))).backward()
+    np.testing.assert_array_equal(leaf.grad, both[0].grad)
+
+
+def test_a_conv2d_input_that_tracks_no_gradient_builds_no_input_gradient(monkeypatch):
+    # the front-end's first conv: its input is the features, which track nothing
+    def col2im(*args):
+        raise AssertionError("the input's gradient was built")
+
+    monkeypatch.setattr(T, "_col2im", col2im)
+    rng = np.random.default_rng(8)
+    features = Tensor(rng.normal(size=(2, 1, 9, 8)))
+    kernels = Tensor(rng.normal(size=(4, 1, 3, 3)), requires_grad=True)
+    bias = Tensor(rng.normal(size=4), requires_grad=True)
+    T.tsum(T.relu(T.conv2d(features, kernels, bias, stride=2))).backward()
+    assert kernels.grad.shape == kernels.shape and bias.grad.shape == bias.shape
+
+
+@pytest.mark.parametrize("op", sorted(OPS) + ["ctc_loss"])
+def test_under_no_grad_an_op_output_has_no_node(op):
+    rng = np.random.default_rng(9)
+    a = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+    b = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+    with T.no_grad():
+        if op == "ctc_loss":
+            y = losses.ctc_loss(T.log_softmax(a[0]), [1, 2])
+        else:
+            y = OPS[op](a, b)
+    assert y._node is T._UNTRACKED
