@@ -21,10 +21,6 @@ class NotBackpropagatedError(TrasrError, RuntimeError):
     """An optimizer step found a parameter with no gradient."""
 
 
-class GradCheckError(TrasrError, RuntimeError):
-    """Finite-difference check hit a non-finite value."""
-
-
 class InfeasibleAlignmentError(TrasrError, ValueError):
     """CTC target cannot be aligned within the available frames."""
 

@@ -1,11 +1,15 @@
-"""Central finite-difference verification of analytic gradients."""
+"""Central finite-difference verification of analytic gradients: the
+oracle that the gradient tests compare every op and model against."""
 
 from typing import Callable
 
 import numpy as np
 
-from .errors import GradCheckError
-from .tensor import Tensor
+from trasr.tensor import Tensor
+
+
+class GradCheckError(RuntimeError):
+    """Finite-difference check hit a non-finite value."""
 
 
 def grad_check(f: Callable[[Tensor], Tensor], x, eps: float = 1e-5) -> float:

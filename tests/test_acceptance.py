@@ -11,7 +11,6 @@ from trasr.config import resolve
 from trasr.data import (SyntheticTaskSpec, Vocabulary, load_features,
                         load_manifest, save_features, synth_generate)
 from trasr.errors import FormatError
-from trasr.gradcheck import grad_check
 from trasr.losses import (ctc_loss, finetune_loss, joint_loss, phi_schedule,
                           skd_loss, teacher_entropy)
 from trasr.model import (count_attention_macs, ctc_log_probs, decode_forward,
@@ -22,6 +21,7 @@ from trasr.search import BeamConfig, CtcPrefixScorer, beam_search
 from trasr.tensor import Tensor
 from trasr.training import decode_dataset, run_training
 
+from gradcheck import grad_check
 from conftest import (brute_force_ctc, encode_one, random_features, random_log_probs,
                       tiny_model_config)
 from test_search import batched, exhaustive_best, table_s2s

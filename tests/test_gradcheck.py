@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import trasr.tensor as T
-from trasr.errors import GradCheckError
-from trasr.gradcheck import grad_check
 from trasr.tensor import Tensor
+
+from gradcheck import GradCheckError, grad_check
 
 
 def test_sum_relu_all_positive_error_below_1e8():

@@ -7,13 +7,13 @@ import pytest
 import trasr.tensor as T
 from trasr.checkpoint import snapshot_teacher
 from trasr.errors import InfeasibleAlignmentError, MaskError, ShapeError
-from trasr.gradcheck import grad_check
 from trasr.losses import (KDConfig, ce_label_smoothed, ctc_loss, ctc_min_frames,
                           finetune_loss, joint_loss, phi_schedule, skd_loss,
                           teacher_entropy)
 from trasr.optim import ParameterStore
 from trasr.tensor import Tensor
 
+from gradcheck import grad_check
 from conftest import brute_force_ctc, random_log_probs
 
 

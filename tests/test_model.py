@@ -9,7 +9,6 @@ from trasr.checkpoint import snapshot_teacher
 from trasr.data import Batch
 from trasr.errors import MaskError, SequenceTooShortError, ShapeError
 from trasr.frontend import FeatureSequence, output_length
-from trasr.gradcheck import grad_check
 from trasr.model import (EVAL_CTX, ForwardCtx, KVCache, LMConfig, MacCounter, ModelConfig,
                          attention, count_attention_macs, ctc_log_probs, decode_forward,
                          encode, encoder_layer, encoder_layer_lengths,
@@ -21,6 +20,7 @@ from trasr.rng import StreamCache
 from trasr.tensor import Tensor
 from trasr.training import batch_loss
 
+from gradcheck import grad_check
 from conftest import encode_one, random_features, tiny_model_config
 
 SEEDS = (0, 1, 2)

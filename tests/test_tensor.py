@@ -10,8 +10,9 @@ import pytest
 import trasr.tensor as T
 from trasr import losses
 from trasr.errors import MaskError, ShapeError
-from trasr.gradcheck import grad_check
 from trasr.tensor import Tensor
+
+from gradcheck import grad_check
 
 SEEDS = (0, 1, 2)
 
