@@ -292,8 +292,8 @@ def _wrap_pair(a, b) -> tuple[Tensor, Tensor]:
 
 
 def _accum(node: _Node, g: np.ndarray) -> None:
-    if not node.requires_grad:
-        return
+    """Add `g`, cast and summed down to the node's dtype and shape, into the
+    gradient of a node that tracks one (`_result` keeps no other)."""
     g = np.asarray(g)
     if g.dtype != node.dtype:
         g = g.astype(node.dtype)
@@ -319,14 +319,16 @@ def _result(data: np.ndarray, *inputs: tuple[_Node, Callable]) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = data if type(data) is np.ndarray else np.asarray(data)
     if _grad_enabled:
-        kept = tuple((node, grad_map) for node, grad_map in inputs if node.requires_grad)
-        if kept:
+        parents = tuple([node for node, _ in inputs if node.requires_grad])
+        if parents:
+            kept = inputs if len(parents) == len(inputs) else \
+                [pair for pair in inputs if pair[0].requires_grad]
+
             def backward(g):
                 for node, grad_map in kept:
                     _accum(node, grad_map(g))
 
-            out._node = _Node(out.data.shape, out.data.dtype,
-                              tuple(node for node, _ in kept), backward)
+            out._node = _Node(out.data.shape, out.data.dtype, parents, backward)
             return out
     out._node = _UNTRACKED
     return out
