@@ -63,12 +63,15 @@ class ArrayFile(Mapping, AbstractContextManager):
 def save_checkpoint(path, state: dict[str, np.ndarray]) -> None:
     """Write `state` entry by entry, each from its array's own buffer, to a
     temp file, then rename it into place; no copy of the whole file is held
-    in memory. The temp file's name is fixed before the file is made, so the
-    `except` removes it however the write ends, an interrupt included."""
+    in memory. The temp file's name is fixed before the file is made, and the
+    file is bound to `fh` before the `with` takes it, so the `except` closes
+    and removes it however the write ends, an interrupt included."""
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    fh = None
     try:
-        with open(tmp, "wb") as fh:
+        fh = open(tmp, "wb")
+        with fh:
             fh.write(MAGIC + struct.pack("<II", VERSION, len(state)))
             for name in sorted(state):
                 arr = np.require(state[name], "<f4", "C")
@@ -82,6 +85,8 @@ def save_checkpoint(path, state: dict[str, np.ndarray]) -> None:
                 fh.write(arr)
         os.replace(tmp, path)
     except BaseException:
+        if fh is not None:
+            fh.close()
         tmp.unlink(missing_ok=True)
         raise
 

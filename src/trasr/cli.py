@@ -50,10 +50,10 @@ def _load_cfg(args, *after_set: str) -> ExperimentConfig:
     return resolve({}, overrides)
 
 
-def _common(p: argparse.ArgumentParser, out_required: bool = True):
+def _common(p: argparse.ArgumentParser):
     p.add_argument("--config", type=Path, default=None, help="flat key=value config file")
     p.add_argument("--seed", type=int, default=None, help="override train.seed")
-    p.add_argument("--out", type=Path, required=out_required, help="output directory")
+    p.add_argument("--out", type=Path, required=True, help="output directory")
     p.add_argument("--set", action="append", metavar="KEY=VALUE",
                    help="override a single config key (repeatable)")
 

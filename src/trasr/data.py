@@ -176,11 +176,8 @@ def token_templates(spec: SyntheticTaskSpec) -> dict[str, np.ndarray]:
 
 
 def synth_utterance(spec: SyntheticTaskSpec, transcript: str, rng: np.random.Generator,
-                    templates: dict[str, np.ndarray] | None = None) -> FeatureSequence:
-    """Features of `transcript`; `templates` are `token_templates(spec)`,
-    computed here when not given."""
-    if templates is None:
-        templates = token_templates(spec)
+                    templates: dict[str, np.ndarray]) -> FeatureSequence:
+    """Features of `transcript`; `templates` are `token_templates(spec)`."""
     lo, hi = spec.frames_per_token
     rows = []
     for ch in transcript:

@@ -1,6 +1,8 @@
 """Encoder with time-reduction layers placed by one reduction schedule (the
-paper's single in-encoder TR layer, or the pyramidal baseline), the decoder,
-the CTC head, and a decoder-only language model.
+paper's single in-encoder TR layer, or the pyramidal baseline), the CTC
+head, and one causal token stack (`_causal_stack`) that is both the decoder
+and a decoder-only language model: only their layers differ, as the LM's
+have no cross-attention.
 
 All forward functions take a ParameterStore plus a ForwardCtx carrying
 the dropout rate (dropout is on exactly when it is above 0) and streams, and
@@ -133,15 +135,6 @@ class KVCache:
         self.self_kv = {p: (k[rows], v[rows]) for p, (k, v) in self.self_kv.items()}
 
 
-def _cache_start(cache: KVCache | None) -> int:
-    """Positions a forward can skip: those `cache` already holds."""
-    if cache is None:
-        return 0
-    if T.grad_enabled():
-        raise RuntimeError("a KVCache is inference-only: call under tensor.no_grad()")
-    return cache.length
-
-
 # -- parameter initialization ---------------------------------------------
 
 
@@ -206,6 +199,15 @@ def init_frontend_params(cfg: ModelConfig, store: ParameterStore, seed: int,
     _zeros(store, "frontend.proj.b", (cfg.d_att,), dtype)
 
 
+def _init_token_head(store, seed, name, vocab_size, d_att, dtype):
+    """What `_causal_stack` reads outside its layers: `{name}.embed`,
+    `{name}.ln_out` and the `{name}.out` head."""
+    _xavier(store, seed, f"{name}.embed", (vocab_size, d_att), dtype)
+    _ln(store, f"{name}.ln_out", d_att, dtype)
+    _xavier(store, seed, f"{name}.out.w", (d_att, vocab_size), dtype)
+    _zeros(store, f"{name}.out.b", (vocab_size,), dtype)
+
+
 def init_model_params(cfg: ModelConfig, seed: int, dtype=np.float32) -> ParameterStore:
     store = ParameterStore()
     init_frontend_params(cfg, store, seed, dtype)
@@ -216,7 +218,7 @@ def init_model_params(cfg: ModelConfig, seed: int, dtype=np.float32) -> Paramete
     _ln(store, "enc.ln_out", cfg.d_att, dtype)
     _xavier(store, seed, "ctc.w", (cfg.d_att, cfg.vocab_size), dtype)
     _zeros(store, "ctc.b", (cfg.vocab_size,), dtype)
-    _xavier(store, seed, "dec.embed", (cfg.vocab_size, cfg.d_att), dtype)
+    _init_token_head(store, seed, "dec", cfg.vocab_size, cfg.d_att, dtype)
     for j in range(cfg.dec_layers):
         p = f"dec.layer{j}"
         _ln(store, f"{p}.ln1", cfg.d_att, dtype)
@@ -225,9 +227,6 @@ def init_model_params(cfg: ModelConfig, seed: int, dtype=np.float32) -> Paramete
         _init_mha(store, seed, f"{p}.src", cfg.d_att, dtype)
         _ln(store, f"{p}.ln3", cfg.d_att, dtype)
         _init_ffn(store, seed, f"{p}.ffn", cfg.d_att, cfg.d_ff, dtype)
-    _ln(store, "dec.ln_out", cfg.d_att, dtype)
-    _xavier(store, seed, "dec.out.w", (cfg.d_att, cfg.vocab_size), dtype)
-    _zeros(store, "dec.out.b", (cfg.vocab_size,), dtype)
     return store
 
 
@@ -366,45 +365,42 @@ def ctc_log_probs(x_e: Tensor, params: ParameterStore) -> Tensor:
     return T.log_softmax(T.matmul(x_e, params["ctc.w"]) + params["ctc.b"], axis=-1)
 
 
-def _causal_mask(n: int, start: int = 0) -> np.ndarray | None:
-    """Rows start..n-1 of the n x n causal mask, or None for one row (the
-    last, which sees every key)."""
-    if n - start == 1:
-        return None
-    return np.tril(np.ones((n - start, n), dtype=bool), k=start)
-
-
-def _embed(prefix, table: Tensor, d_att: int, ctx: ForwardCtx, name: str,
-           lengths=None, start: int = 0) -> Tensor:
-    """Positions start..n-1 of a token prefix [n] -> [n - start, d_att], or of
-    prefixes [B, n] -> [B, n - start, d_att] (right-padded when `lengths`
-    gives their true lengths)."""
+def _causal_stack(prefix, params: ParameterStore, name: str, d_att: int, n_layers: int,
+                  layer, ctx: ForwardCtx, lengths, cache: KVCache | None) -> Tensor:
+    """Next-token logits [..., n - m, V] of a prefix [n] or right-padded [B, n]
+    (true `lengths`) whose first m positions `cache` holds (m = 0 without
+    one): `{name}.embed` with positions, `layer(y, f"{name}.layer{i}", mask)`
+    under the causal mask for i < n_layers, `{name}.ln_out`, `{name}.out`."""
+    start = 0
+    if cache is not None:
+        if T.grad_enabled():
+            raise RuntimeError("a KVCache is inference-only: call under tensor.no_grad()")
+        start = cache.length
     ids = np.asarray(prefix, dtype=np.int64)
     n = ids.shape[-1]
     if n <= start:
-        raise ValueError(f"{name}: prefix has {n} positions, need more than {start}")
-    e = T.take(table, ids[..., start:]) * math.sqrt(d_att)
-    e = e + Tensor(positional_encoding(n, d_att, dtype=e.dtype)[start:])
-    return ctx.drop(e, name, lengths)
+        raise ValueError(f"{name}.embed: prefix has {n} positions, need more than {start}")
+    y = T.take(params[f"{name}.embed"], ids[..., start:]) * math.sqrt(d_att)
+    y = y + Tensor(positional_encoding(n, d_att, dtype=y.dtype)[start:])
+    y = ctx.drop(y, f"{name}.embed", lengths)
+    mask = None if n - start == 1 else np.tril(np.ones((n - start, n), dtype=bool), k=start)
+    for i in range(n_layers):
+        y = layer(y, f"{name}.layer{i}", mask)
+    if cache is not None:
+        cache.length = n
+    y = _ln_apply(y, params, f"{name}.ln_out")
+    return T.matmul(y, params[f"{name}.out.w"]) + params[f"{name}.out.b"]
 
 
 def decode_forward(prefix, x_e: Tensor, cfg: ModelConfig, params: ParameterStore,
                    ctx: ForwardCtx = EVAL_CTX, lengths=None, x_lengths=None,
                    cache: KVCache | None = None) -> Tensor:
-    """Next-token logits for every position of a sos-led prefix [n] -> [n, V],
-    or of a stack of prefixes [B, n] -> [B, n, V]. A stack may share one
-    encoder output, or be right-padded to true `lengths` against a padded
-    encoder batch x_e [B, T', D] with true frame counts `x_lengths`; under
-    the causal mask padding only follows a row's true positions. With a
-    `cache` holding the first m positions, only positions m.. are fed and
-    their logits [B, n - m, V] returned."""
-    start = _cache_start(cache)
-    y = _embed(prefix, params["dec.embed"], cfg.d_att, ctx, "dec.embed", lengths, start)
-    n = start + y.shape[-2]
-    mask = _causal_mask(n, start)
+    """`_causal_stack` under 'dec.' whose layers also attend to x_e: one
+    encoder output shared by every prefix, or a padded batch [B, T', D] with
+    true frame counts `x_lengths`, one row per prefix."""
     x_mask = None if x_lengths is None else _key_mask(x_lengths, x_e.shape[-2])
-    for j in range(cfg.dec_layers):
-        p = f"dec.layer{j}"
+
+    def layer(y, p, mask):
         sa, ca, ffn = f"{p}.self", f"{p}.src", f"{p}.ffn"
         y = _residual(y, lambda h: multi_head_attention(h, h, params, sa, cfg.heads, mask,
                                                         ctx.counter, cache),
@@ -412,12 +408,11 @@ def decode_forward(prefix, x_e: Tensor, cfg: ModelConfig, params: ParameterStore
         y = _residual(y, lambda h: multi_head_attention(h, x_e, params, ca, cfg.heads,
                                                         x_mask, ctx.counter, cache),
                       params, f"{p}.ln2", ca, ctx, lengths)
-        y = _residual(y, lambda h: position_wise_ffn(h, params, ffn),
-                      params, f"{p}.ln3", ffn, ctx, lengths)
-    if cache is not None:
-        cache.length = n
-    y = _ln_apply(y, params, "dec.ln_out")
-    return T.matmul(y, params["dec.out.w"]) + params["dec.out.b"]
+        return _residual(y, lambda h: position_wise_ffn(h, params, ffn),
+                         params, f"{p}.ln3", ffn, ctx, lengths)
+
+    return _causal_stack(prefix, params, "dec", cfg.d_att, cfg.dec_layers, layer,
+                         ctx, lengths, cache)
 
 
 # -- analytic attention cost ----------------------------------------------
@@ -469,30 +464,18 @@ class LMConfig:
 
 def init_lm_params(cfg: LMConfig, seed: int, dtype=np.float32) -> ParameterStore:
     store = ParameterStore()
-    _xavier(store, seed, "lm.embed", (cfg.vocab_size, cfg.d_att), dtype)
+    _init_token_head(store, seed, "lm", cfg.vocab_size, cfg.d_att, dtype)
     for i in range(cfg.layers):
         init_encoder_layer_params(store, seed, f"lm.layer{i}", cfg.d_att, cfg.d_ff, dtype)
-    _ln(store, "lm.ln_out", cfg.d_att, dtype)
-    _xavier(store, seed, "lm.out.w", (cfg.d_att, cfg.vocab_size), dtype)
-    _zeros(store, "lm.out.b", (cfg.vocab_size,), dtype)
     return store
 
 
 def lm_forward(prefix, cfg: LMConfig, params: ParameterStore,
                ctx: ForwardCtx = EVAL_CTX, lengths=None,
                cache: KVCache | None = None) -> Tensor:
-    """Next-token logits from a causal self-attention stack (no cross-attention)
-    for a prefix [n] -> [n, V] or a stack of prefixes [B, n] -> [B, n, V],
-    right-padded when `lengths` gives their true lengths; with a `cache`, as
-    in `decode_forward`, only for the positions it does not hold."""
-    start = _cache_start(cache)
-    y = _embed(prefix, params["lm.embed"], cfg.d_att, ctx, "lm.embed", lengths, start)
-    n = start + y.shape[-2]
-    mask = _causal_mask(n, start)
-    for i in range(cfg.layers):
-        y = encoder_layer(y, params, f"lm.layer{i}", cfg.heads, ctx, mask, lengths=lengths,
-                          cache=cache)
-    if cache is not None:
-        cache.length = n
-    y = _ln_apply(y, params, "lm.ln_out")
-    return T.matmul(y, params["lm.out.w"]) + params["lm.out.b"]
+    """`_causal_stack` under 'lm.' whose layers are `encoder_layer`s: causal
+    self-attention, no cross-attention."""
+    return _causal_stack(prefix, params, "lm", cfg.d_att, cfg.layers,
+                         lambda y, p, mask: encoder_layer(y, params, p, cfg.heads, ctx, mask,
+                                                          lengths, cache),
+                         ctx, lengths, cache)

@@ -187,7 +187,7 @@ def test_templates_deterministic_and_separated():
 def test_noise_free_utterance_is_concatenated_templates():
     spec = SyntheticTaskSpec(noise_std=0.0, frames_per_token=(3, 3))
     templates = token_templates(spec)
-    seq = synth_utterance(spec, "ab", np.random.default_rng(0))
+    seq = synth_utterance(spec, "ab", np.random.default_rng(0), templates)
     assert seq.length == 6
     assert np.allclose(seq.features[:3], templates["a"])
     assert np.allclose(seq.features[3:], templates["b"])
@@ -227,7 +227,7 @@ def test_synth_dataset_linearly_separable(tmp_path):
     for _ in range(20):
         text = "".join(rng.choice(list("abcdefgh "), size=5))
         spec2 = SyntheticTaskSpec(noise_std=0.05, frames_per_token=(2, 2))
-        seq = synth_utterance(spec2, text, rng)
+        seq = synth_utterance(spec2, text, rng, templates)
         for i, ch in enumerate(text):
             for f in range(2):
                 frame = seq.features[2 * i + f]

@@ -1,5 +1,7 @@
 """Transformer encoder/decoder, time reduction, MAC counting, and the LM."""
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
@@ -463,6 +465,29 @@ def test_cache_with_gradients_enabled_raises(tiny_model):
         lm_forward([[2, 5]], lm_cfg, lm_params, cache=KVCache())
 
 
+@pytest.mark.parametrize("prefix, held", [([], 0), ([[2, 5, 6]], 3)], ids=["empty", "cached"])
+@pytest.mark.parametrize("stack", ["dec", "lm"])
+def test_a_prefix_with_no_position_to_feed_raises(stack, prefix, held, tiny_model):
+    """An empty prefix without a cache, or a prefix no longer than what a
+    cache holds, is a ValueError naming the stack's embedding."""
+    cfg, params = tiny_model
+    if stack == "dec":
+        x_e, _ = encode_one(random_features(np.random.default_rng(0), 9, 16), cfg, params)
+        forward = lambda p, c: decode_forward(p, x_e, cfg, params, cache=c)
+    else:
+        lm_cfg = LMConfig(layers=1, d_att=8, d_ff=16, heads=2, vocab_size=7)
+        lm_params = init_lm_params(lm_cfg, seed=0)
+        forward = lambda p, c: lm_forward(p, lm_cfg, lm_params, cache=c)
+    cache = KVCache() if held else None
+    with T.no_grad():
+        if cache is not None:
+            forward(prefix, cache)
+        n = np.shape(prefix)[-1]
+        with pytest.raises(ValueError, match=rf"^{stack}\.embed: prefix has {n} positions, "
+                                             rf"need more than {held}$"):
+            forward(prefix, cache)
+
+
 def test_decoder_logit_shape(tiny_model):
     cfg, params = tiny_model
     seq = random_features(np.random.default_rng(0), 9, 16)
@@ -604,10 +629,10 @@ def _run_entry(entry, dtype):
     cfg, params = _desk_model(dtype)
     batch = _desk_batch(dtype)
     if entry.startswith("batch_loss"):
-        teacher = snapshot_teacher(params) if entry == "batch_loss+skd" else None
-        total, _ = batch_loss(batch, cfg, params, ctx, 0.3, 0.1, phi=0.5,
-                              teacher=teacher, temperature=2.0)
-        total.backward()
+        with snapshot_teacher(params) if entry == "batch_loss+skd" else nullcontext() as teacher:
+            total, _ = batch_loss(batch, cfg, params, ctx, 0.3, 0.1, phi=0.5,
+                                  teacher=teacher, temperature=2.0)
+            total.backward()
         return [total], params
     x_e, x_len = encode(batch.features, batch.feature_lengths, cfg, params, ctx)
     outs = [x_e]
