@@ -60,35 +60,47 @@ class ArrayFile(Mapping, AbstractContextManager):
         self.close()
 
 
-def save_checkpoint(path, state: dict[str, np.ndarray]) -> None:
-    """Write `state` entry by entry, each from its array's own buffer, to a
-    temp file, then rename it into place; no copy of the whole file is held
-    in memory. The temp file's name is fixed before the file is made, and the
-    file is bound to `fh` before the `with` takes it, so the `except` closes
-    and removes it however the write ends, an interrupt included."""
+def write_atomically(path, chunks) -> None:
+    """Write the byte strings (or arrays) of `chunks` to a temp file beside
+    `path`, then rename it into place, so `path` holds its old content or the
+    new, never a part. The temp file's name is fixed before the file is made,
+    and the file is bound to `fh` before the `with` takes it, so the `except`
+    closes and removes it however the write ends, an interrupt included."""
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     fh = None
     try:
         fh = open(tmp, "wb")
         with fh:
-            fh.write(MAGIC + struct.pack("<II", VERSION, len(state)))
-            for name in sorted(state):
-                arr = np.require(state[name], "<f4", "C")
-                encoded = name.encode("utf-8")
-                if len(encoded) > 0xFFFF:
-                    raise ValueError(f"parameter name too long: {name!r}")
-                if arr.ndim > 0xFF:
-                    raise ValueError(f"rank {arr.ndim} exceeds format limit for {name!r}")
-                fh.write(struct.pack("<H", len(encoded)) + encoded
-                         + struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape))
-                fh.write(arr)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if fh is not None:
             fh.close()
         tmp.unlink(missing_ok=True)
         raise
+
+
+def save_checkpoint(path, state: dict[str, np.ndarray]) -> None:
+    """Write `state` entry by entry, each from its array's own buffer, through
+    `write_atomically`; no copy of the whole file is held in memory."""
+    write_atomically(path, _entries(state))
+
+
+def _entries(state: dict[str, np.ndarray]):
+    """`state` in the checkpoint layout, as the chunks `write_atomically` writes."""
+    yield MAGIC + struct.pack("<II", VERSION, len(state))
+    for name in sorted(state):
+        arr = np.require(state[name], "<f4", "C")
+        encoded = name.encode("utf-8")
+        if len(encoded) > 0xFFFF:
+            raise ValueError(f"parameter name too long: {name!r}")
+        if arr.ndim > 0xFF:
+            raise ValueError(f"rank {arr.ndim} exceeds format limit for {name!r}")
+        yield (struct.pack("<H", len(encoded)) + encoded
+               + struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape))
+        yield arr
 
 
 def open_checkpoint(path) -> ArrayFile:

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .checkpoint import average_checkpoints, open_checkpoint, save_checkpoint
+from .checkpoint import average_checkpoints, open_checkpoint, save_checkpoint, write_atomically
 from .config import ExperimentConfig, load_config, resolve, unquote
 from .data import (SyntheticTaskSpec, Vocabulary, load_manifest, synth_generate,
                    token_templates)
@@ -98,7 +98,7 @@ def cmd_decode(args) -> int:
             "unfinished": sum(not r.finished for r in results),
             "skipped": [{"utt_id": r.utt_id, "reason": r.skipped} for r in results if r.skipped],
         }
-        (args.out / "report.json").write_text(json.dumps(report, indent=2), encoding="utf-8")
+        write_atomically(args.out / "report.json", [json.dumps(report, indent=2).encode("utf-8")])
     print(f"WER {100 * totals.rate:.2f}% "
           f"(S={totals.substitutions} I={totals.insertions} D={totals.deletions} "
           f"over {totals.ref_length} words)")

@@ -1,9 +1,11 @@
 """Flat `section.key = value` experiment configuration.
 
-Lines are UTF-8 and '#' starts a comment. A value may be single- or
-double-quoted to keep surrounding whitespace or a '#': it then runs to the
-last matching quote, after which only a comment may follow. Unknown keys are
-errors. Defaults are the fields of the config dataclasses (see `SECTIONS`).
+The file is UTF-8, with or without a byte-order mark, and '#' starts a
+comment. A value may be single- or double-quoted to keep surrounding
+whitespace or a '#': it then runs to the last matching quote, after which
+only a comment may follow. Unknown keys are errors. Defaults are the fields
+of the config dataclasses (see `SECTIONS`), beside the range or choices each
+declares; a value outside them is a `ConfigError` naming its key.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .data import Vocabulary
-from .errors import ConfigError
+from .errors import ConfigError, bounded, check_fields
 from .losses import KDConfig
 from .model import LMConfig, ModelConfig
 from .search import BeamConfig
@@ -30,51 +32,39 @@ def _bool(s: str) -> bool:
 
 @dataclass
 class TrainConfig:
-    epochs: int = 150
-    batch_size: int = 8
-    alpha: float = 0.3
-    label_smoothing: float = 0.1
-    lr_scale: float = 5.0
-    warmup_steps: int = 25000
+    epochs: int = bounded(150, 1)
+    batch_size: int = bounded(8, 1)
+    alpha: float = bounded(0.3, 0, 1)
+    label_smoothing: float = bounded(0.1, 0, 1, open_high=True)
+    lr_scale: float = bounded(5.0, 0)
+    warmup_steps: int = bounded(25000, 1)
     seed: int = 1
-    keep_best: int = 5
-    finetune_lr: float = 1e-4
-    finetune_epochs: int = 50
+    keep_best: int = bounded(5, 1)
+    finetune_lr: float = bounded(1e-4, 0)
+    finetune_epochs: int = bounded(50, 1)
     specaugment: bool = True
-    freq_masks: int = 2
-    freq_mask_max: int = 10
-    time_masks: int = 2
-    time_mask_max: int = 20
+    freq_masks: int = bounded(2, 0)
+    freq_mask_max: int = bounded(10, 0)
+    time_masks: int = bounded(2, 0)
+    time_mask_max: int = bounded(20, 0)
 
-    def __post_init__(self):
-        for name, low in (("epochs", 1), ("finetune_epochs", 1), ("batch_size", 1),
-                          ("warmup_steps", 1), ("keep_best", 1),
-                          ("freq_masks", 0), ("freq_mask_max", 0), ("time_masks", 0),
-                          ("time_mask_max", 0)):
-            if getattr(self, name) < low:
-                raise ValueError(f"train.{name} must be >= {low}, got {getattr(self, name)}")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"train.alpha must be in [0, 1], got {self.alpha}")
-        if not 0.0 <= self.label_smoothing < 1.0:
-            raise ValueError(f"train.label_smoothing must be in [0, 1), got {self.label_smoothing}")
+    __post_init__ = check_fields
 
 
 @dataclass
 class LMTrainConfig:
-    epochs: int = 50
-    batch_size: int = 8
-    lr_scale: float = 1.0
-    warmup_steps: int = 100
+    epochs: int = bounded(50, 1)
+    batch_size: int = bounded(8, 1)
+    lr_scale: float = bounded(1.0, 0)
+    warmup_steps: int = bounded(100, 1)
 
-    def __post_init__(self):
-        for name in ("epochs", "batch_size", "warmup_steps"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"lm.{name} must be >= 1, got {getattr(self, name)}")
+    __post_init__ = check_fields
 
 
-# (section, dataclass, fields that are not keys, which `resolve` fills):
-# every other field is the key f"{section}.{field}", parsed by its
-# annotation, defaulting to its default.
+# (section, dataclass, fields that are not keys: the vocabulary size, which
+# `resolve` fills), in `ExperimentConfig`'s field order: every other field is
+# the key f"{section}.{field}", parsed by its annotation, defaulting to its
+# default.
 SECTIONS = (
     ("model", ModelConfig, ("vocab_size",)),
     ("train", TrainConfig, ()),
@@ -154,19 +144,27 @@ def parse_flat(text: str) -> dict[str, str]:
 
 def _section(cls, raw: dict, section: str, **extra):
     """`cls` with each field `f` taken from `raw[f"{section}.{f}"]`; `extra`
-    supplies or overrides fields whose names do not match a key."""
+    supplies or overrides fields whose names do not match a key. A value the
+    class rejects is a ConfigError whose message starts with its key."""
     values = {f.name: raw[f"{section}.{f.name}"] for f in fields(cls)
               if f"{section}.{f.name}" in raw}
-    return cls(**{**values, **extra})
+    try:
+        return cls(**{**values, **extra})
+    except ValueError as e:
+        raise ConfigError(f"{section}.{e}") from e
 
 
 def resolve(values: dict[str, str] | None = None,
             overrides: dict[str, str] | None = None) -> ExperimentConfig:
     """Apply defaults, parse types, and assemble the config dataclasses."""
     merged = {**(values or {}), **(overrides or {})}
-    for k in merged:
+    for k, v in merged.items():
         if k not in KEYS:
             raise ConfigError(f"unknown key {k!r}")
+        try:  # `config.resolved` is UTF-8, so a value must be text it can hold
+            v.encode("utf-8")
+        except UnicodeEncodeError as e:
+            raise ConfigError(f"{k} must be UTF-8 text, got {v!r}") from e
     raw: dict = {}
     for key, (parser, default) in KEYS.items():
         if key in merged:
@@ -179,18 +177,10 @@ def resolve(values: dict[str, str] | None = None,
 
     alphabet = raw["data.alphabet"]
     vocab_size = len(Vocabulary(alphabet))
-    try:
-        model = _section(ModelConfig, raw, "model", vocab_size=vocab_size)
-        kd = _section(KDConfig, raw, "kd")
-        decode = _section(BeamConfig, raw, "decode")
-        lm = _section(LMConfig, raw, "lm", vocab_size=vocab_size)
-        train = _section(TrainConfig, raw, "train")
-        lm_train = _section(LMTrainConfig, raw, "lm")
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+    sections = [_section(cls, raw, section, **dict.fromkeys(resolved, vocab_size))
+                for section, cls, resolved in SECTIONS]
     return ExperimentConfig(
-        raw=raw, model=model, train=train, kd=kd,
-        decode=decode, lm=lm, lm_train=lm_train, alphabet=alphabet,
+        raw, *sections, alphabet=alphabet,
         train_manifest=raw["paths.train_manifest"],
         dev_manifest=raw["paths.dev_manifest"],
         lm_checkpoint=raw["paths.lm_checkpoint"],
@@ -198,7 +188,13 @@ def resolve(values: dict[str, str] | None = None,
 
 
 def load_config(path, overrides: dict[str, str] | None = None) -> ExperimentConfig:
-    return resolve(parse_flat(Path(path).read_text(encoding="utf-8")), overrides)
+    data = Path(path).read_bytes()
+    try:  # a byte-order mark is dropped after decoding, so offsets count it
+        text = data.decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"config file {path} is not UTF-8: byte 0x{data[e.start]:02x} "
+                          f"at offset {e.start}") from e
+    return resolve(parse_flat(text), overrides)
 
 
 def dump_config(cfg: ExperimentConfig) -> str:

@@ -3,7 +3,8 @@ and WER/CER metrics.
 
 Feature files: magic "TRFT", u32 version=1, u32 T, u32 F, then T*F
 little-endian float32 values row-major. Manifests are UTF-8 TSV lines
-`id<TAB>feature_path<TAB>transcript` with paths relative to the manifest.
+`id<TAB>feature_path<TAB>transcript` with paths relative to the manifest; a
+leading byte-order mark is not part of the first id.
 """
 
 from __future__ import annotations
@@ -119,7 +120,7 @@ def save_manifest(path, entries) -> None:
 def load_manifest(path) -> list[ManifestEntry]:
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as e:
         raise FormatError(f"manifest {path} is not valid UTF-8") from e
     entries = []

@@ -8,23 +8,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import InfeasibleAlignmentError, MaskError, ShapeError
+from .errors import InfeasibleAlignmentError, MaskError, ShapeError, bounded, check_fields
 from .tensor import Tensor, _result
 
 
 @dataclass
 class KDConfig:
-    phi_final: float = 0.5
-    cadence: int = 1  # epochs between teacher refreshes
-    temperature: float = 1.0
+    phi_final: float = bounded(0.5, 0, 1)
+    cadence: int = bounded(1, 1)  # epochs between teacher refreshes
+    temperature: float = bounded(1.0, 0, open_low=True)
 
-    def __post_init__(self):
-        if not 0.0 <= self.phi_final <= 1.0:
-            raise ValueError(f"phi_final must be in [0, 1], got {self.phi_final}")
-        if self.cadence < 1:
-            raise ValueError("teacher snapshot cadence must be >= 1")
-        if not self.temperature > 0.0:
-            raise ValueError(f"KD temperature must be > 0, got {self.temperature}")
+    __post_init__ = check_fields
 
 
 def ctc_min_frames(target) -> int:

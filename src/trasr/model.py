@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import SequenceTooShortError, ShapeError
+from .errors import SequenceTooShortError, ShapeError, bounded, check_fields, one_of
 from .frontend import KINDS, output_length, positional_encoding, stage_shapes, subsample
 from .optim import ParameterStore
 from .rng import StreamCache, stream
@@ -34,48 +34,35 @@ from .tensor import Tensor
 REDUCTIONS = ("none", "tr", "pyramidal")
 
 
-def _check_shape(what: str, d_att: int, d_ff: int, heads: int, dropout: float) -> None:
-    """The layer-shape checks `ModelConfig` and `LMConfig` share; `what`
-    prefixes each message."""
-    if d_att < 2 or d_att % 2:
-        raise ValueError(f"{what} d_att must be even and >= 2, got {d_att}")
-    if d_ff < 1:
-        raise ValueError(f"{what} d_ff must be >= 1, got {d_ff}")
-    if heads < 1:
-        raise ValueError(f"{what} heads must be >= 1, got {heads}")
-    if d_att % heads != 0:
-        raise ValueError(f"{what} d_att={d_att} not divisible by heads={heads}")
-    if not 0.0 <= dropout < 1.0:
-        raise ValueError(f"{what} dropout must be in [0, 1), got {dropout}")
+def _check_width(cfg) -> None:
+    """The width rules beyond their ranges that `ModelConfig` and `LMConfig` share."""
+    if cfg.d_att % 2:
+        raise ValueError(f"d_att must be even, got {cfg.d_att}")
+    if cfg.d_att % cfg.heads:
+        raise ValueError(f"d_att must be a multiple of heads ({cfg.heads}), got {cfg.d_att}")
 
 
 @dataclass
 class ModelConfig:
-    e1: int = 2
-    e2: int = 10
-    dec_layers: int = 6
-    d_att: int = 256
-    d_ff: int = 2048
-    heads: int = 4
-    reduction: str = "tr"  # "tr": halve before layer e1; "pyramidal": before 1, 2, 3
-    vocab_size: int = 32
-    dropout: float = 0.1
-    frontend: str = "conv2d4"
-    feature_dim: int = 40
+    e1: int = bounded(2, 0)
+    e2: int = bounded(10, 0)
+    dec_layers: int = bounded(6, 0)
+    d_att: int = bounded(256, 2)
+    d_ff: int = bounded(2048, 1)
+    heads: int = bounded(4, 1)
+    # "tr": halve before layer e1; "pyramidal": before 1, 2, 3
+    reduction: str = one_of("tr", REDUCTIONS)
+    vocab_size: int = bounded(32, 1)
+    dropout: float = bounded(0.1, 0, 1, open_high=True)
+    frontend: str = one_of("conv2d4", KINDS)
+    feature_dim: int = bounded(40, 1)
 
     def __post_init__(self):
-        if self.frontend not in KINDS:
-            raise ValueError(f"unknown front-end kind {self.frontend!r}; choose from {KINDS}")
-        if self.reduction not in REDUCTIONS:
-            raise ValueError(f"unknown reduction {self.reduction!r}; choose from {REDUCTIONS}")
-        if min(self.e1, self.e2, self.dec_layers) < 0:
-            raise ValueError(f"model e1, e2 and dec_layers must be >= 0, got "
-                             f"{self.e1}, {self.e2}, {self.dec_layers}")
-        if self.feature_dim < 1:
-            raise ValueError(f"model feature_dim must be >= 1, got {self.feature_dim}")
-        _check_shape("model", self.d_att, self.d_ff, self.heads, self.dropout)
+        check_fields(self)
+        _check_width(self)
         if self.reduction == "pyramidal" and self.num_encoder_layers < 3:
-            raise ValueError("pyramidal encoder needs at least 3 layers")
+            raise ValueError("reduction 'pyramidal' needs at least 3 layers, got "
+                             f"{self.num_encoder_layers}")
 
     @property
     def num_encoder_layers(self) -> int:
@@ -449,17 +436,16 @@ def count_attention_macs(cfg: ModelConfig, T_in: int) -> dict:
 
 @dataclass
 class LMConfig:
-    layers: int = 2
-    d_att: int = 64
-    d_ff: int = 256
-    heads: int = 2
-    vocab_size: int = 32
-    dropout: float = 0.0
+    layers: int = bounded(2, 0)
+    d_att: int = bounded(64, 2)
+    d_ff: int = bounded(256, 1)
+    heads: int = bounded(2, 1)
+    vocab_size: int = bounded(32, 1)
+    dropout: float = bounded(0.0, 0, 1, open_high=True)
 
     def __post_init__(self):
-        if self.layers < 0:
-            raise ValueError(f"LM layers must be >= 0, got {self.layers}")
-        _check_shape("LM", self.d_att, self.d_ff, self.heads, self.dropout)
+        check_fields(self)
+        _check_width(self)
 
 
 def init_lm_params(cfg: LMConfig, seed: int, dtype=np.float32) -> ParameterStore:

@@ -23,27 +23,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import VocabularyError
+from .errors import VocabularyError, bounded, check_fields
 
 
 @dataclass
 class BeamConfig:
-    beam_size: int = 20
-    ctc_weight: float = 0.5       # lambda
+    beam_size: int = bounded(20, 1)
+    ctc_weight: float = bounded(0.5, 0, 1)  # lambda
     lm_weight: float = 0.7        # gamma
     insertion_penalty: float = 2.0  # additive log-score bonus per emitted token
-    max_len_ratio: float = 1.0
+    max_len_ratio: float = bounded(1.0, 0, open_low=True)
 
-    def __post_init__(self):
-        if self.beam_size < 1:
-            raise ValueError(f"beam size must be >= 1, got {self.beam_size}")
-        if not 0.0 <= self.ctc_weight <= 1.0:
-            raise ValueError(f"ctc weight must be in [0, 1], got {self.ctc_weight}")
-        if not 0.0 < self.max_len_ratio < math.inf:
-            raise ValueError(f"max length ratio must be finite and > 0, got {self.max_len_ratio}")
-        for name in ("lm_weight", "insertion_penalty"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+    __post_init__ = check_fields
 
 
 class CtcPrefixScorer:

@@ -16,7 +16,8 @@ import numpy as np
 
 from . import data
 from . import tensor as T
-from .checkpoint import ArrayFile, open_checkpoint, save_checkpoint, snapshot_teacher
+from .checkpoint import (ArrayFile, open_checkpoint, save_checkpoint, snapshot_teacher,
+                         write_atomically)
 from .config import ExperimentConfig, dump_config
 from .data import (Batch, EditStats, ManifestEntry, Vocabulary, load_manifest,
                    make_batches, wer)
@@ -334,7 +335,7 @@ def run_training(cfg: ExperimentConfig, out_dir, mode: str = "plain",
             if teacher is not None:
                 teacher.close()
             best_paths = [p.name for _, _, p in best[: cfg.train.keep_best]]
-            (out_dir / "best.json").write_text(json.dumps(best_paths), encoding="utf-8")
+            write_atomically(out_dir / "best.json", [json.dumps(best_paths).encode("utf-8")])
     return records
 
 

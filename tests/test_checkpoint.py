@@ -2,6 +2,7 @@
 checkpoints and teacher files one entry at a time, and their memory."""
 
 import itertools
+import json
 import os
 import re
 import struct
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from trasr.checkpoint import (average_checkpoints, load_checkpoint, open_checkpoint,
-                              save_checkpoint, snapshot_teacher)
+                              save_checkpoint, snapshot_teacher, write_atomically)
 from trasr.config import resolve
 from trasr.errors import FormatError, ShapeError
 from trasr.model import init_model_params
@@ -66,13 +67,11 @@ def test_no_partial_file_on_disk(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]  # temp file renamed away
 
 
-def test_an_interrupt_at_any_line_of_a_save_leaves_no_temp_file(tmp_path):
-    """KeyboardInterrupt at each line, in turn, that a save runs (library
-    code included) leaves the earlier checkpoint or the new one, and no
-    temp file."""
-    state = sample_state(np.random.default_rng(0))
-    path = tmp_path / "m.ckpt"
-    save_checkpoint(path, {"old": np.zeros(2, dtype=np.float32)})
+def _interrupt_each_line(save, check) -> int:
+    """Run `save` with a KeyboardInterrupt at its first line, then at its
+    second, and so on (library code included), calling `check(k)` after the
+    run interrupted at line k; returns the count of lines of the run that
+    ended uninterrupted."""
     outer = sys.gettrace()
     for k in itertools.count():
         lines = itertools.count()
@@ -84,16 +83,53 @@ def test_an_interrupt_at_any_line_of_a_save_leaves_no_temp_file(tmp_path):
 
         sys.settrace(trace)
         try:
-            save_checkpoint(path, state)
-            break  # the save ran fewer than k + 1 lines
+            save()
+            return k  # the save ran fewer than k + 1 lines
         except KeyboardInterrupt:
             pass
         finally:
             sys.settrace(outer)
+        check(k)
+
+
+def test_an_interrupt_at_any_line_of_a_save_leaves_no_temp_file(tmp_path):
+    """KeyboardInterrupt at each line, in turn, that a save runs (library
+    code included) leaves the earlier checkpoint or the new one, and no
+    temp file."""
+    state = sample_state(np.random.default_rng(0))
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, {"old": np.zeros(2, dtype=np.float32)})
+
+    def check(k):
         assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"], k
         assert set(load_checkpoint(path)) in ({"old"}, set(state)), k
-    assert k > 0 and set(load_checkpoint(path)) == set(state)
+
+    assert _interrupt_each_line(lambda: save_checkpoint(path, state), check) > 0
+    assert set(load_checkpoint(path)) == set(state)
     assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+
+
+@pytest.mark.parametrize("name, old, new", [
+    ("best.json", json.dumps(["epoch0001.ckpt"]),
+     json.dumps(["epoch0003.ckpt", "epoch0001.ckpt"])),
+    ("report.json", json.dumps({"utterances": 2, "wer": 0.5}, indent=2),
+     json.dumps({"utterances": 3, "wer": 0.25, "skipped": []}, indent=2)),
+])
+def test_an_interrupt_at_any_line_of_a_json_write_leaves_old_or_new(tmp_path, name, old, new):
+    """`best.json` and `report.json` are written as `run_training` and
+    `decode` write them: each interrupt leaves the old or the new complete
+    file, and no temp file."""
+    path = tmp_path / name
+    path.write_text(old, encoding="utf-8")
+
+    def check(k):
+        assert [p.name for p in tmp_path.iterdir()] == [name], k
+        assert path.read_text(encoding="utf-8") in (old, new), k
+
+    assert _interrupt_each_line(lambda: write_atomically(path, [new.encode("utf-8")]),
+                                check) > 0
+    assert path.read_text(encoding="utf-8") == new
+    assert [p.name for p in tmp_path.iterdir()] == [name]
 
 
 def test_bad_magic(tmp_path):

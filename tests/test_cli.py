@@ -183,6 +183,30 @@ def test_width_or_epochs_out_of_range_exit_2(dataset, tmp_path, capsys, bad):
     assert not (tmp_path / "run").exists()
 
 
+def test_a_config_file_that_is_not_utf8_exits_2_before_out_is_made(tmp_path):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_bytes(b"model.d_att = 64 \xff\n")
+    done = _cli(["train", "--out", str(tmp_path / "run"), "--config", str(cfg_file)])
+    assert done.returncode == 2, done.stderr
+    assert done.stderr == (f"config error: config file {cfg_file} is not UTF-8: "
+                           "byte 0xff at offset 17\n")
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("verb, flags, key", [
+    # argv bytes that are not UTF-8 reach Python as lone surrogates
+    ("train", ["--set", "data.alphabet=ab\udcff"], "data.alphabet"),
+    ("decode", ["--checkpoint", "m.ckpt", "--manifest", "m.tsv",
+                "--lm-checkpoint", "lm\udcff.ckpt"], "paths.lm_checkpoint"),
+])
+def test_a_value_that_is_not_utf8_exits_2_before_out_is_made(tmp_path, verb, flags, key):
+    done = _cli([verb, "--out", str(tmp_path / "run"), *flags])
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith(f"config error: {key} must be UTF-8 text, got ")
+    assert "Traceback" not in done.stderr
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("value", ['abcdefgh ', '"abcdefgh "', "'abcdefgh '"])
 def test_set_keeps_whitespace_like_config_file(tmp_path, value):
     # --set data.alphabet="abcdefgh " reaches argv as 'abcdefgh '; quotes kept by

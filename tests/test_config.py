@@ -1,9 +1,11 @@
 """Flat config parsing, defaults, overrides, and round-trip serialization."""
 
+import math
 import re
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from trasr.config import KEYS, SECTIONS, dump_config, load_config, parse_flat, resolve
@@ -84,7 +86,8 @@ def test_invalid_combination_becomes_config_error():
 
 @pytest.mark.parametrize("value", ["bogus", "TR", "", "pyramid"])
 def test_unknown_reduction_is_config_error(value):
-    with pytest.raises(ConfigError, match="unknown reduction"):
+    with pytest.raises(ConfigError,
+                       match="^model.reduction must be one of none, tr, pyramidal, got"):
         resolve({"model.reduction": value})
 
 
@@ -131,6 +134,90 @@ def test_out_of_range_value_is_config_error(key, value):
     heads = {"model.d_att": {"model.heads": "1"}, "lm.d_att": {"lm.heads": "1"}}
     with pytest.raises(ConfigError):
         resolve({**heads.get(key, {}), key: value})
+
+
+def _just_outside(parser, bound, direction: int) -> str:
+    """The value next to `bound` on its `direction` side (-1 below, 1 above)."""
+    if parser is float:
+        return repr(float(np.nextafter(float(bound), direction * math.inf)))
+    return repr(bound + direction)
+
+
+def _out_of_declaration():
+    """(key, value) for every key just outside each bound that its field
+    declares (at an open bound, the bound itself), beside its choices, and,
+    for each float key, at nan and at +-inf."""
+    cases = []
+    for section, cls, not_keys in SECTIONS:
+        for f in fields(cls):
+            key = f"{section}.{f.name}"
+            if f.name in not_keys:
+                continue
+            parser = KEYS[key][0]
+            if "choices" in f.metadata:
+                cases.append((key, "x".join(f.metadata["choices"])))
+            if "range" in f.metadata:
+                low, high, open_low, open_high = f.metadata["range"]
+                cases.append((key, repr(low) if open_low else _just_outside(parser, low, -1)))
+                if high is not None:
+                    cases.append((key, repr(high) if open_high else
+                                  _just_outside(parser, high, 1)))
+            if parser is float:
+                cases += [(key, "nan"), (key, "inf"), (key, "-inf")]
+    return cases
+
+
+OUT_OF_DECLARATION = _out_of_declaration()
+
+
+@pytest.mark.parametrize("key, value", OUT_OF_DECLARATION,
+                         ids=[f"{key}={value}" for key, value in OUT_OF_DECLARATION])
+def test_a_value_outside_its_declaration_is_a_config_error_naming_its_key(key, value):
+    with pytest.raises(ConfigError) as err:
+        resolve({key: value})
+    assert str(err.value).startswith(f"{key} must be "), str(err.value)
+
+
+def test_every_numeric_key_but_the_seed_declares_its_range():
+    declared = {key for key, _ in OUT_OF_DECLARATION}
+    numeric = {key for key, (parser, _) in KEYS.items() if parser in (int, float)}
+    assert numeric - declared == {"train.seed"}
+    assert {"model.frontend", "model.reduction"} <= declared
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("train.lr_scale", "-1", "train.lr_scale must be >= 0, got -1.0"),
+    ("kd.temperature", "0", "kd.temperature must be > 0, got 0.0"),
+    ("train.label_smoothing", "1", "train.label_smoothing must be in [0, 1), got 1.0"),
+    ("decode.lm_weight", "nan", "decode.lm_weight must be finite, got nan"),
+    ("model.frontend", "wavelet", "model.frontend must be one of conv2d4, conv2d8, "
+     "vggconv2d4, vggconv2d8, identity, got 'wavelet'"),
+    ("lm.d_att", "6", "lm.d_att must be a multiple of heads (4), got 6"),
+])
+def test_a_range_error_reads_key_must_be_range_got_value(key, value, message):
+    heads = {"lm.d_att": {"lm.heads": "4"}}
+    with pytest.raises(ConfigError) as err:
+        resolve({**heads.get(key, {}), key: value})
+    assert str(err.value) == message
+
+
+def test_a_config_file_with_a_byte_order_mark_reads_as_one_without(tmp_path):
+    text = "model.d_att = 64\nmodel.heads = 2\n"
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert load_config(marked).raw == load_config(plain).raw
+    assert load_config(marked).model.d_att == 64
+
+
+@pytest.mark.parametrize("mark, offset", [(b"", 17), (b"\xef\xbb\xbf", 20)])
+def test_a_config_file_that_is_not_utf8_names_the_file_and_byte(tmp_path, mark, offset):
+    p = tmp_path / "run.cfg"
+    p.write_bytes(mark + b"model.d_att = 64 \xff\n")
+    with pytest.raises(ConfigError, match=re.escape(f"config file {p} is not UTF-8: "
+                                                    f"byte 0xff at offset {offset}")):
+        load_config(p)
 
 
 def test_bool_parsing_variants():

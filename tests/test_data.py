@@ -136,6 +136,15 @@ def test_manifest_round_trip(tmp_path):
     assert all(e.transcript == "ab" for e in entries)
 
 
+def test_manifest_with_a_byte_order_mark_reads_as_one_without(tmp_path):
+    man = write_dataset(tmp_path)
+    marked = tmp_path / "marked.tsv"
+    marked.write_text(man.read_text(encoding="utf-8"), encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert load_manifest(marked) == load_manifest(man)
+    assert load_manifest(marked)[0].utt_id == "u0"
+
+
 def test_manifest_duplicate_id(tmp_path):
     man = write_dataset(tmp_path)
     text = man.read_text()
