@@ -2,7 +2,7 @@
 
 Verbs: train, train-skd, finetune-skd, decode, average, train-lm,
 benchmark, synth-data. Exit codes: 0 success, 2 configuration error,
-3 runtime error or interruption (SIGINT or SIGTERM).
+3 runtime error, running out of memory, or interruption (SIGINT or SIGTERM).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .data import (SyntheticTaskSpec, Vocabulary, load_manifest, synth_generate,
 from .errors import ConfigError, TrasrError
 from .frontend import KINDS, minimum_input_length
 from .model import (MacCounter, ForwardCtx, ModelConfig, count_attention_macs,
-                    encode, init_model_params, init_lm_params)
+                    encode, init_model_params, load_model_params)
 from .training import decode_dataset, run_dir, run_lm_training, run_training
 
 # what `decode --greedy` sets, after `--set`, so that `config.resolved` records it
@@ -73,14 +73,12 @@ def cmd_decode(args) -> int:
         if not cfg.lm_checkpoint:
             raise ConfigError("decode.lm_weight != 0 but no LM checkpoint given; "
                               "pass --lm-checkpoint or set decode.lm_weight = 0")
-        lm_params = init_lm_params(cfg.lm, cfg.train.seed)
         with open_checkpoint(cfg.lm_checkpoint) as lm:
-            lm_params.load_state_dict(lm)
+            lm_params = load_model_params(cfg.lm, lm)
 
     vocab = Vocabulary(cfg.alphabet)
-    params = init_model_params(cfg.model, cfg.train.seed)
     with open_checkpoint(args.checkpoint) as ckpt:
-        params.load_state_dict(ckpt)
+        params = load_model_params(cfg.model, ckpt)
     entries = load_manifest(args.manifest)
 
     with run_dir(cfg, args.out, "hyps.tsv") as hyps:
@@ -318,6 +316,9 @@ def main(argv=None) -> int:
         return 2
     except (TrasrError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 3
+    except MemoryError as e:
+        print(f"error: out of memory: {e}", file=sys.stderr)
         return 3
     except KeyboardInterrupt:
         print("error: interrupted", file=sys.stderr)

@@ -188,7 +188,10 @@ def resolve(values: dict[str, str] | None = None,
 
 
 def load_config(path, overrides: dict[str, str] | None = None) -> ExperimentConfig:
-    data = Path(path).read_bytes()
+    try:
+        data = Path(path).read_bytes()
+    except OSError as e:
+        raise ConfigError(f"config file {path} cannot be read: {e.strerror or e}") from e
     try:  # a byte-order mark is dropped after decoding, so offsets count it
         text = data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as e:

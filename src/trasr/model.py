@@ -19,6 +19,7 @@ prefix through the same code.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,6 +79,20 @@ class ModelConfig:
         return {self.e1: "enc.tr"} if self.reduction == "tr" else {}
 
 
+@dataclass
+class LMConfig:
+    layers: int = bounded(2, 0)
+    d_att: int = bounded(64, 2)
+    d_ff: int = bounded(256, 1)
+    heads: int = bounded(2, 1)
+    vocab_size: int = bounded(32, 1)
+    dropout: float = bounded(0.0, 0, 1, open_high=True)
+
+    def __post_init__(self):
+        check_fields(self)
+        _check_width(self)
+
+
 class MacCounter:
     """Accumulates attention multiply-adds (scores + weighted sum)."""
 
@@ -122,98 +137,94 @@ class KVCache:
         self.self_kv = {p: (k[rows], v[rows]) for p, (k, v) in self.self_kv.items()}
 
 
-# -- parameter initialization ---------------------------------------------
+# -- parameters -------------------------------------------------------------
 
 
-def _xavier(store: ParameterStore, seed: int, name: str, shape, dtype):
-    """Glorot-uniform weights; a conv kernel [O, C, kh, kw] has fans O and C
-    times its kernel area."""
-    rng = stream(seed, f"init/{name}")
-    bound = math.sqrt(6.0 / ((shape[0] + shape[1]) * math.prod(shape[2:])))
-    store.add(name, Tensor(rng.uniform(-bound, bound, size=shape).astype(dtype)))
+def param_table(cfg: ModelConfig | LMConfig) -> dict[str, tuple[tuple[int, ...], str]]:
+    """Name -> (shape, initializer) of every parameter of the model that `cfg`
+    describes, the ASR model or the LM; these are the entries of its
+    checkpoint. The initializer is 'xavier', 'zeros' or 'ones'."""
+    d, table = cfg.d_att, {}
 
+    def add(name, shape, init="xavier"):
+        table[name] = (shape, init)
 
-def _zeros(store, name, shape, dtype):
-    store.add(name, Tensor(np.zeros(shape, dtype=dtype)))
+    def affine(p, shape, k=""):  # a weight (a conv kernel [O, C, kh, kw]) and its bias
+        add(f"{p}.w{k}", shape)
+        add(f"{p}.b{k}", (shape[0] if len(shape) == 4 else shape[1],), "zeros")
 
+    def norm(p, n):
+        add(f"{p}.gain", (n,), "ones")
+        add(f"{p}.bias", (n,), "zeros")
 
-def _ln(store, prefix, n, dtype):
-    store.add(f"{prefix}.gain", Tensor(np.ones(n, dtype=dtype)))
-    store.add(f"{prefix}.bias", Tensor(np.zeros(n, dtype=dtype)))
+    def layer(p, *blocks):
+        """Pre-norm attention `blocks`, then the FFN: ('mha',) is an
+        `encoder_layer`, ('self', 'src') a decoder layer."""
+        for k, block in enumerate(blocks, 1):
+            norm(f"{p}.ln{k}", d)
+            for w in ("wq", "wk", "wv", "wo"):
+                add(f"{p}.{block}.{w}", (d, d))
+        norm(f"{p}.ln{len(blocks) + 1}", d)
+        affine(f"{p}.ffn", (d, cfg.d_ff), "1")
+        affine(f"{p}.ffn", (cfg.d_ff, d), "2")
 
+    def token_stack(name, n_layers, *blocks):  # what `_causal_stack` reads
+        add(f"{name}.embed", (cfg.vocab_size, d))
+        for i in range(n_layers):
+            layer(f"{name}.layer{i}", *blocks)
+        norm(f"{name}.ln_out", d)
+        affine(f"{name}.out", (d, cfg.vocab_size))
 
-def _init_mha(store, seed, prefix, d_att, dtype):
-    for w in ("wq", "wk", "wv", "wo"):
-        _xavier(store, seed, f"{prefix}.{w}", (d_att, d_att), dtype)
-
-
-def _init_ffn(store, seed, prefix, d_att, d_ff, dtype):
-    _xavier(store, seed, f"{prefix}.w1", (d_att, d_ff), dtype)
-    _zeros(store, f"{prefix}.b1", (d_ff,), dtype)
-    _xavier(store, seed, f"{prefix}.w2", (d_ff, d_att), dtype)
-    _zeros(store, f"{prefix}.b2", (d_att,), dtype)
-
-
-def init_encoder_layer_params(store, seed, prefix, d_att, d_ff, dtype=np.float32):
-    _ln(store, f"{prefix}.ln1", d_att, dtype)
-    _init_mha(store, seed, f"{prefix}.mha", d_att, dtype)
-    _ln(store, f"{prefix}.ln2", d_att, dtype)
-    _init_ffn(store, seed, f"{prefix}.ffn", d_att, d_ff, dtype)
-
-
-def init_time_reduction_params(store, seed, prefix, d_att, dtype=np.float32):
-    _xavier(store, seed, f"{prefix}.w", (2 * d_att, d_att), dtype)
-    _zeros(store, f"{prefix}.b", (d_att,), dtype)
-
-
-def init_frontend_params(cfg: ModelConfig, store: ParameterStore, seed: int,
-                         dtype=np.float32) -> None:
-    """The parameters `frontend.subsample` reads, under 'frontend.'."""
+    if isinstance(cfg, LMConfig):
+        token_stack("lm", cfg.layers, "mha")
+        return table
     c_in, f = 1, cfg.feature_dim  # channels and feature bins into the projection
-    for s, (c_out, f) in enumerate(stage_shapes(cfg.frontend, cfg.d_att, cfg.feature_dim)):
+    for s, (c_out, f) in enumerate(stage_shapes(cfg.frontend, d, cfg.feature_dim)):
         if cfg.frontend.startswith("conv"):
-            _xavier(store, seed, f"frontend.conv{s}.w", (c_out, c_in, 3, 3), dtype)
-            _zeros(store, f"frontend.conv{s}.b", (c_out,), dtype)
+            affine(f"frontend.conv{s}", (c_out, c_in, 3, 3))
         else:
-            p = f"frontend.stage{s}"
-            _xavier(store, seed, f"{p}.conv0.w", (c_out, c_in, 3, 3), dtype)
-            _zeros(store, f"{p}.conv0.b", (c_out,), dtype)
-            _xavier(store, seed, f"{p}.conv1.w", (c_out, c_out, 3, 3), dtype)
-            _zeros(store, f"{p}.conv1.b", (c_out,), dtype)
-            _ln(store, f"{p}.ln", c_out * f, dtype)
+            affine(f"frontend.stage{s}.conv0", (c_out, c_in, 3, 3))
+            affine(f"frontend.stage{s}.conv1", (c_out, c_out, 3, 3))
+            norm(f"frontend.stage{s}.ln", c_out * f)
         c_in = c_out
-    _xavier(store, seed, "frontend.proj.w", (c_in * f, cfg.d_att), dtype)
-    _zeros(store, "frontend.proj.b", (cfg.d_att,), dtype)
-
-
-def _init_token_head(store, seed, name, vocab_size, d_att, dtype):
-    """What `_causal_stack` reads outside its layers: `{name}.embed`,
-    `{name}.ln_out` and the `{name}.out` head."""
-    _xavier(store, seed, f"{name}.embed", (vocab_size, d_att), dtype)
-    _ln(store, f"{name}.ln_out", d_att, dtype)
-    _xavier(store, seed, f"{name}.out.w", (d_att, vocab_size), dtype)
-    _zeros(store, f"{name}.out.b", (vocab_size,), dtype)
-
-
-def init_model_params(cfg: ModelConfig, seed: int, dtype=np.float32) -> ParameterStore:
-    store = ParameterStore()
-    init_frontend_params(cfg, store, seed, dtype)
+    affine("frontend.proj", (c_in * f, d))
     for i in range(cfg.num_encoder_layers):
-        init_encoder_layer_params(store, seed, f"enc.layer{i}", cfg.d_att, cfg.d_ff, dtype)
-    for prefix in cfg.reductions.values():
-        init_time_reduction_params(store, seed, prefix, cfg.d_att, dtype)
-    _ln(store, "enc.ln_out", cfg.d_att, dtype)
-    _xavier(store, seed, "ctc.w", (cfg.d_att, cfg.vocab_size), dtype)
-    _zeros(store, "ctc.b", (cfg.vocab_size,), dtype)
-    _init_token_head(store, seed, "dec", cfg.vocab_size, cfg.d_att, dtype)
-    for j in range(cfg.dec_layers):
-        p = f"dec.layer{j}"
-        _ln(store, f"{p}.ln1", cfg.d_att, dtype)
-        _init_mha(store, seed, f"{p}.self", cfg.d_att, dtype)
-        _ln(store, f"{p}.ln2", cfg.d_att, dtype)
-        _init_mha(store, seed, f"{p}.src", cfg.d_att, dtype)
-        _ln(store, f"{p}.ln3", cfg.d_att, dtype)
-        _init_ffn(store, seed, f"{p}.ffn", cfg.d_att, cfg.d_ff, dtype)
+        layer(f"enc.layer{i}", "mha")
+    for p in cfg.reductions.values():
+        affine(p, (2 * d, d))
+    norm("enc.ln_out", d)
+    affine("ctc", (d, cfg.vocab_size))
+    token_stack("dec", cfg.dec_layers, "self", "src")
+    return table
+
+
+def init_model_params(cfg: ModelConfig | LMConfig, seed: int,
+                      dtype=np.float32) -> ParameterStore:
+    """`param_table(cfg)` drawn, for the ASR model or the LM: Glorot-uniform
+    weights, each from the stream 'init/<name>' (a conv kernel [O, C, kh, kw]
+    has fans O and C times its kernel area), and zero or unit vectors."""
+    store = ParameterStore()
+    for name, (shape, init) in param_table(cfg).items():
+        if init == "xavier":
+            bound = math.sqrt(6.0 / ((shape[0] + shape[1]) * math.prod(shape[2:])))
+            arr = stream(seed, f"init/{name}").uniform(-bound, bound, size=shape).astype(dtype)
+        else:
+            arr = (np.ones if init == "ones" else np.zeros)(shape, dtype=dtype)
+        store.add(name, Tensor(arr))
+    return store
+
+
+init_lm_params = init_model_params
+
+
+def load_model_params(cfg: ModelConfig | LMConfig,
+                      state: Mapping[str, np.ndarray]) -> ParameterStore:
+    """`param_table(cfg)` read from `state`, such as an open checkpoint, one
+    entry at a time by `ParameterStore.load_state_dict`; nothing is drawn."""
+    store = ParameterStore()
+    for name, (shape, _) in param_table(cfg).items():
+        store.add(name, Tensor(np.empty(shape, np.float32)))
+    store.load_state_dict(state)
     return store
 
 
@@ -432,28 +443,6 @@ def count_attention_macs(cfg: ModelConfig, T_in: int) -> dict:
 
 
 # -- decoder-only language model -------------------------------------------
-
-
-@dataclass
-class LMConfig:
-    layers: int = bounded(2, 0)
-    d_att: int = bounded(64, 2)
-    d_ff: int = bounded(256, 1)
-    heads: int = bounded(2, 1)
-    vocab_size: int = bounded(32, 1)
-    dropout: float = bounded(0.0, 0, 1, open_high=True)
-
-    def __post_init__(self):
-        check_fields(self)
-        _check_width(self)
-
-
-def init_lm_params(cfg: LMConfig, seed: int, dtype=np.float32) -> ParameterStore:
-    store = ParameterStore()
-    _init_token_head(store, seed, "lm", cfg.vocab_size, cfg.d_att, dtype)
-    for i in range(cfg.layers):
-        init_encoder_layer_params(store, seed, f"lm.layer{i}", cfg.d_att, cfg.d_ff, dtype)
-    return store
 
 
 def lm_forward(prefix, cfg: LMConfig, params: ParameterStore,

@@ -251,23 +251,8 @@ class Tensor:
     def __neg__(self):
         return mul(self, -1.0)
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, index):
         return take(self, index)
-
-    def reshape(self, *shape):
-        return reshape(self, *shape)
-
-    def transpose(self, *axes):
-        return transpose(self, *axes)
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
 
 
 def _used_up(g=None) -> None:

@@ -27,7 +27,7 @@ from .losses import (ce_label_smoothed, ctc_loss, ctc_min_frames, finetune_loss,
                      phi_schedule, skd_loss, teacher_entropy)
 from .model import (EVAL_CTX, ForwardCtx, KVCache, ModelConfig, LMConfig, ctc_log_probs,
                     decode_forward, encode, encoder_layer_lengths, init_lm_params,
-                    init_model_params, lm_forward)
+                    init_model_params, lm_forward, load_model_params)
 from .optim import AdamState, ParameterStore, adam_step, warmup_lr
 from .rng import StreamCache, stream
 from .search import BeamConfig, CtcPrefixScorer, beam_search
@@ -258,10 +258,11 @@ def run_training(cfg: ExperimentConfig, out_dir, mode: str = "plain",
             skipped += dev_skipped
 
         seed = cfg.train.seed
-        params = init_model_params(model_cfg, seed)
-        if init_checkpoint is not None:
+        if init_checkpoint is None:
+            params = init_model_params(model_cfg, seed)
+        else:
             with open_checkpoint(init_checkpoint) as init:
-                params.load_state_dict(init)
+                params = load_model_params(model_cfg, init)
 
         if mode == "finetune":
             adam = AdamState(lambda step: cfg.train.finetune_lr)

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+import trasr.model
 from trasr.frontend import FeatureSequence, subsample
 from trasr.model import EVAL_CTX, ModelConfig, encode, init_model_params
 
@@ -76,3 +77,16 @@ def subsample_one(seq, kind, params):
 def tiny_model():
     cfg = tiny_model_config()
     return cfg, init_model_params(cfg, seed=0)
+
+
+def refuse_init_draws(monkeypatch):
+    """From here on, the stream that `trasr.model` draws initial weights from
+    raises on every 'init/' name: what still runs draws no initial weights."""
+    real = trasr.model.stream
+
+    def stream(seed, name):
+        if name.startswith("init/"):
+            raise AssertionError(f"drew initial weights from {name!r}")
+        return real(seed, name)
+
+    monkeypatch.setattr(trasr.model, "stream", stream)

@@ -27,6 +27,8 @@ from trasr.data import (SyntheticTaskSpec, load_features, load_manifest, save_fe
 from trasr.frontend import FeatureSequence
 from trasr.training import RunLock
 
+from conftest import refuse_init_draws
+
 ALPHABET = "abcd "
 
 TINY = [
@@ -193,6 +195,18 @@ def test_a_config_file_that_is_not_utf8_exits_2_before_out_is_made(tmp_path):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("kind, reason", [("missing", "No such file or directory"),
+                                          ("directory", "Is a directory")])
+def test_a_config_file_that_cannot_be_read_exits_2_before_out_is_made(tmp_path, kind, reason):
+    cfg_file = tmp_path / "run.cfg"
+    if kind == "directory":
+        cfg_file.mkdir()
+    done = _cli(["train", "--out", str(tmp_path / "run"), "--config", str(cfg_file)])
+    assert done.returncode == 2, done.stderr
+    assert done.stderr == f"config error: config file {cfg_file} cannot be read: {reason}\n"
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("verb, flags, key", [
     # argv bytes that are not UTF-8 reach Python as lone surrogates
     ("train", ["--set", "data.alphabet=ab\udcff"], "data.alphabet"),
@@ -223,6 +237,15 @@ def test_set_keeps_whitespace_like_config_file(tmp_path, value):
 
 def test_missing_manifest_config_exit_2(tmp_path):
     assert main(["train", "--out", str(tmp_path / "run")] + TINY) == 2
+
+
+def test_a_train_manifest_that_does_not_exist_exits_3(tmp_path, capsys):
+    # the key is set, so the configuration is whole; the file it names is data,
+    # found missing as the run reads it, as a missing decode --manifest is
+    manifest = tmp_path / "nope.tsv"
+    assert main(["train", "--out", str(tmp_path / "run"),
+                 "--set", f"paths.train_manifest={manifest}"] + TINY) == 3
+    assert capsys.readouterr().err.startswith("error: [Errno 2] No such file or directory")
 
 
 def test_locked_out_dir_exit_3(dataset, tmp_path):
@@ -983,6 +1006,46 @@ def test_decode_beam_with_lm(dataset, trained, tmp_path):
                "--set", "lm.d_ff=32", "--set", "lm.heads=2"] + TINY)
     assert rc == 0
     assert (tmp_path / "dec" / "report.json").exists()
+
+
+def test_decode_and_init_draw_no_initial_weights(dataset, trained, tmp_path, monkeypatch):
+    """They read every parameter from a checkpoint; training's dropout,
+    SpecAugment and shuffle streams still run."""
+    assert main(["train-lm", "--out", str(tmp_path / "lm"), "--manifest", str(dataset),
+                 "--set", "lm.epochs=1"] + LM_TINY) == 0
+    refuse_init_draws(monkeypatch)
+    ckpt = str(trained / "epoch0002.ckpt")
+    assert main(["decode", "--out", str(tmp_path / "dec"), "--checkpoint", ckpt,
+                 "--manifest", str(dataset), "--lm-checkpoint", str(tmp_path / "lm" / "lm.ckpt"),
+                 "--set", "decode.beam_size=2", "--set", "decode.lm_weight=0.2"]
+                + TINY + LM_TINY[2:]) == 0
+    assert main(["finetune-skd", "--out", str(tmp_path / "ft"), "--init", ckpt,
+                 "--set", f"paths.train_manifest={dataset}", "--set", "train.finetune_epochs=1",
+                 "--set", "kd.phi_final=0.5"]
+                + TINY + ["--set", "model.dropout=0.1", "--set", "train.specaugment=true"]) == 0
+
+
+def test_running_out_of_memory_exits_3_and_keeps_the_hyps_written(dataset, trained, tmp_path,
+                                                                  capsys, monkeypatch):
+    decode_utterance, calls = training.decode_utterance, []
+
+    def out_of_memory_after_one(*args, **kwargs):
+        calls.append(args)
+        if len(calls) > 1:
+            raise MemoryError("Unable to allocate 1.68 GiB for an array with shape "
+                              "(1, 2, 14999, 14999) and data type float32")
+        return decode_utterance(*args, **kwargs)
+
+    monkeypatch.setattr(training, "decode_utterance", out_of_memory_after_one)
+    out = tmp_path / "dec"
+    assert main(["decode", "--out", str(out), "--checkpoint", str(trained / "epoch0002.ckpt"),
+                 "--manifest", str(dataset), "--greedy"] + TINY) == 3
+    assert capsys.readouterr().err == (
+        "error: out of memory: Unable to allocate 1.68 GiB for an array with shape "
+        "(1, 2, 14999, 14999) and data type float32\n")
+    hyps = (out / "hyps.tsv").read_text().splitlines()
+    assert len(hyps) == 1 and hyps[0].startswith(f"{load_manifest(dataset)[0].utt_id}\t")
+    assert not (out / "report.json").exists()
 
 
 def test_decode_missing_checkpoint_exit_3(dataset, tmp_path):

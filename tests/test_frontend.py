@@ -7,18 +7,17 @@ from trasr import frontend
 from trasr.errors import SequenceTooShortError
 from trasr.frontend import (KINDS, FeatureSequence, minimum_input_length, output_length,
                             positional_encoding, spec_augment)
-from trasr.model import ModelConfig, init_frontend_params
-from trasr.optim import ParameterStore
+from trasr.model import ModelConfig, init_model_params
 from trasr.rng import stream
 
 from conftest import subsample_one
 
 
 def make_frontend(kind, d_att=16, feature_dim=8):
-    cfg = ModelConfig(frontend=kind, d_att=d_att, feature_dim=feature_dim, heads=2)
-    store = ParameterStore()
-    init_frontend_params(cfg, store, seed=0)
-    return cfg, store
+    """A model of a front-end alone: no encoder or decoder layers."""
+    cfg = ModelConfig(frontend=kind, d_att=d_att, feature_dim=feature_dim, heads=2,
+                      e1=0, e2=0, dec_layers=0)
+    return cfg, init_model_params(cfg, seed=0)
 
 
 # -- length arithmetic ------------------------------------------------------

@@ -1,5 +1,8 @@
 """Transformer encoder/decoder, time reduction, MAC counting, and the LM."""
 
+import math
+import re
+import tracemalloc
 from contextlib import nullcontext
 
 import numpy as np
@@ -7,15 +10,16 @@ import pytest
 
 import trasr.losses as losses
 import trasr.tensor as T
-from trasr.checkpoint import snapshot_teacher
+from trasr.checkpoint import open_checkpoint, save_checkpoint, snapshot_teacher
+from trasr.config import resolve
 from trasr.data import Batch
 from trasr.errors import MaskError, SequenceTooShortError, ShapeError
-from trasr.frontend import FeatureSequence, output_length
-from trasr.model import (EVAL_CTX, ForwardCtx, KVCache, LMConfig, MacCounter, ModelConfig,
-                         attention, count_attention_macs, ctc_log_probs, decode_forward,
-                         encode, encoder_layer, encoder_layer_lengths,
-                         init_encoder_layer_params, init_lm_params, init_model_params,
-                         lm_forward, multi_head_attention, position_wise_ffn, time_reduce)
+from trasr.frontend import KINDS, FeatureSequence, output_length
+from trasr.model import (EVAL_CTX, REDUCTIONS, ForwardCtx, KVCache, LMConfig, MacCounter,
+                         ModelConfig, attention, count_attention_macs, ctc_log_probs,
+                         decode_forward, encode, encoder_layer, encoder_layer_lengths,
+                         init_lm_params, init_model_params, lm_forward, load_model_params,
+                         multi_head_attention, param_table, position_wise_ffn, time_reduce)
 from trasr.losses import ce_label_smoothed, ctc_loss
 from trasr.optim import ParameterStore
 from trasr.rng import StreamCache
@@ -23,7 +27,7 @@ from trasr.tensor import Tensor
 from trasr.training import batch_loss
 
 from gradcheck import grad_check
-from conftest import encode_one, random_features, tiny_model_config
+from conftest import encode_one, random_features, refuse_init_draws, tiny_model_config
 
 SEEDS = (0, 1, 2)
 
@@ -92,16 +96,18 @@ def test_attention_uniform_when_scores_equal():
     assert np.allclose(out.data, np.tile(v.data.mean(axis=0), (2, 1)))
 
 
+# one encoder layer, 'lm.layer0', of width 8 (d_ff 16, 2 heads)
+ONE_LAYER = LMConfig(layers=1, d_att=8, d_ff=16, heads=2)
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_mha_gradient(seed):
     rng = np.random.default_rng(seed)
-    store = ParameterStore()
-    from trasr.model import _init_mha
-    _init_mha(store, seed, "mha", 8, np.float64)
+    store = init_lm_params(ONE_LAYER, seed, np.float64)
     w = rng.normal(size=(5, 8))
 
     def f(x):
-        out = multi_head_attention(x, x, store, "mha", heads=2)
+        out = multi_head_attention(x, x, store, "lm.layer0.mha", heads=2)
         return T.tsum(out * Tensor(w))
 
     assert grad_check(f, rng.normal(size=(5, 8))) < 1e-3
@@ -109,15 +115,13 @@ def test_mha_gradient(seed):
 
 def test_mha_single_head_equals_plain_attention():
     rng = np.random.default_rng(0)
-    store = ParameterStore()
-    from trasr.model import _init_mha
-    _init_mha(store, 0, "mha", 6, np.float64)
+    store = init_lm_params(LMConfig(layers=1, d_att=6, heads=1), 0, np.float64)
     x = Tensor(rng.normal(size=(4, 6)))
-    got = multi_head_attention(x, x, store, "mha", heads=1)
-    q = T.matmul(x, store["mha.wq"])
-    k = T.matmul(x, store["mha.wk"])
-    v = T.matmul(x, store["mha.wv"])
-    want = T.matmul(attention(q, k, v), store["mha.wo"])
+    got = multi_head_attention(x, x, store, "lm.layer0.mha", heads=1)
+    q = T.matmul(x, store["lm.layer0.mha.wq"])
+    k = T.matmul(x, store["lm.layer0.mha.wk"])
+    v = T.matmul(x, store["lm.layer0.mha.wv"])
+    want = T.matmul(attention(q, k, v), store["lm.layer0.mha.wo"])
     assert np.allclose(got.data, want.data, atol=1e-12)
 
 
@@ -138,31 +142,29 @@ def test_ffn_zero_weights_gives_constant_b2():
 @pytest.mark.parametrize("batched", [False, True])
 def test_encoder_layer_output_shape_and_identity_residual(batched):
     """One sequence [5, 8], or a padded batch [2, 5, 8] with its key mask."""
-    store = ParameterStore()
-    init_encoder_layer_params(store, 0, "layer", 8, 16, np.float64)
+    store = init_lm_params(ONE_LAYER, 0, np.float64)
     shape, mask = (5, 8), None
     if batched:  # the second row's last 2 frames are padding
         shape, mask = (2, 5, 8), (np.arange(5) < np.array([[5], [3]]))[:, None, None, :]
     x = Tensor(np.random.default_rng(0).normal(size=shape))
-    out = encoder_layer(x, store, "layer", heads=2, mask=mask)
+    out = encoder_layer(x, store, "lm.layer0", heads=2, mask=mask)
     assert out.shape == shape
     # zero the sublayer output projections: pre-norm layers become the identity
-    store["layer.mha.wo"].data[:] = 0.0
-    store["layer.ffn.w2"].data[:] = 0.0
-    store["layer.ffn.b2"].data[:] = 0.0
-    out = encoder_layer(x, store, "layer", heads=2, mask=mask)
+    store["lm.layer0.mha.wo"].data[:] = 0.0
+    store["lm.layer0.ffn.w2"].data[:] = 0.0
+    store["lm.layer0.ffn.b2"].data[:] = 0.0
+    out = encoder_layer(x, store, "lm.layer0", heads=2, mask=mask)
     assert np.array_equal(out.data, x.data)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_encoder_layer_gradient(seed):
-    store = ParameterStore()
-    init_encoder_layer_params(store, seed, "layer", 8, 16, np.float64)
+    store = init_lm_params(ONE_LAYER, seed, np.float64)
     rng = np.random.default_rng(seed)
     w = rng.normal(size=(4, 8))
 
     def f(x):
-        return T.tsum(encoder_layer(x, store, "layer", heads=2) * Tensor(w))
+        return T.tsum(encoder_layer(x, store, "lm.layer0", heads=2) * Tensor(w))
 
     assert grad_check(f, rng.normal(size=(4, 8))) < 1e-3
 
@@ -569,6 +571,76 @@ def test_init_deterministic_and_stream_isolated():
     c = init_model_params(cfg, seed=1)
     assert np.array_equal(a["enc.layer0.mha.wq"].data, b["enc.layer0.mha.wq"].data)
     assert not np.array_equal(a["enc.layer0.mha.wq"].data, c["enc.layer0.mha.wq"].data)
+
+
+# -- parameter table ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("cfg, count", [(ModelConfig(), 26_568_512),
+                                         (resolve({}).model, 26_569_282)],
+                         ids=["ModelConfig()", "resolve({})"])
+def test_the_table_gives_the_paper_size_parameter_count(cfg, count):
+    tracemalloc.start()
+    try:
+        assert sum(math.prod(shape) for shape, _ in param_table(cfg).values()) == count
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # no array: the parameters take 106 MB
+    assert sum(t.data.size for _, t in init_model_params(cfg, seed=0).items()) == count
+
+
+TABLE_CONFIGS = [
+    *(ModelConfig(frontend=kind, reduction=reduction, dec_layers=dec_layers, e1=1, e2=2,
+                  d_att=16, d_ff=24, heads=2, feature_dim=20, vocab_size=7)
+      for kind in KINDS for reduction in REDUCTIONS for dec_layers in (0, 2)),
+    LMConfig(layers=0), LMConfig(layers=2),
+]
+
+
+@pytest.mark.parametrize("cfg", TABLE_CONFIGS, ids=repr)
+def test_the_table_declares_each_drawn_entry(cfg):
+    store = init_model_params(cfg, seed=0)
+    table = param_table(cfg)
+    assert {name: shape for name, (shape, _) in table.items()} == \
+        {name: t.shape for name, t in store.items()}
+    for name, (shape, init) in table.items():
+        data = store[name].data
+        if init == "xavier":
+            bound = math.sqrt(6.0 / ((shape[0] + shape[1]) * math.prod(shape[2:])))
+            assert np.abs(data).max() <= bound and np.unique(data).size > 1, name
+        else:
+            assert (data == {"zeros": 0.0, "ones": 1.0}[init]).all(), name
+
+
+LOAD_CONFIGS = [tiny_model_config(), LMConfig(layers=1, d_att=8, d_ff=16, heads=2)]
+
+
+@pytest.mark.parametrize("cfg", LOAD_CONFIGS, ids=["model", "lm"])
+def test_a_table_load_reads_the_checkpoint_and_draws_nothing(cfg, tmp_path, monkeypatch):
+    saved = init_model_params(cfg, seed=3)
+    save_checkpoint(tmp_path / "m.ckpt", saved.state_dict())
+    refuse_init_draws(monkeypatch)
+    with open_checkpoint(tmp_path / "m.ckpt") as ckpt:
+        loaded = load_model_params(cfg, ckpt)
+    assert loaded.names() == saved.names()
+    for name, t in saved.items():
+        assert loaded[name].requires_grad and loaded[name].data.dtype == np.float32
+        assert np.array_equal(loaded[name].data, t.data), name
+
+
+@pytest.mark.parametrize("cfg", LOAD_CONFIGS, ids=["model", "lm"])
+def test_a_table_load_keeps_the_stores_errors(cfg):
+    state = init_model_params(cfg, seed=0).state_dict()
+    name = next(iter(state))
+    shape = state[name].shape
+    with pytest.raises(ShapeError, match=re.escape(
+            f"parameter set mismatch: missing=[{name!r}] extra=['bogus']")):
+        load_model_params(cfg, {**{k: v for k, v in state.items() if k != name},
+                                "bogus": state[name]})
+    with pytest.raises(ShapeError, match=re.escape(
+            f"shape mismatch for {name!r}: {shape} vs {shape + (1,)}")):
+        load_model_params(cfg, {**state, name: state[name][..., None]})
 
 
 # -- dtype ------------------------------------------------------------------
