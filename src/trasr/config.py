@@ -165,6 +165,8 @@ def resolve(values: dict[str, str] | None = None,
             v.encode("utf-8")
         except UnicodeEncodeError as e:
             raise ConfigError(f"{k} must be UTF-8 text, got {v!r}") from e
+        if "".join(v.splitlines()) != v:  # it holds a value a line
+            raise ConfigError(f"{k} must be one line, got {v!r}")
     raw: dict = {}
     for key, (parser, default) in KEYS.items():
         if key in merged:

@@ -29,20 +29,19 @@ def ctc_min_frames(target) -> int:
 
 
 def ctc_loss(log_probs: Tensor, target, blank_id: int = 0, lengths=None) -> Tensor:
-    """Negative log-probability of all blank-augmented alignments of `target`.
+    """Negative log-probability of all blank-augmented alignments of each
+    row's target, summed over the batch.
 
-    `log_probs` is [T', V] with log-simplex rows and `target` one label
-    sequence, or a padded batch [B, T', V] with B label sequences and true
-    frame counts `lengths` (default: all T'); the batch loss is the sum of
-    the rows' losses, from one forward-backward recursion over [B, S].
+    `log_probs` is a padded batch [B, T', V] with log-simplex rows, `target`
+    its B label sequences and `lengths` the rows' true frame counts (default:
+    all T'); one forward-backward recursion over [B, S] scores every row.
     Differentiable; the gradient is the negative posterior symbol occupancy.
     The recursion runs in float64; loss and gradient take log_probs' dtype.
     """
-    single = log_probs.ndim == 2
+    if log_probs.ndim != 3:
+        raise ShapeError(f"ctc_loss needs log-probs [B, T', V], got {log_probs.shape}")
     lp = log_probs.data.astype(np.float64)
-    targets = [target] if single else list(target)
-    if single:
-        lp = lp[None]
+    targets = list(target)
     B, Tn, V = lp.shape
     frames = np.full(B, Tn) if lengths is None else np.asarray(lengths, dtype=np.int64)
     if len(targets) != B or frames.shape != (B,):
@@ -105,7 +104,7 @@ def ctc_loss(log_probs: Tensor, target, blank_id: int = 0, lengths=None) -> Tens
     occ = np.exp(alpha + beta[:, :Tn] - lp_ext - log_p[:, None, None])
     grad = np.zeros_like(lp)
     np.add.at(grad, at_states, -occ)
-    grad = grad.reshape(log_probs.shape).astype(log_probs.dtype, copy=False)
+    grad = grad.astype(log_probs.dtype, copy=False)
 
     loss = np.asarray(-log_p.sum(), dtype=log_probs.dtype)
     return _result(loss, (log_probs._node, lambda g: float(g) * grad))
@@ -126,7 +125,7 @@ def ce_label_smoothed(logits: Tensor, targets, epsilon: float = 0.1,
         raise MaskError("all positions masked in cross-entropy")
     lp = T.log_softmax(logits, axis=-1)
     picked = lp[np.arange(n), targets]
-    per_pos = -(1.0 - epsilon) * picked - epsilon * T.tmean(lp, axis=-1)
+    per_pos = -(1.0 - epsilon) * picked - epsilon * (T.tsum(lp, axis=-1) * (1.0 / vocab))
     return T.tsum(per_pos * Tensor(weights.astype(lp.dtype)))
 
 
@@ -160,7 +159,8 @@ def skd_loss(teacher_logits, student_logits: Tensor, mask=None,
 def teacher_entropy(teacher_logits, mask=None, temperature: float = 1.0) -> float:
     """Mean entropy of the teacher distribution over unmasked positions."""
     p = _teacher_probs(teacher_logits, temperature)
-    ent = -(p * np.log(p)).sum(axis=-1)
+    # a probability that underflowed to 0 adds 0 log 0 = 0
+    ent = -(p * np.log(p, out=np.zeros_like(p), where=p > 0)).sum(axis=-1)
     weights = np.ones(len(ent)) if mask is None else np.asarray(mask, dtype=np.float64)
     return float((ent * weights).sum() / weights.sum())
 

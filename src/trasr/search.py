@@ -54,9 +54,7 @@ class CtcPrefixScorer:
 
     def initial_state(self) -> np.ndarray:
         r = np.full((self.n_frames, 2), -np.inf)
-        r[0, 1] = self.lp[0, self.blank]
-        for t in range(1, self.n_frames):
-            r[t, 1] = r[t - 1, 1] + self.lp[t, self.blank]
+        r[:, 1] = np.cumsum(self.lp[:, self.blank])
         return r
 
     def extend(self, states: np.ndarray, prefix_len: int, last_tokens,

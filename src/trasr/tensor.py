@@ -2,9 +2,10 @@
 
 A graph runs in the dtype of its arrays: float32 for the models, float64
 for the finite-difference checker. Tensor-tensor ops follow numpy's
-promotion, but a Python scalar operand of `add` or `mul` (and so of `-`,
-`/` and negation) takes the other operand's dtype, so a constant factor
-such as 1/sqrt(d_k) never lifts a float32 graph to float64.
+promotion, but a Python scalar operand of `add` or `mul` (and so of `+`,
+`-`, `*` and negation; there is no `/`) takes the other operand's dtype, so
+a constant factor such as 1/sqrt(d_k) never lifts a float32 graph to
+float64.
 
 Values and nodes. A `Tensor` is a value: its array `data`, and the node
 through which it joins a graph. An op output that tracks gradients gets a
@@ -16,7 +17,7 @@ none shares `_UNTRACKED`. Every op ends in one `_result` call that gives
 the output's array and one gradient map per operand, and the node keeps
 only the maps of the operands that track gradients. So the graph holds no
 op output's array: a map captures exactly the arrays its operand's
-gradient reads (`relu`, `exp` and the softmaxes their own output, each
+gradient reads (`relu` and the softmaxes their own output, each
 operand of `mul`, `matmul` and `conv2d` the other one's array, `add` and
 the shape ops none), and every other array, including one that only an
 untracked operand's map reads, is freed as soon as the forward code drops
@@ -85,11 +86,10 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 class _Node:
     """A value's place in a graph; it holds no array of the value."""
 
-    __slots__ = ("grad", "requires_grad", "_parents", "_backward", "shape", "dtype")
+    __slots__ = ("grad", "_parents", "_backward", "shape", "dtype")
 
     def __init__(self, shape: tuple, dtype, parents: tuple = (), backward=None):
         self.grad: np.ndarray | None = None
-        self.requires_grad = True
         self._parents = parents
         self._backward = backward
         self.shape = shape
@@ -97,7 +97,6 @@ class _Node:
 
 
 _UNTRACKED = _Node((), None)  # shared by every value that tracks no gradient
-_UNTRACKED.requires_grad = False
 
 
 class Tensor:
@@ -113,7 +112,7 @@ class Tensor:
 
     @property
     def requires_grad(self) -> bool:
-        return self._node.requires_grad
+        return self._node is not _UNTRACKED
 
     @requires_grad.setter
     def requires_grad(self, flag: bool) -> None:
@@ -129,7 +128,7 @@ class Tensor:
 
     @grad.setter
     def grad(self, g) -> None:
-        if self._node.requires_grad:
+        if self._node is not _UNTRACKED:
             self._node.grad = g
         elif g is not None:
             raise RuntimeError("a tensor that does not track gradients holds no gradient")
@@ -172,7 +171,7 @@ class Tensor:
         names it before any gradient is computed.
         """
         root = self._node
-        if not root.requires_grad:
+        if root is _UNTRACKED:
             raise RuntimeError("backward() on a tensor that does not track gradients")
         if grad is None:
             grad = np.ones_like(self.data)
@@ -235,18 +234,10 @@ class Tensor:
     def __sub__(self, other):
         return add(self, -other)
 
-    def __rsub__(self, other):
-        return add(other, -self)
-
     def __mul__(self, other):
         return mul(self, other)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise TypeError("tensor/tensor division not supported; multiply by a reciprocal")
-        return mul(self, 1.0 / float(other))
 
     def __neg__(self):
         return mul(self, -1.0)
@@ -304,10 +295,10 @@ def _result(data: np.ndarray, *inputs: tuple[_Node, Callable]) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = data if type(data) is np.ndarray else np.asarray(data)
     if _grad_enabled:
-        parents = tuple([node for node, _ in inputs if node.requires_grad])
+        parents = tuple([node for node, _ in inputs if node is not _UNTRACKED])
         if parents:
             kept = inputs if len(parents) == len(inputs) else \
-                [pair for pair in inputs if pair[0].requires_grad]
+                [pair for pair in inputs if pair[0] is not _UNTRACKED]
 
             def backward(g):
                 for node, grad_map in kept:
@@ -366,18 +357,6 @@ def relu(x: Tensor) -> Tensor:
     return _result(data, (x._node, lambda g: g * (data > 0)))
 
 
-def exp(x: Tensor) -> Tensor:
-    x = _wrap(x)
-    data = np.exp(x.data)
-    return _result(data, (x._node, lambda g: g * data))
-
-
-def log(x: Tensor) -> Tensor:
-    x = _wrap(x)
-    xd = x.data
-    return _result(np.log(xd), (x._node, lambda g: g / xd))
-
-
 def tsum(x: Tensor, axis=None, keepdims=False) -> Tensor:
     x = _wrap(x)
     shape, expand = x.data.shape, axis is not None and not keepdims
@@ -388,16 +367,8 @@ def tsum(x: Tensor, axis=None, keepdims=False) -> Tensor:
     return _result(x.data.sum(axis=axis, keepdims=keepdims), (x._node, grad_x))
 
 
-def tmean(x: Tensor, axis=None, keepdims=False) -> Tensor:
-    x = _wrap(x)
-    n = x.size if axis is None else x.shape[axis]
-    return mul(tsum(x, axis=axis, keepdims=keepdims), 1.0 / n)
-
-
 def reshape(x: Tensor, *shape) -> Tensor:
     x = _wrap(x)
-    if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-        shape = tuple(shape[0])
     x_shape = x.data.shape
     return _result(x.data.reshape(shape), (x._node, lambda g: g.reshape(x_shape)))
 

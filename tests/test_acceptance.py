@@ -48,8 +48,8 @@ def test_criterion_1_gradient_integrity():
             lambda t: T.tsum(T.add(t, Tensor(z))),
             lambda t: T.tsum(T.mul(t, t)),
             lambda t: T.tsum(T.relu(t)),
-            lambda t: T.tsum(T.exp(t * 0.3)),
-            lambda t: T.tsum(T.log(T.exp(t))),
+            lambda t: T.tsum(T.mul(T.log_softmax(t * 0.3, axis=0), Tensor(z))),
+            lambda t: T.tsum(T.mul(T.masked_softmax(t, axis=0), Tensor(z))),
             lambda t: T.tsum(T.matmul(t, Tensor(y))),
             lambda t: T.tsum(T.mul(T.masked_softmax(t, axis=-1), Tensor(z))),
             lambda t: T.tsum(T.mul(T.log_softmax(t, axis=-1), Tensor(z))),
@@ -66,7 +66,7 @@ def test_criterion_1_gradient_integrity():
 
         def forward():
             x_e, _ = encode_one(seq, cfg, params)
-            l1 = ctc_loss(ctc_log_probs(x_e, params), [5, 6])
+            l1 = ctc_loss(ctc_log_probs(x_e, params)[None], [[5, 6]])
             logits = decode_forward([SOS, 5, 6], x_e, cfg, params)
             l2 = ce_label_smoothed(logits, [5, 6, EOS])
             return joint_loss(l1, l2, 0.3)
@@ -96,7 +96,7 @@ def test_criterion_1_gradient_integrity():
 
 def test_criterion_2_ctc_oracle():
     lp = np.log(np.full((2, 2), 0.5))
-    ok = abs(ctc_loss(Tensor(lp), [1]).item() - (-np.log(0.75))) < 1e-12
+    ok = abs(ctc_loss(Tensor(lp[None]), [[1]]).item() - (-np.log(0.75))) < 1e-12
 
     rng = np.random.default_rng(0)
     checked = 0
@@ -108,7 +108,7 @@ def test_criterion_2_ctc_oracle():
         want = brute_force_ctc(lp, target)
         if np.isinf(want):
             continue  # infeasible instance (raises by design, covered elsewhere)
-        got = ctc_loss(Tensor(lp), target).item()
+        got = ctc_loss(Tensor(lp[None]), [target]).item()
         ok &= abs(got - want) < 1e-6
         checked += 1
     report(2, "CTC forward-backward vs exhaustive enumeration", ok)

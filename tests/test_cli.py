@@ -221,6 +221,20 @@ def test_a_value_that_is_not_utf8_exits_2_before_out_is_made(tmp_path, verb, fla
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("brk", ["\n", "\r", "\x85", "\u2028"], ids=ascii)
+@pytest.mark.parametrize("verb, flags, key", [
+    ("train", ["--set", "data.alphabet=ab{}c"], "data.alphabet"),
+    ("decode", ["--checkpoint", "m.ckpt", "--manifest", "m.tsv",
+                "--lm-checkpoint", "lm{}.ckpt"], "paths.lm_checkpoint"),
+])
+def test_a_value_with_a_line_break_exits_2_before_out_is_made(tmp_path, capsys, verb, flags,
+                                                              key, brk):
+    argv = [verb, "--out", str(tmp_path / "run"), *(f.format(brk) for f in flags)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {key} must be one line, got ")
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("value", ['abcdefgh ', '"abcdefgh "', "'abcdefgh '"])
 def test_set_keeps_whitespace_like_config_file(tmp_path, value):
     # --set data.alphabet="abcdefgh " reaches argv as 'abcdefgh '; quotes kept by
@@ -342,6 +356,19 @@ def test_finetune_skd_runs_from_checkpoint(dataset, trained, tmp_path):
                (tmp_path / "ft" / "epochs.jsonl").read_text().splitlines()]
     assert len(records) == 1
     assert records[0]["phi"] == 0.5
+
+
+def test_a_tiny_kd_temperature_writes_strict_json(dataset, tmp_path):
+    # at this temperature some teacher probabilities underflow to 0
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    out = tmp_path / "run"
+    assert main(["train-skd", "--out", str(out), "--set", f"paths.train_manifest={dataset}",
+                 "--set", "kd.temperature=0.001"] + TINY) == 0
+    records = [json.loads(line, parse_constant=refuse)
+               for line in (out / "epochs.jsonl").read_text().splitlines()]
+    assert len(records) == 2
 
 
 def test_the_verb_fixes_the_phi_schedule(dataset, trained, tmp_path):

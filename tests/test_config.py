@@ -244,6 +244,19 @@ def test_dump_round_trip(tmp_path):
         assert dump_config(again) == text
 
 
+# every character that str.splitlines splits at (none lies above U+2029)
+LINE_BREAKS = [c for c in map(chr, range(0x2030)) if len(f"a{c}b".splitlines()) > 1]
+
+
+@pytest.mark.parametrize("brk", LINE_BREAKS, ids=ascii)
+def test_a_value_with_a_line_break_is_a_config_error_naming_its_key(brk):
+    # `config.resolved` holds a value a line: a break would split it in two
+    for value in (f"a{brk}b.ckpt", f"a.ckpt{brk}"):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"paths.lm_checkpoint must be one line, got {value!r}")):
+            resolve({}, {"paths.lm_checkpoint": value})
+
+
 def test_overrides_take_precedence(tmp_path):
     p = tmp_path / "base.cfg"
     p.write_text("model.d_att = 64\nmodel.heads = 2\n")

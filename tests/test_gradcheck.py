@@ -29,7 +29,10 @@ def test_non_scalar_function_rejected():
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_value_reports_coordinate():
     def f(t):
-        return T.tsum(T.log(t))  # log of a negative probe goes non-finite
+        # 1e-6 scales to 3e153, whose square is finite; 1e-6 ± 1e-5 scales
+        # to about 3e154, whose square overflows
+        s = t * 3e159
+        return T.tsum(s * s)
 
     with pytest.raises(GradCheckError, match="coordinate"):
         grad_check(f, np.full(3, 1e-6))

@@ -1,6 +1,8 @@
 """Objectives: CTC against exhaustive enumeration, smoothed CE, distillation,
 and the combined-loss algebra."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,7 @@ from conftest import brute_force_ctc, random_log_probs
 def test_ctc_worked_example_ln_075():
     # V = {blank, a}, T'=2, uniform 0.5 frames; paths (a,a), (a,-), (-,a)
     lp = np.log(np.full((2, 2), 0.5))
-    loss = ctc_loss(Tensor(lp), [1])
+    loss = ctc_loss(Tensor(lp[None]), [[1]])
     assert abs(loss.item() - (-np.log(0.75))) < 1e-12
 
 
@@ -38,7 +40,7 @@ def test_ctc_matches_brute_force_enumeration():
         if ctc_min_frames(target) > n_frames:
             continue
         lp = random_log_probs(rng, n_frames, vocab)
-        got = ctc_loss(Tensor(lp), target).item()
+        got = ctc_loss(Tensor(lp[None]), [target]).item()
         want = brute_force_ctc(lp, target)
         assert abs(got - want) < 1e-6
         checked += 1
@@ -54,30 +56,36 @@ def test_ctc_min_frames():
 def test_ctc_infeasible_target_raises():
     lp = random_log_probs(np.random.default_rng(0), 2, 3)
     with pytest.raises(InfeasibleAlignmentError):
-        ctc_loss(Tensor(lp), [1, 1])  # needs 3 frames
+        ctc_loss(Tensor(lp[None]), [[1, 1]])  # needs 3 frames
 
 
 def test_ctc_rejects_blank_in_target():
     lp = random_log_probs(np.random.default_rng(0), 3, 3)
     with pytest.raises(ValueError):
-        ctc_loss(Tensor(lp), [0])
+        ctc_loss(Tensor(lp[None]), [[0]])
+
+
+def test_ctc_rejects_log_probs_without_a_batch_axis():
+    lp = random_log_probs(np.random.default_rng(0), 3, 3)
+    with pytest.raises(ShapeError, match=re.escape("[B, T', V], got (3, 3)")):
+        ctc_loss(Tensor(lp), [[1]])
 
 
 @pytest.mark.parametrize("seed", (0, 1, 2))
 def test_ctc_gradient(seed):
     rng = np.random.default_rng(seed)
-    x = rng.normal(size=(5, 4))
+    x = rng.normal(size=(1, 5, 4))
 
     def f(logits):
-        return ctc_loss(T.log_softmax(logits, axis=-1), [1, 2])
+        return ctc_loss(T.log_softmax(logits, axis=-1), [[1, 2]])
 
     assert grad_check(f, x) < 1e-3
 
 
 def test_ctc_gradient_is_negative_occupancy():
     # gradient wrt log-probs sums to -(expected path length) = -T' per frame row
-    lp = Tensor(random_log_probs(np.random.default_rng(3), 4, 3), requires_grad=True)
-    ctc_loss(lp, [1, 2]).backward()
+    lp = Tensor(random_log_probs(np.random.default_rng(3), 4, 3)[None], requires_grad=True)
+    ctc_loss(lp, [[1, 2]]).backward()
     assert np.allclose(lp.grad.sum(axis=-1), -1.0, atol=1e-9)
 
 
@@ -99,11 +107,11 @@ def test_batched_ctc_equals_sum_of_single_losses():
     loss.backward()
     want = 0.0
     for row, (tgt, n) in enumerate(zip(targets, lengths)):
-        single = Tensor(lp[row, :n], requires_grad=True)
-        one = ctc_loss(single, tgt)
+        single = Tensor(lp[row:row + 1, :n], requires_grad=True)
+        one = ctc_loss(single, [tgt])
         one.backward()
         want += one.item()
-        np.testing.assert_allclose(batch.grad[row, :n], single.grad, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(batch.grad[row, :n], single.grad[0], rtol=0, atol=1e-9)
         assert not batch.grad[row, n:].any()  # padding frames get no gradient
     assert abs(loss.item() - want) < 1e-9
 
@@ -202,6 +210,17 @@ def test_skd_gibbs_inequality_random_pairs():
         loss = skd_loss(Tensor(t), Tensor(s)).item() / len(t)
         ent = teacher_entropy(Tensor(t))
         assert loss - ent >= -1e-9
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_teacher_entropy_counts_an_underflowed_probability_as_zero():
+    logits = np.array([[0, 10, 20], [1, 2, 3]], np.float32)
+    z = logits.astype(np.float64) / 0.01
+    p = np.exp(z - z.max(axis=-1, keepdims=True))
+    p /= p.sum(axis=-1, keepdims=True)
+    assert (p == 0).any()  # exp(-1000) and exp(-2000) underflow in float64
+    want = np.mean([-(q[q > 0] * np.log(q[q > 0])).sum() for q in p])
+    assert teacher_entropy(logits, np.array([1, 1]), 0.01) == want
 
 
 def test_skd_gradient_flows_to_student_only():

@@ -143,7 +143,7 @@ def test_incremental_state_equals_fresh_computation():
         st, plen, last = states[0], plen + 1, tok
     inc_final = sc.final_score(st)
     # fresh: score the same prefix as a complete CTC output via the loss
-    want = -ctc_loss(Tensor(lp), prefix).item()
+    want = -ctc_loss(Tensor(lp[None]), [prefix]).item()
     assert abs(inc_final - want) < 1e-9
 
 
@@ -157,7 +157,7 @@ def test_prefix_final_equals_full_sequence_ctc():
         for tok in target:
             _, states = extend_one(sc, st, plen, last, [tok])
             st, plen, last = states[0], plen + 1, tok
-        assert abs(sc.final_score(st) + ctc_loss(Tensor(lp), target).item()) < 1e-6
+        assert abs(sc.final_score(st) + ctc_loss(Tensor(lp[None]), [target]).item()) < 1e-6
 
 
 def test_exhausted_frames_give_minus_infinity():

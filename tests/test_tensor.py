@@ -1,8 +1,11 @@
 """Autodiff core: forward values against closed forms, gradients against
 central finite differences, and the documented error behavior."""
 
+import ast
 import contextlib
+import inspect
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +25,10 @@ def check(f, x, tol, eps=1e-5):
     assert err < tol, f"gradient error {err} >= {tol}"
 
 
+def square_sum(y):
+    return T.tsum(y * y)
+
+
 # -- elementary ops ---------------------------------------------------------
 
 
@@ -31,16 +38,16 @@ def test_add_mul_forward():
     assert np.allclose((a * b).data, [3.0, 8.0])
     assert np.allclose((a - b).data, [-2.0, -2.0])
     assert np.allclose((-a).data, [-1.0, -2.0])
-    assert np.allclose((a / 2.0).data, [0.5, 1.0])
-    with pytest.raises(TypeError):
-        a / b  # tensor/tensor division is deliberately unsupported
+    for divisor in (2.0, b):
+        with pytest.raises(TypeError):
+            a / divisor  # division is unsupported; multiply by a reciprocal
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_add_broadcast_grad(seed):
     rng = np.random.default_rng(seed)
     b = rng.normal(size=3)
-    check(lambda x: T.tsum(T.exp(x + Tensor(b))), rng.normal(size=(2, 3)), 1e-6)
+    check(lambda x: square_sum(x + Tensor(b)), rng.normal(size=(2, 3)), 1e-6)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -80,28 +87,21 @@ def test_relu_values_and_subgradient_at_zero():
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_exp_log_grads(seed):
-    rng = np.random.default_rng(seed)
-    check(lambda x: T.tsum(T.exp(x)), rng.normal(size=5), 1e-6)
-    check(lambda x: T.tsum(T.log(x)), rng.uniform(0.5, 2.0, size=5), 1e-6)
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_sum_mean_axis_grads(seed):
+def test_sum_axis_grads(seed):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(3, 4))
-    check(lambda t: T.tsum(T.exp(T.tsum(t, axis=0))), x, 1e-6)
-    check(lambda t: T.tsum(T.exp(T.tmean(t, axis=1))), x, 1e-6)
+    check(lambda t: square_sum(T.tsum(t, axis=0)), x, 1e-6)
+    check(lambda t: square_sum(T.tsum(t, axis=1, keepdims=True)), x, 1e-6)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_reshape_transpose_take_concat_grads(seed):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(2, 6))
-    check(lambda t: T.tsum(T.exp(T.reshape(t, 3, 4))), x, 1e-6)
-    check(lambda t: T.tsum(T.exp(T.transpose(t))), x, 1e-6)
-    check(lambda t: T.tsum(T.exp(t[:, 1:4])), x, 1e-6)
-    check(lambda t: T.tsum(T.exp(t)) + T.tsum(T.exp(t * 2.0)), x, 1e-6)
+    check(lambda t: square_sum(T.reshape(t, 3, 4)), x, 1e-6)
+    check(lambda t: square_sum(T.transpose(t)), x, 1e-6)
+    check(lambda t: square_sum(t[:, 1:4]), x, 1e-6)
+    check(lambda t: square_sum(t) + square_sum(t * 2.0), x, 1e-6)
 
 
 def test_take_scatter_accumulates_repeated_indices():
@@ -126,10 +126,11 @@ SCALAR_EXPRESSIONS = {
     "t * np.float64(0.5)": lambda t: t * np.float64(0.5),
     "t + 1": lambda t: t + 1,
     "t + 1.0": lambda t: t + 1.0,
-    "1 - t": lambda t: 1 - t,
     "t - 1": lambda t: t - 1,
-    "t / 2": lambda t: t / 2,
     "-t": lambda t: -t,
+    # a scalar as the left operand, which no operator passes
+    "T.add(1, t)": lambda t: T.add(1, t),
+    "T.mul(0.5, t)": lambda t: T.mul(0.5, t),
 }
 
 
@@ -146,15 +147,12 @@ def test_python_scalar_takes_the_tensor_dtype(expr):
 OPS = {
     "add": lambda a, b: T.add(a, b),
     "mul": lambda a, b: T.mul(a, b),
-    "scalar sugar": lambda a, b: (2.0 - a) / 4 + (-b) * 0.5,
+    "scalar sugar": lambda a, b: (a - 2.0) * 0.25 + (-b) * 0.5,
     "matmul 2-d": lambda a, b: T.matmul(a, T.transpose(b[0], (1, 0))),
     "matmul batched": lambda a, b: T.matmul(a, T.transpose(b)),
     "relu": lambda a, b: T.relu(a),
-    "exp": lambda a, b: T.exp(a),
-    "log": lambda a, b: T.log(T.exp(a)),
     "tsum axis": lambda a, b: T.tsum(a, axis=1),
     "tsum 0-d": lambda a, b: T.tsum(a),
-    "tmean 0-d": lambda a, b: T.tmean(a),
     "0-d times 0-d": lambda a, b: T.tsum(a) * T.tsum(b),
     "reshape": lambda a, b: T.reshape(a, -1),
     "transpose": lambda a, b: T.transpose(a, (2, 0, 1)),
@@ -368,10 +366,9 @@ def test_conv2d_grads(seed):
     k = Tensor(rng.normal(size=(2, 1, 3, 3)))
     b = Tensor(rng.normal(size=2))
     x0 = rng.normal(size=(1, 1, 5, 5))
-    check(lambda x: T.tsum(T.exp(T.conv2d(x, k, b, stride=1, padding=0) * 0.1)), x0, 1e-4)
-    check(lambda kk: T.tsum(T.exp(T.conv2d(Tensor(x0), kk, b) * 0.1)),
-          np.asarray(k.data), 1e-4)
-    check(lambda x: T.tsum(T.exp(T.conv2d(x, k, b, stride=2, padding=1) * 0.1)), x0, 1e-4)
+    check(lambda x: square_sum(T.conv2d(x, k, b, stride=1, padding=0) * 0.1), x0, 1e-4)
+    check(lambda kk: square_sum(T.conv2d(Tensor(x0), kk, b) * 0.1), np.asarray(k.data), 1e-4)
+    check(lambda x: square_sum(T.conv2d(x, k, b, stride=2, padding=1) * 0.1), x0, 1e-4)
 
 
 def _conv2d_reference(x, k, b, g, stride, padding):
@@ -421,7 +418,7 @@ def test_max_pool2d_grad(seed):
     rng = np.random.default_rng(seed)
     # distinct values so the argmax is stable under the probe perturbation
     x = rng.permutation(36).reshape(1, 1, 6, 6) * 0.1
-    check(lambda t: T.tsum(T.exp(T.max_pool2d(t, 2) * 0.1)), x, 1e-5)
+    check(lambda t: square_sum(T.max_pool2d(t, 2) * 0.1), x, 1e-5)
 
 
 # -- graph mechanics --------------------------------------------------------
@@ -449,7 +446,7 @@ def test_detach_stops_gradients():
 
 def test_second_backward_through_a_used_up_graph_raises():
     x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
-    y = T.exp(x) * 3.0
+    y = x * x * 3.0
     loss = T.tsum(y)
     loss.backward()
     assert loss._node._parents == ()  # the returned loss holds no graph
@@ -458,26 +455,25 @@ def test_second_backward_through_a_used_up_graph_raises():
     with pytest.raises(RuntimeError, match="used up"):
         T.tsum(y * 2.0).backward()  # a new graph over a used-up node
     x.grad = None
-    T.tsum(T.exp(x) * 3.0).backward()  # a leaf starts a fresh graph
-    np.testing.assert_array_equal(x.grad, np.exp(x.data) * 3.0)
+    T.tsum(x * x * 3.0).backward()  # a leaf starts a fresh graph
+    np.testing.assert_array_equal(x.grad, x.data * 6.0)
 
 
 def test_backward_frees_an_activation_once_its_consumers_are_done():
     rng = np.random.default_rng(0)
     x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     w = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
-    y = T.exp(T.matmul(x, w))
+    y = T.relu(T.matmul(x, w))
     ref = weakref.ref(y.data)
-    e = y.data.copy()
+    g = 2.0 * (y.data > 0)  # d loss / d (x @ w)
     loss = T.tsum(y * 2.0)
     del y
     assert ref() is not None  # the graph still holds the activation
     loss.backward()
     assert ref() is None
-    g = 2.0 * e  # d loss / d (x @ w)
     np.testing.assert_array_equal(x.grad, g @ w.data.T)
     np.testing.assert_array_equal(w.grad, x.data.T @ g)
-    check(lambda t: T.tsum(T.exp(T.matmul(t, Tensor(w.data))) * 2.0), x.data, 1e-6)
+    check(lambda t: T.tsum(T.relu(T.matmul(t, Tensor(w.data))) * 2.0), x.data, 1e-6)
 
 
 def test_forward_frees_the_arrays_that_no_backward_reads():
@@ -604,7 +600,36 @@ def test_under_no_grad_an_op_output_has_no_node(op):
     b = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
     with T.no_grad():
         if op == "ctc_loss":
-            y = losses.ctc_loss(T.log_softmax(a[0]), [1, 2])
+            y = losses.ctc_loss(T.log_softmax(a[:1]), [[1, 2]])
         else:
             y = OPS[op](a, b)
     assert y._node is T._UNTRACKED
+
+
+# -- what the core holds ----------------------------------------------------
+
+
+def _core_names_used(path):
+    """The names of `trasr.tensor` that the module at `path` refers to: in
+    tensor.py, a name read outside its own top-level def; elsewhere, one
+    imported from it or read as an attribute of the module."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    if path.name == "tensor.py":
+        return {n.id for top in tree.body for n in ast.walk(top)
+                if isinstance(n, ast.Name) and n.id != getattr(top, "name", None)}
+    used, aliases = set(), set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.ImportFrom) and n.level == 1 and n.module == "tensor":
+            used |= {a.name for a in n.names}
+        elif isinstance(n, ast.ImportFrom) and n.level == 1 and n.module is None:
+            aliases |= {a.asname or a.name for a in n.names if a.name == "tensor"}
+    return used | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)
+                   and isinstance(n.value, ast.Name) and n.value.id in aliases}
+
+
+def test_every_public_function_of_the_core_has_a_caller_in_src():
+    # an op that only tests call is not part of the system: delete it
+    public = {name for name, f in vars(T).items() if inspect.isfunction(f)
+              and f.__module__ == T.__name__ and not name.startswith("_")}
+    used = set().union(*map(_core_names_used, Path(T.__file__).parent.glob("*.py")))
+    assert sorted(public - used) == []
