@@ -222,41 +222,34 @@ def synth_generate(spec: SyntheticTaskSpec, out_dir, n_utterances: int,
 
 @dataclass
 class Batch:
+    """Utterances batched together: their features zero-padded to the
+    longest, each row's true frame count, and each one's token ids."""
+
     utt_ids: list[str]
     features: np.ndarray       # [B, T_max, F]
     feature_lengths: np.ndarray
-    targets: np.ndarray        # [B, L_max], PAD-filled token ids
-    target_lengths: np.ndarray
+    tokens: list[list[int]]
 
 
 def make_batches(loaded: list[tuple[ManifestEntry, FeatureSequence]], vocab: Vocabulary,
                  batch_size: int) -> list[Batch]:
     """Length-sorted bucketing of (entry, its loaded features) pairs with
-    PAD/zero padding and true-length records."""
+    zero padding and true-length records."""
     if batch_size < 1:
         raise ValueError(f"batch size must be >= 1, got {batch_size}")
     if not loaded:
         raise ValueError("empty manifest")
-    loaded = sorted(((e, seq, vocab.tokenize(e.transcript)) for e, seq in loaded),
-                    key=lambda item: (item[1].length, item[0].utt_id))
+    loaded = sorted(loaded, key=lambda item: (item[1].length, item[0].utt_id))
     batches = []
     for i in range(0, len(loaded), batch_size):
         chunk = loaded[i:i + batch_size]
-        t_max = max(seq.length for _, seq, _ in chunk)
-        l_max = max(len(ids) for _, _, ids in chunk)
-        F = chunk[0][1].feature_dim
-        feats = np.zeros((len(chunk), t_max, F), dtype=np.float32)
-        targets = np.full((len(chunk), max(1, l_max)), Vocabulary.PAD, dtype=np.int64)
-        f_len = np.zeros(len(chunk), dtype=np.int64)
-        t_len = np.zeros(len(chunk), dtype=np.int64)
-        ids = []
-        for j, (e, seq, toks) in enumerate(chunk):
-            feats[j, : seq.length] = seq.trimmed()
-            targets[j, : len(toks)] = toks
-            f_len[j] = seq.length
-            t_len[j] = len(toks)
-            ids.append(e.utt_id)
-        batches.append(Batch(ids, feats, f_len, targets, t_len))
+        lengths = np.array([seq.length for _, seq in chunk], dtype=np.int64)
+        feats = np.zeros((len(chunk), lengths.max(), chunk[0][1].feature_dim),
+                         dtype=np.float32)
+        for row, (_, seq) in zip(feats, chunk):
+            row[: seq.length] = seq.trimmed()
+        batches.append(Batch([e.utt_id for e, _ in chunk], feats, lengths,
+                             [vocab.tokenize(e.transcript) for e, _ in chunk]))
     return batches
 
 

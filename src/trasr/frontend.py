@@ -171,20 +171,19 @@ def subsample(feats: np.ndarray, lengths, kind: str,
     return out, n_sub
 
 
-def spec_augment(x: FeatureSequence, rng: np.random.Generator,
-                 n_freq_masks: int = 2, freq_mask_max: int = 10,
-                 n_time_masks: int = 2, time_mask_max: int = 20) -> FeatureSequence:
-    """Zero random frequency bands and time bands; train-time augmentation."""
-    feats = x.features.copy()
-    F = x.feature_dim
+def spec_augment(feats: np.ndarray, rng: np.random.Generator, n_freq_masks: int,
+                 freq_mask_max: int, n_time_masks: int, time_mask_max: int) -> None:
+    """Zero n_freq_masks random frequency bands of at most freq_mask_max bins
+    and n_time_masks time bands of at most time_mask_max frames in the frames
+    `feats` [n, F], in place; train-time augmentation."""
+    n, F = feats.shape
     f_cap = min(freq_mask_max, max(0, F - 1))
-    t_cap = min(time_mask_max, max(0, x.length - 1))
+    t_cap = min(time_mask_max, max(0, n - 1))
     for _ in range(n_freq_masks):
         f = int(rng.integers(0, f_cap + 1))
         f0 = int(rng.integers(0, F - f + 1))
-        feats[: x.length, f0:f0 + f] = 0.0
+        feats[:, f0:f0 + f] = 0.0
     for _ in range(n_time_masks):
         t = int(rng.integers(0, t_cap + 1))
-        t0 = int(rng.integers(0, x.length - t + 1))
-        feats[t0:t0 + t, :] = 0.0
-    return FeatureSequence(feats, x.length)
+        t0 = int(rng.integers(0, n - t + 1))
+        feats[t0:t0 + t] = 0.0

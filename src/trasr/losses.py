@@ -16,7 +16,7 @@ from .tensor import Tensor, _result
 class KDConfig:
     phi_final: float = bounded(0.5, 0, 1)
     cadence: int = bounded(1, 1)  # epochs between teacher refreshes
-    temperature: float = bounded(1.0, 0, open_low=True)
+    temperature: float = bounded(1.0, 1e-3)
 
     __post_init__ = check_fields
 

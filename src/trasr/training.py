@@ -34,27 +34,23 @@ from .search import BeamConfig, CtcPrefixScorer, beam_search
 
 
 class RunLock:
-    """Exclusive ownership of an output directory: an advisory `flock` on
-    `<out>/.lock`. The kernel drops it however its process ends, so the file
-    a killed run leaves behind is simply taken by the next run."""
+    """Exclusive ownership of an output directory: an advisory `flock` on the
+    directory itself. The kernel drops it however its process ends, and it
+    leaves no file behind."""
 
     def __init__(self, out_dir: Path):
-        self.path = Path(out_dir) / ".lock"
+        self.path = Path(out_dir)
 
     def __enter__(self):
-        self.fd = os.open(self.path, os.O_CREAT | os.O_WRONLY)
+        self.fd = os.open(self.path, os.O_RDONLY | os.O_DIRECTORY)
         try:
             fcntl.flock(self.fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
-            # a holder that was finishing may have unlinked the file we opened
-            if os.path.samestat(os.fstat(self.fd), os.stat(self.path)):
-                return self
         except OSError:
-            pass
-        os.close(self.fd)
-        raise TrasrError(f"output directory locked by another run: {self.path}")
+            os.close(self.fd)
+            raise TrasrError(f"output directory locked by another run: {self.path}") from None
+        return self
 
     def __exit__(self, *exc):
-        self.path.unlink(missing_ok=True)
         os.close(self.fd)
 
 
@@ -95,8 +91,7 @@ def batch_loss(batch: Batch, model_cfg: ModelConfig, params: ParameterStore,
     whole batch, with every loss masked to each utterance's true lengths.
     The teacher runs first, so its transients, and each weight it reads from
     its file, are gone before the student's graph is built."""
-    targets = [list(row[:n]) for row, n in zip(batch.targets, batch.target_lengths)]
-    prefix, dec_targets, mask = _shifted(targets)
+    prefix, dec_targets, mask = _shifted(batch.tokens)
     if teacher is not None:
         with T.no_grad():
             t_xe, t_len = encode(batch.features, batch.feature_lengths, model_cfg, teacher)
@@ -104,14 +99,14 @@ def batch_loss(batch: Batch, model_cfg: ModelConfig, params: ParameterStore,
         t_logits = t_logits.reshape(-1, t_logits.shape[-1])
 
     x_e, x_len = encode(batch.features, batch.feature_lengths, model_cfg, params, ctx)
-    l_ctc = ctc_loss(ctc_log_probs(x_e, params), targets, Vocabulary.BLANK, x_len)
+    l_ctc = ctc_loss(ctc_log_probs(x_e, params), batch.tokens, Vocabulary.BLANK, x_len)
     logits = decode_forward(prefix, x_e, model_cfg, params, ctx, mask.sum(axis=1), x_len)
     logits = T.reshape(logits, -1, logits.shape[-1])
     dec_targets, mask = dec_targets.ravel(), mask.ravel()
     l_s2s = ce_label_smoothed(logits, dec_targets, label_smoothing, mask)
     n_correct = int(((logits.data.argmax(axis=-1) == dec_targets) & mask).sum())
 
-    n_ctc, n_pos = int(batch.target_lengths.sum()), int(mask.sum())
+    n_ctc, n_pos = sum(map(len, batch.tokens)), int(mask.sum())
     l_ctc = l_ctc * (1.0 / max(1, n_ctc))
     l_s2s = l_s2s * (1.0 / n_pos)
     if teacher is not None:
@@ -341,15 +336,13 @@ def run_training(cfg: ExperimentConfig, out_dir, mode: str = "plain",
 
 
 def _augment_batch(batch: Batch, cfg: ExperimentConfig, streams: StreamCache) -> Batch:
+    """`batch` with SpecAugment on one copy of its features: each row's true
+    frames are masked from the `specaug/<utt_id>` stream of its utterance."""
     feats = batch.features.copy()
-    for i, utt_id in enumerate(batch.utt_ids):
-        seq = FeatureSequence(feats[i], int(batch.feature_lengths[i]))
-        aug = spec_augment(seq, streams.get(f"specaug/{utt_id}"),
-                           n_freq_masks=cfg.train.freq_masks,
-                           freq_mask_max=cfg.train.freq_mask_max,
-                           n_time_masks=cfg.train.time_masks,
-                           time_mask_max=cfg.train.time_mask_max)
-        feats[i] = aug.features
+    t = cfg.train
+    for row, utt_id, n in zip(feats, batch.utt_ids, batch.feature_lengths):
+        spec_augment(row[:n], streams.get(f"specaug/{utt_id}"), t.freq_masks,
+                     t.freq_mask_max, t.time_masks, t.time_mask_max)
     return replace(batch, features=feats)
 
 

@@ -20,7 +20,7 @@ def grad_check(f: Callable[[Tensor], Tensor], x, eps: float = 1e-5) -> float:
     """
     x64 = Tensor(np.asarray(x, dtype=np.float64).copy(), requires_grad=True)
     out = f(x64)
-    if out.size != 1:
+    if out.data.size != 1:
         raise ValueError(f"grad_check needs a scalar-valued function, got shape {out.shape}")
     if not np.isfinite(out.data).all():
         raise GradCheckError("non-finite function value at the base point")

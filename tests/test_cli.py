@@ -2,10 +2,12 @@
 
 import argparse
 import csv
+import ctypes
 import hashlib
 import json
 import os
 import re
+import select
 import shlex
 import signal
 import subprocess
@@ -175,6 +177,18 @@ def test_out_of_range_value_exit_2(dataset, tmp_path, capsys):
     assert "config error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("temperature", ["1e-39", "1e-30"])
+def test_a_temperature_below_its_floor_exits_2_before_out_is_made(
+        dataset, tmp_path, capsys, temperature):
+    # 1/temperature would overflow float32 (1e-39) or scale the loss to ~1e30
+    out = tmp_path / "run"
+    assert main(["train-skd", "--out", str(out), "--set", f"paths.train_manifest={dataset}",
+                 "--set", f"kd.temperature={temperature}"] + TINY) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: kd.temperature must be >= 0.001")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("bad", [["model.d_att=7", "model.heads=1"], ["model.d_ff=0"],
                                  ["model.feature_dim=0"], ["train.epochs=0"]])
 def test_width_or_epochs_out_of_range_exit_2(dataset, tmp_path, capsys, bad):
@@ -322,7 +336,8 @@ def test_decode_and_benchmark_exit_3_into_a_held_directory_and_change_nothing(
     assert {p.name: p.read_text() for p in out.iterdir()} == before
 
 
-def test_dead_pid_lock_is_taken_over(dataset, tmp_path):
+def test_a_stray_lock_file_does_not_block_a_run(dataset, tmp_path):
+    # a run locks the directory itself, so a `.lock` file there is just a file
     out = tmp_path / "run"
     out.mkdir()
     proc = subprocess.Popen([sys.executable, "-c", "pass"])
@@ -331,7 +346,7 @@ def test_dead_pid_lock_is_taken_over(dataset, tmp_path):
     rc = main(["train", "--out", str(out),
                "--set", f"paths.train_manifest={dataset}"] + TINY)
     assert rc == 0
-    assert not (out / ".lock").exists()
+    assert (out / ".lock").read_text() == f"{proc.pid}\n"
 
 
 def test_train_skd_phi_zero_matches_plain(dataset, trained, tmp_path):
@@ -812,11 +827,60 @@ def test_a_non_finite_lm_loss_ends_the_run(dataset, tmp_path, capsys, monkeypatc
     assert not (tmp_path / "lm" / "lm.ckpt").exists()
 
 
+PR_SET_PDEATHSIG = 1  # from <linux/prctl.h>
+
+
+def _dies_with(parent: int):
+    """A `preexec_fn` that has the kernel SIGKILL the child when `parent`
+    dies, so that a killed test leaves no long run behind; the child exits
+    at once if `parent` is gone before that is armed."""
+    def arm():
+        ctypes.CDLL(None).prctl(PR_SET_PDEATHSIG, signal.SIGKILL)
+        if os.getppid() != parent:
+            os._exit(1)
+    return arm
+
+
+def test_dies_with_ends_a_child_whose_parent_is_not_the_one_named():
+    # the child of this process checks that its parent is the pid it was given
+    argv = [sys.executable, "-c", "pass"]
+    assert subprocess.run(argv, preexec_fn=_dies_with(os.getpid())).returncode == 0
+    assert subprocess.run(argv, preexec_fn=_dies_with(os.getppid())).returncode == 1
+
+
+def test_a_child_armed_by_dies_with_is_killed_with_its_parent():
+    r, w = os.pipe()
+    middle = os.fork()
+    if middle == 0:  # start a long child, report its pid, and wait to be killed
+        try:
+            os.close(r)
+            child = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(60)"],
+                                     preexec_fn=_dies_with(os.getpid()))
+            os.write(w, f"{child.pid}\n".encode())
+            time.sleep(60)
+        finally:
+            os._exit(0)
+    os.close(w)
+    with os.fdopen(r) as f:
+        child = int(f.readline())
+    pidfd = os.pidfd_open(child)  # the child is not ours, so it cannot be waited on
+    try:
+        os.kill(middle, signal.SIGKILL)
+        os.waitpid(middle, 0)
+        # readable once the child has exited
+        assert select.select([pidfd], [], [], 10)[0] == [pidfd]
+    finally:
+        if not select.select([pidfd], [], [], 0)[0]:
+            signal.pidfd_send_signal(pidfd, signal.SIGKILL)
+        os.close(pidfd)
+
+
 def _interrupted(argv, log, sig):
     """`trasr argv` in a subprocess, sent `sig` once its run's log file `log`
     holds a line; returns its exit status and stderr."""
     proc = subprocess.Popen([sys.executable, "-m", "trasr.cli", *argv], env=_cli_env(),
-                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+                            preexec_fn=_dies_with(os.getpid()))
     try:
         deadline = time.monotonic() + 120
         while not (log.exists() and log.read_text()):

@@ -187,7 +187,7 @@ def test_every_numeric_key_but_the_seed_declares_its_range():
 
 @pytest.mark.parametrize("key, value, message", [
     ("train.lr_scale", "-1", "train.lr_scale must be >= 0, got -1.0"),
-    ("kd.temperature", "0", "kd.temperature must be > 0, got 0.0"),
+    ("kd.temperature", "0", "kd.temperature must be >= 0.001, got 0.0"),
     ("train.label_smoothing", "1", "train.label_smoothing must be in [0, 1), got 1.0"),
     ("decode.lm_weight", "nan", "decode.lm_weight must be finite, got nan"),
     ("model.frontend", "wavelet", "model.frontend must be one of conv2d4, conv2d8, "

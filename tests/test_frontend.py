@@ -166,22 +166,32 @@ def test_unknown_kind_rejected():
 
 
 def test_spec_augment_zero_masks_identity():
-    x = FeatureSequence(np.random.default_rng(0).normal(size=(10, 6)).astype(np.float32), 10)
-    out = spec_augment(x, np.random.default_rng(0), n_freq_masks=0, freq_mask_max=0,
-                       n_time_masks=0, time_mask_max=0)
-    assert np.array_equal(out.features, x.features)
+    x = np.random.default_rng(0).normal(size=(10, 6)).astype(np.float32)
+    out = x.copy()
+    spec_augment(out, np.random.default_rng(0), 0, 0, 0, 0)
+    assert np.array_equal(out, x)
 
 
 def test_spec_augment_masks_are_zeroed_bands():
-    x = FeatureSequence(np.ones((30, 12), dtype=np.float32), 30)
-    out = spec_augment(x, np.random.default_rng(5), n_freq_masks=1, freq_mask_max=4,
-                       n_time_masks=1, time_mask_max=8)
-    assert out.features.shape == x.features.shape
-    assert set(np.unique(out.features)) <= {0.0, 1.0}
+    x = np.ones((30, 12), dtype=np.float32)
+    assert spec_augment(x, np.random.default_rng(5), 1, 4, 1, 8) is None
+    assert x.shape == (30, 12)
+    assert set(np.unique(x)) <= {0.0, 1.0}
 
 
 def test_spec_augment_deterministic_given_stream():
-    x = FeatureSequence(np.ones((30, 12), dtype=np.float32), 30)
-    a = spec_augment(x, stream(7, "specaug/utt1")).features
-    b = spec_augment(x, stream(7, "specaug/utt1")).features
+    a, b = np.ones((2, 30, 12), dtype=np.float32)
+    for x in (a, b):
+        spec_augment(x, stream(7, "specaug/utt1"), 2, 10, 2, 20)
     assert np.array_equal(a, b)
+
+
+def test_spec_augment_masks_only_the_frames_it_is_given():
+    # a view of a padded row's true frames: the padding is never touched
+    padded = np.ones((30, 12), dtype=np.float32)
+    alone = np.ones((20, 12), dtype=np.float32)
+    for x in (padded[:20], alone):
+        spec_augment(x, stream(3, "specaug/utt1"), 2, 6, 3, 15)
+    assert not alone.all()
+    assert np.array_equal(padded[:20], alone)
+    assert padded[20:].all()

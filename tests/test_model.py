@@ -676,8 +676,7 @@ def _desk_model(dtype):
 
 def _desk_batch(dtype):
     feats = np.random.default_rng(0).normal(size=(2, 64, 16)).astype(dtype)
-    targets = np.array([[5, 6, 7], [8, 5, 4]])
-    return Batch(["a", "b"], feats, np.array([64, 56]), targets, np.array([3, 2]))
+    return Batch(["a", "b"], feats, np.array([64, 56]), [[5, 6, 7], [8, 5]])
 
 
 def _run_entry(entry, dtype):

@@ -1,7 +1,6 @@
 """Training loops: artifacts, determinism, distillation modes, LM training,
 and dataset decoding."""
 
-import fcntl
 import json
 import os
 import importlib.util
@@ -19,9 +18,10 @@ from trasr.config import load_config, resolve
 from trasr.data import (SyntheticTaskSpec, Vocabulary, load_features, load_manifest,
                         make_batches, synth_generate)
 from trasr.errors import ConfigError, TrasrError
+from trasr.frontend import spec_augment
 from trasr.model import ForwardCtx, init_lm_params, init_model_params
 from trasr.optim import AdamState, _adam_update, adam_step, warmup_lr
-from trasr.rng import StreamCache
+from trasr.rng import StreamCache, stream
 from trasr.search import BeamConfig
 from trasr.training import (RunLock, batch_loss, decode_dataset, lm_perplexity,
                             run_lm_training, run_training)
@@ -75,20 +75,19 @@ def test_run_lock_exclusive(tmp_path):
         pass
 
 
-def _exited_pid() -> int:
-    """The pid of a process that has exited and been reaped."""
-    proc = subprocess.Popen([sys.executable, "-c", "pass"])
-    proc.wait()
-    return proc.pid
-
-
-@pytest.mark.parametrize("held", ["dead", "", "not a pid", "0", "-1"])
-def test_run_lock_takes_a_file_left_without_a_holder(tmp_path, held):
-    lock = tmp_path / ".lock"
-    lock.write_text(f"{_exited_pid()}\n" if held == "dead" else held)
+def test_run_lock_leaves_no_file_in_the_directory(tmp_path):
     with RunLock(tmp_path):
-        assert lock.exists()
-    assert not lock.exists()
+        assert list(tmp_path.iterdir()) == []
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_refused_run_lock_closes_its_descriptor(tmp_path):
+    with RunLock(tmp_path):
+        lock = RunLock(tmp_path)
+        with pytest.raises(TrasrError, match="locked"):
+            lock.__enter__()
+        with pytest.raises(OSError):
+            os.fstat(lock.fd)
 
 
 def test_run_lock_refuses_a_live_holder_until_it_is_killed(tmp_path):
@@ -107,29 +106,12 @@ def test_run_lock_refuses_a_live_holder_until_it_is_killed(tmp_path):
             with RunLock(tmp_path):
                 pass
     finally:
-        holder.kill()  # SIGKILL: the holder leaves its file behind
+        holder.kill()  # SIGKILL: the holder never releases the lock itself
         holder.wait()
         holder.stdin.close()
         holder.stdout.close()
-    assert (tmp_path / ".lock").exists()
     with RunLock(tmp_path):
         pass
-
-
-def test_run_lock_refuses_a_file_unlinked_after_it_was_opened(tmp_path, monkeypatch):
-    # a holder that is finishing unlinks the file between our open and flock
-    flock = fcntl.flock
-
-    def unlink_then_flock(fd, op):
-        (tmp_path / ".lock").unlink()
-        flock(fd, op)
-
-    monkeypatch.setattr(training.fcntl, "flock", unlink_then_flock)
-    lock = RunLock(tmp_path)
-    with pytest.raises(TrasrError, match="locked"):
-        lock.__enter__()
-    with pytest.raises(OSError):
-        os.fstat(lock.fd)  # its descriptor is closed
 
 
 # -- artifacts --------------------------------------------------------------
@@ -487,7 +469,7 @@ def test_batched_dropout_step_equals_per_utterance_steps(dataset):
         for batch in batches:
             _, stats = batch_loss(batch, cfg.model, params, ctx,
                                   alpha=0.3, label_smoothing=0.1)
-            ctc += stats.l_ctc * batch.target_lengths.sum()
+            ctc += stats.l_ctc * sum(map(len, batch.tokens))
             s2s += stats.l_s2s * stats.n_positions
         return ctc, s2s
 
@@ -496,7 +478,23 @@ def test_batched_dropout_step_equals_per_utterance_steps(dataset):
     np.testing.assert_allclose(together, one_by_one, rtol=1e-5)
     (batch,) = make_batches(entries, vocab, 3)
     _, plain = batch_loss(batch, cfg.model, params, ForwardCtx(), 0.3, 0.1)
-    assert abs(plain.l_s2s * sum(batch.target_lengths + 1) - together[1]) > 1e-3
+    assert abs(plain.l_s2s * sum(len(t) + 1 for t in batch.tokens) - together[1]) > 1e-3
+
+
+def test_augment_batch_masks_each_row_as_its_utterance_alone(dataset):
+    cfg = tiny_cfg(dataset, **{"train.freq_masks": "3", "train.freq_mask_max": "5",
+                               "train.time_masks": "1", "train.time_mask_max": "7"})
+    (batch,) = make_batches(loaded(load_manifest(dataset)[:3]), Vocabulary(cfg.alphabet), 3)
+    assert len(set(batch.feature_lengths.tolist())) > 1  # some rows are padded
+    before = batch.features.copy()
+    out = training._augment_batch(batch, cfg, StreamCache(4))
+    assert np.array_equal(batch.features, before)  # the stored batch stays clean
+    for i, (utt_id, n) in enumerate(zip(batch.utt_ids, batch.feature_lengths)):
+        alone = before[i, :n].copy()
+        spec_augment(alone, stream(4, f"specaug/{utt_id}"), 3, 5, 1, 7)
+        assert not np.array_equal(alone, before[i, :n])
+        assert np.array_equal(out.features[i, :n], alone)
+        assert not out.features[i, n:].any()
 
 
 # -- language model ---------------------------------------------------------
