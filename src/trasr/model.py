@@ -1,8 +1,8 @@
 """Encoder with time-reduction layers placed by one reduction schedule (the
 paper's single in-encoder TR layer, or the pyramidal baseline), the CTC
 head, and one causal token stack (`_causal_stack`) that is both the decoder
-and a decoder-only language model: only their layers differ, as the LM's
-have no cross-attention.
+and a decoder-only language model. All three stacks run one layer body,
+`encoder_layer`; only the decoder's also attends to the encoder output.
 
 All forward functions take a ParameterStore plus a ForwardCtx carrying
 the dropout rate (dropout is on exactly when it is above 0) and streams, and
@@ -158,8 +158,8 @@ def param_table(cfg: ModelConfig | LMConfig) -> dict[str, tuple[tuple[int, ...],
         add(f"{p}.bias", (n,), "zeros")
 
     def layer(p, *blocks):
-        """Pre-norm attention `blocks`, then the FFN: ('mha',) is an
-        `encoder_layer`, ('self', 'src') a decoder layer."""
+        """Pre-norm attention `blocks`, then the FFN; `encoder_layer` is the
+        forward of both lists, ('mha',) and the decoder's ('self', 'src')."""
         for k, block in enumerate(blocks, 1):
             norm(f"{p}.ln{k}", d)
             for w in ("wq", "wk", "wv", "wo"):
@@ -295,22 +295,29 @@ def _ln_apply(x, params, prefix):
     return T.layer_norm(x, params[f"{prefix}.gain"], params[f"{prefix}.bias"])
 
 
-def _residual(x: Tensor, sublayer, params: ParameterStore, ln: str, name: str,
-              ctx: ForwardCtx, lengths=None) -> Tensor:
-    """The pre-norm residual x + drop(f(LN(x))); `name` is the sublayer's
-    dropout stream and `lengths` the true row lengths of x."""
-    return x + ctx.drop(sublayer(_ln_apply(x, params, ln)), name, lengths)
-
-
 def encoder_layer(x: Tensor, params: ParameterStore, prefix: str, heads: int,
                   ctx: ForwardCtx = EVAL_CTX, mask: np.ndarray | None = None,
-                  lengths=None, cache: KVCache | None = None) -> Tensor:
-    mha, ffn = f"{prefix}.mha", f"{prefix}.ffn"
-    x = _residual(x, lambda h: multi_head_attention(h, h, params, mha, heads, mask,
-                                                    ctx.counter, cache),
-                  params, f"{prefix}.ln1", mha, ctx, lengths)
-    return _residual(x, lambda h: position_wise_ffn(h, params, ffn),
-                     params, f"{prefix}.ln2", ffn, ctx, lengths)
+                  lengths=None, cache: KVCache | None = None, memory: Tensor | None = None,
+                  memory_mask: np.ndarray | None = None) -> Tensor:
+    """The one pre-norm layer of the encoder, the decoder and the LM, over x
+    with true row `lengths`: self-attention under `mask` (`.mha`, or `.self`
+    in a layer that also attends to `memory`), then attention to `memory`
+    under `memory_mask` (`.src`) when it is given, then the FFN (`.ffn`).
+    Sublayer k computes x + drop(f(`.ln<k>`(x))), its dropout drawn from the
+    stream 'dropout/<prefix>.<mha|self|src|ffn>'."""
+    sa = f"{prefix}.mha" if memory is None else f"{prefix}.self"
+    h = _ln_apply(x, params, f"{prefix}.ln1")
+    x = x + ctx.drop(multi_head_attention(h, h, params, sa, heads, mask, ctx.counter, cache),
+                     sa, lengths)
+    ln = f"{prefix}.ln2"
+    if memory is not None:
+        ca = f"{prefix}.src"
+        h = _ln_apply(x, params, ln)
+        x = x + ctx.drop(multi_head_attention(h, memory, params, ca, heads, memory_mask,
+                                              ctx.counter, cache), ca, lengths)
+        ln = f"{prefix}.ln3"
+    ffn = f"{prefix}.ffn"
+    return x + ctx.drop(position_wise_ffn(_ln_apply(x, params, ln), params, ffn), ffn, lengths)
 
 
 def time_reduce(x: Tensor, lengths, params: ParameterStore,
@@ -363,13 +370,15 @@ def ctc_log_probs(x_e: Tensor, params: ParameterStore) -> Tensor:
     return T.log_softmax(T.matmul(x_e, params["ctc.w"]) + params["ctc.b"], axis=-1)
 
 
-def _causal_stack(prefix, params: ParameterStore, name: str, d_att: int, n_layers: int,
-                  layer, ctx: ForwardCtx, lengths, cache: KVCache | None) -> Tensor:
+def _causal_stack(prefix, params: ParameterStore, name: str, cfg: ModelConfig | LMConfig,
+                  n_layers: int, ctx: ForwardCtx, lengths, cache: KVCache | None,
+                  memory: Tensor | None = None, memory_mask: np.ndarray | None = None) -> Tensor:
     """Next-token logits [..., n - m, V] of a prefix [n] or right-padded [B, n]
     (true `lengths`) whose first m positions `cache` holds (m = 0 without
-    one): `{name}.embed` with positions, `layer(y, f"{name}.layer{i}", mask)`
-    under the causal mask for i < n_layers, `{name}.ln_out`, `{name}.out`."""
-    start = 0
+    one): `{name}.embed` with positions, `encoder_layer` `{name}.layer{i}`
+    under the causal mask (attending to `memory` too, when it is given) for
+    i < n_layers, `{name}.ln_out`, `{name}.out`."""
+    start, d_att = 0, cfg.d_att
     if cache is not None:
         if T.grad_enabled():
             raise RuntimeError("a KVCache is inference-only: call under tensor.no_grad()")
@@ -383,7 +392,8 @@ def _causal_stack(prefix, params: ParameterStore, name: str, d_att: int, n_layer
     y = ctx.drop(y, f"{name}.embed", lengths)
     mask = None if n - start == 1 else np.tril(np.ones((n - start, n), dtype=bool), k=start)
     for i in range(n_layers):
-        y = layer(y, f"{name}.layer{i}", mask)
+        y = encoder_layer(y, params, f"{name}.layer{i}", cfg.heads, ctx, mask, lengths, cache,
+                          memory, memory_mask)
     if cache is not None:
         cache.length = n
     y = _ln_apply(y, params, f"{name}.ln_out")
@@ -397,20 +407,8 @@ def decode_forward(prefix, x_e: Tensor, cfg: ModelConfig, params: ParameterStore
     encoder output shared by every prefix, or a padded batch [B, T', D] with
     true frame counts `x_lengths`, one row per prefix."""
     x_mask = None if x_lengths is None else _key_mask(x_lengths, x_e.shape[-2])
-
-    def layer(y, p, mask):
-        sa, ca, ffn = f"{p}.self", f"{p}.src", f"{p}.ffn"
-        y = _residual(y, lambda h: multi_head_attention(h, h, params, sa, cfg.heads, mask,
-                                                        ctx.counter, cache),
-                      params, f"{p}.ln1", sa, ctx, lengths)
-        y = _residual(y, lambda h: multi_head_attention(h, x_e, params, ca, cfg.heads,
-                                                        x_mask, ctx.counter, cache),
-                      params, f"{p}.ln2", ca, ctx, lengths)
-        return _residual(y, lambda h: position_wise_ffn(h, params, ffn),
-                         params, f"{p}.ln3", ffn, ctx, lengths)
-
-    return _causal_stack(prefix, params, "dec", cfg.d_att, cfg.dec_layers, layer,
-                         ctx, lengths, cache)
+    return _causal_stack(prefix, params, "dec", cfg, cfg.dec_layers, ctx, lengths, cache,
+                         x_e, x_mask)
 
 
 # -- analytic attention cost ----------------------------------------------
@@ -448,9 +446,5 @@ def count_attention_macs(cfg: ModelConfig, T_in: int) -> dict:
 def lm_forward(prefix, cfg: LMConfig, params: ParameterStore,
                ctx: ForwardCtx = EVAL_CTX, lengths=None,
                cache: KVCache | None = None) -> Tensor:
-    """`_causal_stack` under 'lm.' whose layers are `encoder_layer`s: causal
-    self-attention, no cross-attention."""
-    return _causal_stack(prefix, params, "lm", cfg.d_att, cfg.layers,
-                         lambda y, p, mask: encoder_layer(y, params, p, cfg.heads, ctx, mask,
-                                                          lengths, cache),
-                         ctx, lengths, cache)
+    """`_causal_stack` under 'lm.': causal self-attention, no encoder output."""
+    return _causal_stack(prefix, params, "lm", cfg, cfg.layers, ctx, lengths, cache)

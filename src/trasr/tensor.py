@@ -501,10 +501,10 @@ def _col2im(cols: np.ndarray, shape: tuple, kh: int, kw: int, stride: int) -> np
     return out
 
 
-def conv2d(x: Tensor, kernels: Tensor, bias: Tensor | None = None,
+def conv2d(x: Tensor, kernels: Tensor, bias: Tensor,
            stride: int = 1, padding: int = 0) -> Tensor:
-    """Cross-correlation of x[B,C,H,W] with kernels[O,C,kh,kw]."""
-    x, kernels = _wrap(x), _wrap(kernels)
+    """Cross-correlation of x[B,C,H,W] with kernels[O,C,kh,kw], plus bias[O]."""
+    x, kernels, bias = _wrap(x), _wrap(kernels), _wrap(bias)
     if x.ndim != 4 or kernels.ndim != 4:
         raise ShapeError(f"conv2d expects 4-d input/kernels, got {x.shape} and {kernels.shape}")
     B, C, H, W = x.shape
@@ -515,6 +515,8 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor | None = None,
     Wo = (W + 2 * padding - kw) // stride + 1
     if Ho < 1 or Wo < 1:
         raise ShapeError(f"conv2d input {H}x{W} too short for kernel {kh}x{kw} stride {stride}")
+    if bias.shape != (O,):
+        raise ShapeError(f"conv2d bias shape {bias.shape} != ({O},)")
 
     xp = x.data
     if padding:
@@ -522,13 +524,7 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor | None = None,
     # one GEMM: kernels [O, C·kh·kw] @ patches [C·kh·kw, B·Ho·Wo]
     k2 = kernels.data.reshape(O, C * kh * kw)
     data = (k2 @ _patches(xp, kh, kw, stride)).reshape(O, B, Ho, Wo).transpose(1, 0, 2, 3)
-    bias_input = ()
-    if bias is not None:
-        bias = _wrap(bias)
-        if bias.shape != (O,):
-            raise ShapeError(f"conv2d bias shape {bias.shape} != ({O},)")
-        data = data + bias.data.reshape(1, O, 1, 1)
-        bias_input = ((bias._node, lambda g: g.sum(axis=(0, 2, 3))),)
+    data = data + bias.data.reshape(1, O, 1, 1)
     xp_shape, k_shape = xp.shape, kernels.shape
 
     def cols(g):
@@ -539,7 +535,7 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor | None = None,
     return _result(data,
                    (x._node, lambda g: _col2im(k2.T @ cols(g), xp_shape, kh, kw, stride)
                     [:, :, padding:padding + H, padding:padding + W]),
-                   *bias_input,
+                   (bias._node, lambda g: g.sum(axis=(0, 2, 3))),
                    (kernels._node,
                     lambda g: (cols(g) @ _patches(xp, kh, kw, stride).T).reshape(k_shape)))
 

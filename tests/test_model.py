@@ -169,6 +169,48 @@ def test_encoder_layer_gradient(seed):
     assert grad_check(f, rng.normal(size=(4, 8))) < 1e-3
 
 
+@pytest.mark.parametrize("p", ["dec.layer0", "lm.layer0"])
+def test_encoder_layer_is_the_decoder_and_the_lm_layer(p):
+    """With an encoder output, `encoder_layer` is the decoder layer (`.self`,
+    `.src`, FFN); without one, the LM layer (`.mha`, FFN): each sublayer is
+    x + drop(f(LN(x))) from its own dropout stream, bit for bit."""
+    rng = np.random.default_rng(0)
+    if p.startswith("dec"):
+        params = init_model_params(tiny_model_config(dropout=0.2), 0)
+    else:
+        params = init_lm_params(LMConfig(layers=1, d_att=16, d_ff=32, heads=2, dropout=0.2), 0)
+    lengths = np.array([3, 2])  # a padded prefix batch
+    y = Tensor(rng.normal(size=(2, 3, 16)).astype(np.float32))
+    causal = np.tril(np.ones((3, 3), dtype=bool))
+    x_e = Tensor(rng.normal(size=(2, 5, 16)).astype(np.float32))  # true frames 5 and 3
+    key_mask = (np.arange(5) < np.array([[5], [3]]))[:, None, None, :]
+    memory = dict(memory=x_e, memory_mask=key_mask) if p.startswith("dec") else {}
+    got = encoder_layer(y, params, p, 2, ForwardCtx(0.2, StreamCache(3)), causal, lengths,
+                        **memory)
+
+    ref = ForwardCtx(0.2, StreamCache(3))
+
+    def sublayer(x, ln, block, f):
+        h = T.layer_norm(x, params[f"{p}.{ln}.gain"], params[f"{p}.{ln}.bias"])
+        return x + ref.drop(f(h), f"{p}.{block}", lengths)
+
+    if memory:
+        want = sublayer(y, "ln1", "self",
+                        lambda h: multi_head_attention(h, h, params, f"{p}.self", 2, causal))
+        want = sublayer(want, "ln2", "src",
+                        lambda h: multi_head_attention(h, x_e, params, f"{p}.src", 2, key_mask))
+        ffn_ln = "ln3"
+    else:
+        want = sublayer(y, "ln1", "mha",
+                        lambda h: multi_head_attention(h, h, params, f"{p}.mha", 2, causal))
+        ffn_ln = "ln2"
+    want = sublayer(want, ffn_ln, "ffn", lambda h: position_wise_ffn(h, params, f"{p}.ffn"))
+    assert np.array_equal(got.data, want.data)
+    # dropout was on: the same layer without it differs
+    plain = encoder_layer(y, params, p, 2, EVAL_CTX, causal, lengths, **memory)
+    assert not np.array_equal(got.data, plain.data)
+
+
 # -- time reduction ---------------------------------------------------------
 
 

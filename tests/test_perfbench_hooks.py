@@ -57,6 +57,18 @@ def test_traced_arguments_keep_their_positions():
     assert list(inspect.signature(model.encoder_layer).parameters)[2] == "prefix"
 
 
+def test_decoder_and_lm_layers_open_no_encoder_span(tracing):
+    """`encoder_layer` is also the decoder's and the LM's layer; the tracer
+    times only the encoder's, so their calls leave `trace.spans` and the
+    `model.enc_*` times as they are."""
+    span = tracing.encoder_layer_span(2)
+    for prefix in ("dec.layer0", "lm.layer1"):
+        assert span((None, None, prefix), {}) is None
+        assert span((), {"prefix": prefix}) is None
+    assert span((None, None, "enc.layer1"), {}) == "model.enc_pre_tr"
+    assert span((None, None, "enc.layer2"), {}) == "model.enc_post_tr"
+
+
 # Keys that perfbench/harness.py's `setup_train` adds to a workload's config.
 SETUP_TRAIN_KEYS = ("data.alphabet", "train.epochs", "paths.train_manifest",
                     "paths.dev_manifest")
