@@ -139,6 +139,9 @@ def cmd_synth_data(args) -> int:
          "must be finite and >= 0", args.noise_std),
         (args.alphabet.strip(" "), "--alphabet", "needs a character other than a space",
          repr(args.alphabet)),
+        # a manifest line is `id<TAB>path<TAB>transcript`, split as str.splitlines does
+        ("\t" not in args.alphabet and "".join(args.alphabet.splitlines()) == args.alphabet,
+         "--alphabet", "must hold no tab or line break", repr(args.alphabet)),
         (args.words[1] == 1 or " " in args.alphabet, "--alphabet",
          "needs a space to join the words of an utterance", repr(args.alphabet)))
     spec = SyntheticTaskSpec(alphabet=args.alphabet, feature_dim=args.feature_dim,

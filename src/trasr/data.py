@@ -61,13 +61,10 @@ class Vocabulary:
 
 
 def save_features(path, seq: FeatureSequence) -> None:
-    t, f = seq.length, seq.feature_dim
-    if t < 1:
-        raise ValueError("refusing to save an empty feature sequence")
-    if not np.isfinite(seq.trimmed()).all():
+    if not np.isfinite(seq.features).all():
         raise ValueError("refusing to save non-finite feature values")
-    payload = FEATURE_MAGIC + struct.pack("<III", FEATURE_VERSION, t, f)
-    payload += np.ascontiguousarray(seq.trimmed(), dtype="<f4").tobytes()
+    payload = FEATURE_MAGIC + struct.pack("<III", FEATURE_VERSION, seq.length, seq.feature_dim)
+    payload += np.ascontiguousarray(seq.features, dtype="<f4").tobytes()
     Path(path).write_bytes(payload)
 
 
@@ -94,7 +91,7 @@ def load_features(path) -> FeatureSequence:
     data = np.frombuffer(blob, dtype="<f4", offset=16).reshape(t, f).copy()
     if not np.isfinite(data).all():
         raise FormatError("feature file contains non-finite values")
-    return FeatureSequence(data, t)
+    return FeatureSequence(data)
 
 
 @dataclass
@@ -105,15 +102,10 @@ class ManifestEntry:
 
 
 def save_manifest(path, entries) -> None:
-    lines = []
+    """Write `entries`, whose feature files lie under the manifest's directory."""
     base = Path(path).parent
-    for e in entries:
-        p = e.feature_path
-        try:
-            p = Path(p).relative_to(base)
-        except ValueError:
-            p = Path(p)
-        lines.append(f"{e.utt_id}\t{p.as_posix()}\t{e.transcript}")
+    lines = [f"{e.utt_id}\t{Path(e.feature_path).relative_to(base).as_posix()}\t{e.transcript}"
+             for e in entries]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -188,7 +180,7 @@ def synth_utterance(spec: SyntheticTaskSpec, transcript: str, rng: np.random.Gen
     feats = np.concatenate(rows, axis=0)
     if spec.noise_std > 0:
         feats = feats + rng.normal(scale=spec.noise_std, size=feats.shape).astype(np.float32)
-    return FeatureSequence(feats.astype(np.float32), feats.shape[0])
+    return FeatureSequence(feats.astype(np.float32))
 
 
 def synth_generate(spec: SyntheticTaskSpec, out_dir, n_utterances: int,
@@ -247,7 +239,7 @@ def make_batches(loaded: list[tuple[ManifestEntry, FeatureSequence]], vocab: Voc
         feats = np.zeros((len(chunk), lengths.max(), chunk[0][1].feature_dim),
                          dtype=np.float32)
         for row, (_, seq) in zip(feats, chunk):
-            row[: seq.length] = seq.trimmed()
+            row[: seq.length] = seq.features
         batches.append(Batch([e.utt_id for e, _ in chunk], feats, lengths,
                              [vocab.tokenize(e.transcript) for e, _ in chunk]))
     return batches

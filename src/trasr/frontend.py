@@ -25,25 +25,24 @@ _N_STAGES = {"conv2d4": 2, "conv2d8": 3, "vggconv2d4": 2, "vggconv2d8": 3, "iden
 
 @dataclass
 class FeatureSequence:
-    """T x F feature matrix plus the true frame count (rows beyond are padding)."""
+    """One utterance's T x F feature frames, T >= 1; padding lives only in a
+    batch (`data.Batch`)."""
 
     features: np.ndarray
-    length: int
 
     def __post_init__(self):
         self.features = np.asarray(self.features)
-        if self.features.ndim != 2:
-            raise ValueError(f"features must be 2-d, got shape {self.features.shape}")
-        if not 0 < self.length <= self.features.shape[0]:
-            raise ValueError(
-                f"length {self.length} outside allocated rows {self.features.shape[0]}")
+        if self.features.ndim != 2 or self.features.shape[0] < 1:
+            raise ValueError(f"features must be T x F with T >= 1, got shape "
+                             f"{self.features.shape}")
+
+    @property
+    def length(self) -> int:
+        return self.features.shape[0]
 
     @property
     def feature_dim(self) -> int:
         return self.features.shape[1]
-
-    def trimmed(self) -> np.ndarray:
-        return self.features[: self.length]
 
 
 def _conv_len(L: int) -> int:
@@ -131,9 +130,8 @@ def subsample(feats: np.ndarray, lengths, kind: str,
             f"{kind} needs at least {minimum_input_length(kind)} frames, "
             f"got {int(lengths[n_sub.argmin()])}")
     feats = np.asarray(feats)[:, : lengths.max()]
-    dtype = feats.dtype if feats.dtype in (np.float32, np.float64) else np.float32
     valid = np.arange(feats.shape[1]) < lengths[:, None]
-    h = Tensor(np.where(valid[..., None], feats, 0).astype(dtype, copy=False))
+    h = Tensor(np.where(valid[..., None], feats, 0))
 
     if kind != "identity":
         B, t, f = h.shape

@@ -109,9 +109,9 @@ class ForwardCtx:
     streams: StreamCache | None = None
     counter: MacCounter | None = None
 
-    def drop(self, x: Tensor, name: str, lengths=None) -> Tensor:
-        """Dropout from the stream `name`; with `lengths`, one draw per row of
-        its true length, in batch order (see `tensor.dropout`)."""
+    def drop(self, x: Tensor, name: str, lengths) -> Tensor:
+        """Dropout from the stream `name`: one draw per row of x of its true
+        length in `lengths`, in batch order (see `tensor.dropout`)."""
         if self.dropout == 0.0:
             return x
         return T.dropout(x, self.dropout, self.streams.get(f"dropout/{name}"), lengths)

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import FormatError, ShapeError
 from .tensor import Tensor
 
 
@@ -48,6 +48,8 @@ class ParameterStore:
             t = self._entries[name]
             if t.data.shape != arr.shape:
                 raise ShapeError(f"shape mismatch for {name!r}: {t.data.shape} vs {arr.shape}")
+            if not np.isfinite(arr).all():
+                raise FormatError(f"entry {name!r} holds a non-finite value")
             np.copyto(t.data, arr)  # in place, cast to the parameter's dtype
 
 

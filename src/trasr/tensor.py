@@ -66,13 +66,6 @@ def grad_enabled() -> bool:
     return _grad_enabled
 
 
-def _as_array(data) -> np.ndarray:
-    arr = np.asarray(data)
-    if arr.dtype not in (np.float32, np.float64):
-        arr = arr.astype(np.float32)
-    return arr
-
-
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum `grad` down to `shape`, undoing numpy broadcasting."""
     while grad.ndim > len(shape):
@@ -105,7 +98,7 @@ class Tensor:
     __slots__ = ("data", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = _as_array(data)
+        self.data = np.asarray(data)
         self._node = _UNTRACKED
         if requires_grad and _grad_enabled:
             self.requires_grad = True
@@ -248,6 +241,7 @@ def _used_up(g=None) -> None:
 
 
 def _wrap(x) -> Tensor:
+    """x as a Tensor; the S-KD teacher's forward feeds raw parameter arrays."""
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
@@ -353,14 +347,14 @@ def relu(x: Tensor) -> Tensor:
     return _result(data, (x._node, lambda g: g * (data > 0)))
 
 
-def tsum(x: Tensor, axis=None, keepdims=False) -> Tensor:
+def tsum(x: Tensor, axis=None) -> Tensor:
     x = _wrap(x)
-    shape, expand = x.data.shape, axis is not None and not keepdims
+    shape = x.data.shape
 
     def grad_x(g):
-        return np.broadcast_to(np.expand_dims(g, axis) if expand else g, shape)
+        return np.broadcast_to(g if axis is None else np.expand_dims(g, axis), shape)
 
-    return _result(x.data.sum(axis=axis, keepdims=keepdims), (x._node, grad_x))
+    return _result(x.data.sum(axis=axis), (x._node, grad_x))
 
 
 def reshape(x: Tensor, *shape) -> Tensor:
@@ -369,12 +363,11 @@ def reshape(x: Tensor, *shape) -> Tensor:
     return _result(x.data.reshape(shape), (x._node, lambda g: g.reshape(x_shape)))
 
 
-def transpose(x: Tensor, *axes) -> Tensor:
-    """Permute axes; with none given, swap the last two (leading axes are batch)."""
+def transpose(x: Tensor, axes: tuple | None = None) -> Tensor:
+    """Permute axes by `axes`; with none given, swap the last two (leading
+    axes are batch)."""
     x = _wrap(x)
-    if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-        axes = tuple(axes[0])
-    if not axes:
+    if axes is None:
         axes = tuple(range(x.ndim - 2)) + (x.ndim - 1, x.ndim - 2)
     return _result(x.data.transpose(axes), (x._node, lambda g: g.transpose(np.argsort(axes))))
 
@@ -392,10 +385,10 @@ def take(x: Tensor, index) -> Tensor:
     return _result(x.data[index], (x._node, grad_x))
 
 
-def dropout(x: Tensor, p: float, rng: np.random.Generator, lengths=None) -> Tensor:
+def dropout(x: Tensor, p: float, rng: np.random.Generator, lengths) -> Tensor:
     """Inverted dropout: kept values scaled by 1/(1-p); identity at p = 0.
 
-    With `lengths`, row i draws only its first lengths[i] positions, rows in
+    Row i of x [B, ...] draws only its first lengths[i] positions, rows in
     order (the draws of one call per unpadded row), and padding keeps scale 1.
     """
     if not 0.0 <= p < 1.0:
@@ -404,9 +397,8 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator, lengths=None) -> Tens
         return x
     x = _wrap(x)
     keep = np.ones_like(x.data)
-    blocks = [keep] if lengths is None else [row[:n] for row, n in zip(keep, lengths)]
-    for block in blocks:
-        block[...] = (rng.random(block.shape) >= p).astype(x.data.dtype) / (1.0 - p)
+    for row, n in zip(keep, lengths):
+        row[:n] = (rng.random(row[:n].shape) >= p).astype(x.data.dtype) / (1.0 - p)
     return _result(x.data * keep, (x._node, lambda g: g * keep))
 
 

@@ -58,7 +58,7 @@ def tiny_model_config(**overrides):
 
 
 def random_features(rng, n_frames, dim, dtype=np.float32):
-    return FeatureSequence(rng.normal(size=(n_frames, dim)).astype(dtype), n_frames)
+    return FeatureSequence(rng.normal(size=(n_frames, dim)).astype(dtype))
 
 
 def encode_one(seq, cfg, params, ctx=EVAL_CTX):

@@ -21,7 +21,7 @@ import pytest
 import trasr
 import trasr.cli as cli
 import trasr.training as training
-from trasr.checkpoint import load_checkpoint
+from trasr.checkpoint import load_checkpoint, save_checkpoint
 from trasr.cli import _load_cfg, build_parser, main
 from trasr.config import KEYS, load_config
 from trasr.data import (SyntheticTaskSpec, load_features, load_manifest, save_features,
@@ -107,6 +107,16 @@ def test_synth_data_out_of_range_exit_2(tmp_path, flags):
     assert done.returncode == 2, done.stderr
     assert done.stderr.startswith("config error: ") and flags[0] in done.stderr
     assert not (tmp_path / "data" / "manifest.tsv").exists()
+
+
+@pytest.mark.parametrize("brk", ["\t", "\n", "\r", "\x85", "\u2028"], ids=ascii)
+def test_synth_data_alphabet_with_a_tab_or_line_break_exit_2(tmp_path, capsys, brk):
+    """A manifest line is `id<TAB>path<TAB>transcript`, read by str.splitlines."""
+    out = tmp_path / "data"
+    assert main(["synth-data", "--out", str(out), "--n-utterances", "5",
+                 "--alphabet", f"ab{brk} ", "--seed", "1"]) == 2
+    assert capsys.readouterr().err.startswith("config error: --alphabet must hold no tab")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flags", [["--lengths", "0"], ["--lengths", "16", "-4"],
@@ -479,7 +489,7 @@ def test_decode_skips_too_short_utterance(dataset, trained, tmp_path):
     # conv2d4 needs 7 input frames: the 5-frame utterance is skipped with an
     # empty hypothesis and the others are decoded
     short = tmp_path / "short.trft"
-    save_features(short, FeatureSequence(np.zeros((5, 16), dtype=np.float32), 5))
+    save_features(short, FeatureSequence(np.zeros((5, 16), dtype=np.float32)))
     lines = [f"{e.utt_id}\t{e.feature_path}\t{e.transcript}" for e in load_manifest(dataset)]
     manifest = tmp_path / "mixed.tsv"
     manifest.write_text("\n".join(lines + [f"short\t{short}\tab cd"]) + "\n")
@@ -967,7 +977,7 @@ def _wrong_width_manifests(dataset, tmp_path):
     entries = load_manifest(dataset)
     bad = tmp_path / "wide12.trft"
     feats = load_features(entries[3].feature_path).features[:, :12]
-    save_features(bad, FeatureSequence(feats, len(feats)))
+    save_features(bad, FeatureSequence(feats))
     lines = [f"{e.utt_id}\t{e.feature_path}\t{e.transcript}\n" for e in entries]
     lines.insert(3, f"wide\t{bad}\tab\n")
     mixed, only_bad = tmp_path / "mixed.tsv", tmp_path / "bad.tsv"
@@ -1026,9 +1036,9 @@ def test_every_skip_kind_is_named_once_in_manifest_order(dataset, trained, tmp_p
     nan = tmp_path / "nan.trft"
     nan.write_bytes(blob[:16] + np.array([np.nan], dtype="<f4").tobytes() + blob[20:])
     wide = tmp_path / "wide.trft"
-    save_features(wide, FeatureSequence(np.zeros((40, 12), dtype=np.float32), 40))
+    save_features(wide, FeatureSequence(np.zeros((40, 12), dtype=np.float32)))
     short = tmp_path / "short.trft"  # conv2d4 needs 7 input frames
-    save_features(short, FeatureSequence(np.zeros((5, 16), dtype=np.float32), 5))
+    save_features(short, FeatureSequence(np.zeros((5, 16), dtype=np.float32)))
     bad = [("cut", cut), ("nan", nan), ("wide", wide), ("short", short)]
     lines = []
     for i, e in enumerate(entries):
@@ -1144,6 +1154,18 @@ def test_decode_missing_checkpoint_exit_3(dataset, tmp_path):
                str(tmp_path / "nope.ckpt"), "--manifest", str(dataset),
                "--greedy"] + TINY)
     assert rc == 3
+
+
+def test_decode_a_non_finite_checkpoint_entry_exit_3(dataset, trained, tmp_path, capsys):
+    state = load_checkpoint(trained / "epoch0002.ckpt")
+    state["ctc.w"][0, 0] = np.nan
+    save_checkpoint(tmp_path / "nan.ckpt", state)
+    out = tmp_path / "dec"
+    rc = main(["decode", "--out", str(out), "--checkpoint", str(tmp_path / "nan.ckpt"),
+               "--manifest", str(dataset), "--greedy"] + TINY)
+    assert rc == 3
+    assert "'ctc.w' holds a non-finite value" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # -- average ----------------------------------------------------------------

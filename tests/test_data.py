@@ -56,27 +56,20 @@ def test_duplicate_alphabet_characters_deduped():
 def test_features_round_trip(tmp_path):
     x = np.random.default_rng(0).normal(size=(7, 5)).astype(np.float32)
     p = tmp_path / "u.trft"
-    save_features(p, FeatureSequence(x, 7))
+    save_features(p, FeatureSequence(x))
     loaded = load_features(p)
     assert loaded.length == 7
     assert np.array_equal(loaded.features, x)
 
 
-def test_features_save_trims_padding(tmp_path):
-    x = np.ones((6, 3), dtype=np.float32)
-    p = tmp_path / "u.trft"
-    save_features(p, FeatureSequence(x, 4))
-    assert load_features(p).length == 4
-
-
 def test_features_empty_rejected_at_save(tmp_path):
     with pytest.raises(ValueError):
-        FeatureSequence(np.zeros((0, 3), dtype=np.float32), 0)
+        FeatureSequence(np.zeros((0, 3), dtype=np.float32))
 
 
 def test_features_truncated_rejected(tmp_path):
     p = tmp_path / "u.trft"
-    save_features(p, FeatureSequence(np.ones((3, 2), dtype=np.float32), 3))
+    save_features(p, FeatureSequence(np.ones((3, 2), dtype=np.float32)))
     blob = p.read_bytes()
     p.write_bytes(blob[:-3])
     with pytest.raises(FormatError):
@@ -85,7 +78,7 @@ def test_features_truncated_rejected(tmp_path):
 
 def test_load_features_checks_the_size_against_the_header(tmp_path):
     p = tmp_path / "u.trft"
-    save_features(p, FeatureSequence(np.ones((3, 2), dtype=np.float32), 3))
+    save_features(p, FeatureSequence(np.ones((3, 2), dtype=np.float32)))
     assert load_features(p).length == 3
     blob = p.read_bytes()
     for cut in (blob[:-3], blob + b"\0"):
@@ -96,7 +89,7 @@ def test_load_features_checks_the_size_against_the_header(tmp_path):
 
 def test_features_bad_magic_and_version(tmp_path):
     p = tmp_path / "u.trft"
-    save_features(p, FeatureSequence(np.ones((2, 2), dtype=np.float32), 2))
+    save_features(p, FeatureSequence(np.ones((2, 2), dtype=np.float32)))
     blob = bytearray(p.read_bytes())
     blob[0] = ord("X")
     p.write_bytes(bytes(blob))
@@ -112,7 +105,7 @@ def test_features_bad_magic_and_version(tmp_path):
 def test_features_non_finite_rejected(tmp_path):
     x = np.ones((2, 2), dtype=np.float32)
     with pytest.raises(ValueError):
-        save_features(tmp_path / "u.trft", FeatureSequence(x * np.nan, 2))
+        save_features(tmp_path / "u.trft", FeatureSequence(x * np.nan))
 
 
 # -- manifests --------------------------------------------------------------
@@ -122,7 +115,7 @@ def write_dataset(tmp_path, n=3):
     entries = []
     for i in range(n):
         p = tmp_path / f"u{i}.trft"
-        save_features(p, FeatureSequence(np.full((4 + i, 3), float(i), np.float32), 4 + i))
+        save_features(p, FeatureSequence(np.full((4 + i, 3), float(i), np.float32)))
         entries.append(ManifestEntry(f"u{i}", p, "ab"))
     man = tmp_path / "manifest.tsv"
     save_manifest(man, entries)
@@ -266,7 +259,7 @@ def test_batch_padding_and_masks(tmp_path):
     entries = []
     for i, length in enumerate((5, 9)):
         p = tmp_path / f"u{i}.trft"
-        save_features(p, FeatureSequence(np.ones((length, 3), np.float32), length))
+        save_features(p, FeatureSequence(np.ones((length, 3), np.float32)))
         entries.append(ManifestEntry(f"u{i}", p, "ab"))
     man = tmp_path / "manifest.tsv"
     save_manifest(man, entries)

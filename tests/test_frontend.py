@@ -6,7 +6,7 @@ import pytest
 from trasr import frontend
 from trasr.errors import SequenceTooShortError
 from trasr.frontend import (KINDS, FeatureSequence, minimum_input_length, output_length,
-                            positional_encoding, spec_augment)
+                            positional_encoding, spec_augment, subsample)
 from trasr.model import ModelConfig, init_model_params
 from trasr.rng import stream
 
@@ -109,8 +109,7 @@ def test_subsample_shape_contract(kind):
     # feature axis needs headroom
     cfg, store = make_frontend(kind, feature_dim=16)
     T_in = max(40, minimum_input_length(kind))
-    seq = FeatureSequence(np.random.default_rng(0).normal(size=(T_in, 16)).astype(np.float32),
-                          T_in)
+    seq = FeatureSequence(np.random.default_rng(0).normal(size=(T_in, 16)).astype(np.float32))
     out, n = subsample_one(seq, kind, store)
     assert n == output_length(kind, T_in)
     assert out.shape == (n, cfg.d_att)
@@ -119,7 +118,7 @@ def test_subsample_shape_contract(kind):
 def test_identity_kind_is_linear_projection():
     cfg, store = make_frontend("identity", d_att=6, feature_dim=4)
     x = np.random.default_rng(1).normal(size=(5, 4)).astype(np.float32)
-    out, n = subsample_one(FeatureSequence(x, 5), "identity", store)
+    out, n = subsample_one(FeatureSequence(x), "identity", store)
     assert n == 5
     expect = x @ store["frontend.proj.w"].data + store["frontend.proj.b"].data
     pe = positional_encoding(5, 6)
@@ -128,7 +127,7 @@ def test_identity_kind_is_linear_projection():
 
 def test_too_short_input_names_minimum():
     _, store = make_frontend("conv2d4")
-    seq = FeatureSequence(np.zeros((3, 8), dtype=np.float32), 3)
+    seq = FeatureSequence(np.zeros((3, 8), dtype=np.float32))
     with pytest.raises(SequenceTooShortError) as e:
         subsample_one(seq, "conv2d4", store)
     assert str(minimum_input_length("conv2d4")) in str(e.value)
@@ -140,8 +139,8 @@ def test_padding_rows_never_influence_output():
     body = rng.normal(size=(21, 8)).astype(np.float32)
     padded = np.concatenate([body, np.zeros((7, 8), dtype=np.float32)])
     garbage = np.concatenate([body, 99.0 * np.ones((7, 8), dtype=np.float32)])
-    out1, _ = subsample_one(FeatureSequence(padded, 21), "conv2d4", store)
-    out2, _ = subsample_one(FeatureSequence(garbage, 21), "conv2d4", store)
+    out1, _ = subsample(padded[None], [21], "conv2d4", store)
+    out2, _ = subsample(garbage[None], [21], "conv2d4", store)
     assert np.array_equal(out1.data, out2.data)
 
 
@@ -152,7 +151,7 @@ def test_positional_encoding_added_for_conv_and_identity_not_vgg(kind):
     store["frontend.proj.w"].data[...] = 0.0
     store["frontend.proj.b"].data[...] = 0.0
     x = np.random.default_rng(3).normal(size=(40, 16)).astype(np.float32)
-    out, n = subsample_one(FeatureSequence(x, 40), kind, store)
+    out, n = subsample_one(FeatureSequence(x), kind, store)
     want = np.zeros((n, 16), np.float32) if kind.startswith("vgg") else positional_encoding(n, 16)
     assert np.array_equal(out.data, want)
 

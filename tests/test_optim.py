@@ -5,7 +5,7 @@ import pytest
 
 import trasr.tensor as T
 from trasr.checkpoint import snapshot_teacher
-from trasr.errors import NotBackpropagatedError, ShapeError
+from trasr.errors import FormatError, NotBackpropagatedError, ShapeError
 from trasr.optim import (ADAM_SLICE, BETA1, BETA2, EPSILON, AdamState, ParameterStore,
                          _adam_update, adam_step, warmup_lr)
 from trasr.tensor import Tensor
@@ -185,6 +185,14 @@ def test_load_state_dict_shape_mismatch():
     store = make_store({"a": [1.0, 2.0]})
     with pytest.raises(ShapeError, match="a"):
         store.load_state_dict({"a": np.zeros(3)})
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_load_state_dict_rejects_a_non_finite_entry_before_copying_it(bad):
+    store = make_store({"a": [1.0, 2.0], "b": [3.0, 4.0]})
+    with pytest.raises(FormatError, match="'b' holds a non-finite value"):
+        store.load_state_dict({"a": np.zeros(2), "b": np.array([5.0, bad])})
+    assert np.array_equal(store["b"].data, [3.0, 4.0])
 
 
 def test_clone_frozen_is_isolated():

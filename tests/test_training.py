@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import trasr.tensor as T
 import trasr.training as training
 from trasr.checkpoint import load_checkpoint, snapshot_teacher
 from trasr.config import load_config, resolve
@@ -19,7 +20,8 @@ from trasr.data import (SyntheticTaskSpec, Vocabulary, load_features, load_manif
                         make_batches, synth_generate)
 from trasr.errors import ConfigError, TrasrError
 from trasr.frontend import spec_augment
-from trasr.model import ForwardCtx, init_lm_params, init_model_params
+from trasr.model import (ForwardCtx, ModelConfig, decode_forward, encode, init_lm_params,
+                         init_model_params)
 from trasr.optim import AdamState, _adam_update, adam_step, warmup_lr
 from trasr.rng import StreamCache, stream
 from trasr.search import BeamConfig
@@ -246,6 +248,24 @@ def test_skd_records_linear_phi_ramp(dataset, tmp_path):
     assert abs(records[0]["phi"] - 0.5 * 1 / 2) < 1e-12
     assert abs(records[1]["phi"] - 0.5) < 1e-12
     assert all(np.isfinite(r["teacher_entropy"]) for r in records)
+
+
+def test_the_teacher_forward_is_the_students():
+    """The teacher's forward reads raw arrays from its file (`tensor._wrap`
+    makes them operands); it must give the student's outputs bit for bit."""
+    cfg = ModelConfig(e1=1, e2=1, dec_layers=1, d_att=16, d_ff=32, heads=2, vocab_size=9,
+                      dropout=0.1, frontend="conv2d4", feature_dim=16)
+    params = init_model_params(cfg, seed=0)
+    feats = np.random.default_rng(1).normal(size=(2, 40, 16)).astype(np.float32)
+    prefix, lengths = np.array([[2, 5, 6], [2, 7, 4]]), [3, 2]
+    outs = []
+    with T.no_grad(), snapshot_teacher(params) as teacher:
+        for weights in (params, teacher):
+            x_e, n = encode(feats, [40, 31], cfg, weights)
+            logits = decode_forward(prefix, x_e, cfg, weights, lengths=lengths, x_lengths=n)
+            outs.append((x_e.data, n, logits.data))
+    for student, teacher_out in zip(*outs):
+        assert teacher_out.dtype == student.dtype and np.array_equal(teacher_out, student)
 
 
 def test_the_old_teacher_is_gone_before_the_next_snapshot(dataset, tmp_path, monkeypatch):
